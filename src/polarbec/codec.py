@@ -1,14 +1,18 @@
 """Butterfly encoding, successive-cancellation decoding, and simulation.
 
-Bits travel as int8 arrays.  A partial codeword marks erased positions with
-ERASED (-1); an erasure pattern is a bool array, True where the symbol was
-lost.  Input position i of the encoder feeds the synthetic channel with
-index j = i + 1: the first half of the input block rides the worse subtree.
+Bits travel as int8 arrays; an erasure pattern is a bool array, True where
+the symbol was lost.  Input position i of the encoder feeds the synthetic
+channel with index j = i + 1: the first half of the input block rides the
+worse subtree.  Inside the decoder a block is a pair of Python-int
+bitmasks, known and value, with bit t standing for position t.
 
 On the BEC the decoder never guesses, so whether a block decodes depends on
 the erasure pattern alone.  simulate() exploits that through a vectorized
-resolution profile; exact_block_error() deliberately does not, running the
-actual message-passing decoder on every pattern so the two stay independent.
+resolution profile, bit-sliced over 64 trials per uint64 word, fed by one
+counter-based Philox stream per batch (its docstring states the stream;
+tallies for a given seed differ from polarbec 0.1.0).  exact_block_error()
+deliberately does not, running the actual message-passing decoder on every
+pattern so the two stay independent.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import numpy as np
 from .construction import CodeSpec
 from .erasure import RootChannel
 from .errors import DecodingInconsistencyError, LevelTooLargeError
-
-ERASED = np.int8(-1)
 
 # two-sided 95% normal quantile
 WILSON_Z95 = 1.959963984540054
@@ -79,6 +81,50 @@ class _Unresolved(Exception):
         self.position = position
 
 
+def _to_mask(bits: np.ndarray) -> int:
+    """Bit t of the result is bits[t]."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _resolve(
+    known: int, value: int, width: int, base: int, frozen: int, forced: int
+) -> tuple[int, int]:
+    """Decode the subtree whose inputs are channels base .. base + width - 1.
+
+    known, value: bitmasks over the subtree's codeword-domain block, bit t
+    for offset t; value bits are zero outside known.  frozen, forced:
+    bitmasks over the whole code's input positions, marking the frozen
+    channels and their values.  Returns the re-encoded block and the decided
+    inputs, both as bitmasks over the subtree.
+    """
+    if width == 1:
+        if frozen >> base & 1:
+            bit = forced >> base & 1
+            if known and value != bit:
+                raise DecodingInconsistencyError(
+                    f"channel {base + 1} observed {value} but is frozen to {bit}"
+                )
+            return bit, bit
+        if not known:
+            raise _Unresolved(base)
+        return value, value
+    half = width >> 1
+    low = (1 << half) - 1
+    kl, kr = known & low, known >> half
+    vl, vr = value & low, value >> half
+    both = kl & kr
+    # check node: parity known only when both halves are
+    cx, cu = _resolve(both, (vl ^ vr) & both, half, base, frozen, forced)
+    from_left = (vl ^ cx) & kl
+    conflict = both & (from_left ^ vr)
+    if conflict:
+        t = (conflict & -conflict).bit_length() - 1
+        raise DecodingInconsistencyError(f"inconsistent pair at codeword offset {t}")
+    # variable node: either side pins the value
+    dx, du = _resolve(kl | kr, vr | (from_left & ~kr), half, base + half, frozen, forced)
+    return (cx ^ dx) | (dx << half), cu | (du << half)
+
+
 def sc_decode_bec(erased, received, spec: CodeSpec, frozen_values) -> DecodeResult:
     """Three-valued successive-cancellation decoding over the erasure channel.
 
@@ -94,88 +140,59 @@ def sc_decode_bec(erased, received, spec: CodeSpec, frozen_values) -> DecodeResu
     mask = np.asarray(erased, dtype=bool)
     if mask.shape != (size,):
         raise ValueError("erasure pattern length does not match the code")
-    y = np.asarray(received, dtype=np.int8).copy()
+    y = np.asarray(received, dtype=np.int8)
     if y.shape != (size,):
         raise ValueError("received block length does not match the code")
-    y[mask] = ERASED
     good = y[~mask]
     if good.size and (good.min() < 0 or good.max() > 1):
         raise ValueError("received entries must be 0 or 1 outside erasures")
-
-    template = np.full(size, ERASED, dtype=np.int8)
     info_pos = spec.indices.astype(np.int64) - 1
-    frozen_pos = np.setdiff1d(np.arange(size, dtype=np.int64), info_pos)
+    is_frozen = np.ones(size, dtype=bool)
+    is_frozen[info_pos] = False
     frozen_bits = _as_bits(frozen_values, "frozen values")
-    if frozen_bits.size != frozen_pos.size:
+    if frozen_bits.size != size - info_pos.size:
         raise ValueError(
-            f"expected {frozen_pos.size} frozen values, got {frozen_bits.size}"
+            f"expected {size - info_pos.size} frozen values, got {frozen_bits.size}"
         )
-    template[frozen_pos] = frozen_bits
-
-    u_hat = np.empty(size, dtype=np.int8)
-    cursor = 0
-
-    def resolve(y_block: np.ndarray) -> np.ndarray:
-        # Returns the re-encoded (codeword-domain) bits of the subtree once
-        # every input below it is decided.
-        nonlocal cursor
-        if y_block.size == 1:
-            i = cursor
-            cursor += 1
-            forced = template[i]
-            if forced >= 0:
-                if y_block[0] >= 0 and y_block[0] != forced:
-                    raise DecodingInconsistencyError(
-                        f"channel {i + 1} observed {int(y_block[0])}"
-                        f" but is frozen to {int(forced)}"
-                    )
-                u_hat[i] = forced
-            else:
-                if y_block[0] < 0:
-                    raise _Unresolved(i)
-                u_hat[i] = y_block[0]
-            return u_hat[i : i + 1].copy()
-        half = y_block.size // 2
-        yl, yr = y_block[:half], y_block[half:]
-        both = (yl >= 0) & (yr >= 0)
-        # check node: parity known only when both halves are
-        minus = np.where(both, yl ^ yr, ERASED).astype(np.int8)
-        cx = resolve(minus)
-        from_left = np.where(yl >= 0, yl ^ cx, ERASED).astype(np.int8)
-        conflict = both & (from_left != yr)
-        if conflict.any():
-            t = int(np.argmax(conflict))
-            raise DecodingInconsistencyError(
-                f"inconsistent pair at codeword offset {t}"
-            )
-        # variable node: either side pins the value
-        plus = np.where(yr >= 0, yr, from_left).astype(np.int8)
-        dx = resolve(plus)
-        return np.concatenate([cx ^ dx, dx])
-
+    template = np.zeros(size, dtype=bool)
+    template[is_frozen] = frozen_bits
     try:
-        resolve(y)
+        _, u_hat = _resolve(
+            _to_mask(~mask),
+            _to_mask(~mask & (y == 1)),
+            size,
+            0,
+            _to_mask(is_frozen),
+            _to_mask(template),
+        )
     except _Unresolved as stop:
         return DecodeResult(info_bits=None, first_failure=stop.position + 1)
-    return DecodeResult(info_bits=u_hat[info_pos].copy())
+    info_bits = [u_hat >> i & 1 for i in info_pos.tolist()]
+    return DecodeResult(info_bits=np.array(info_bits, dtype=np.int8))
 
 
 def _resolution_profile(known: np.ndarray) -> np.ndarray:
     """Which inputs resolve, given each earlier input as decoded correctly.
 
-    known: (..., 2**n) bool, True where the symbol arrived.  The worse-side
-    input of a pair needs both observations; once it is supplied, the better
-    side needs either.  Equivalent to running sc_decode_bec without the
-    early abort, but vectorized across leading axes.
+    known: C-contiguous (..., 2**n) array, True (or a set bit) where the
+    symbol arrived; overwritten with the result, which is also returned.
+    The worse-side input of a pair needs both observations; once it is
+    supplied, the better side needs either.  Equivalent to running
+    sc_decode_bec without the early abort, but vectorized across leading
+    axes.  The AND/OR butterfly runs lane by lane, so a bool array profiles
+    one pattern per row and a uint64 array 64 bit-sliced patterns per word.
     """
-    width = known.shape[-1]
-    if width == 1:
-        return known.copy()
-    half = width // 2
-    kl, kr = known[..., :half], known[..., half:]
-    return np.concatenate(
-        [_resolution_profile(kl & kr), _resolution_profile(kl | kr)], axis=-1
-    )
+    if not known.flags.c_contiguous:
+        raise ValueError("profile input must be C-contiguous")
+    half = known.shape[-1] // 2
+    while half:
+        pairs = known.reshape(-1, 2, half)
+        worse, better = pairs[:, 0], pairs[:, 1]
+        both = worse & better
+        better |= worse
+        worse[...] = both
+        half //= 2
+    return known
 
 
 def exact_block_error(spec: CodeSpec, root: RootChannel) -> float:
@@ -194,13 +211,16 @@ def exact_block_error(spec: CodeSpec, root: RootChannel) -> float:
     size = 1 << spec.n
     if len(spec) == 0:
         return 0.0
-    zeros = np.zeros(size, dtype=np.int8)
-    frozen = np.zeros(size - len(spec), dtype=np.int8)
+    # the all-zero codeword with every frozen input zero
+    full = (1 << size) - 1
+    is_frozen = np.ones(size, dtype=bool)
+    is_frozen[spec.indices.astype(np.int64) - 1] = False
+    frozen = _to_mask(is_frozen)
     fail_by_received = [0] * (size + 1)
     for pattern in range(1 << size):
-        erased = (pattern >> np.arange(size)) & 1
-        result = sc_decode_bec(erased.astype(bool), zeros, spec, frozen)
-        if not result.ok:
+        try:
+            _resolve(full ^ pattern, 0, size, 0, frozen, 0)
+        except _Unresolved:
             fail_by_received[size - pattern.bit_count()] += 1
     terms = [
         count * z0 ** (size - k) * (1.0 - z0) ** k
@@ -253,31 +273,49 @@ def simulate(
 
     The all-zero codeword is transmitted; on a symmetric channel under SC
     the failure event depends only on the erasure pattern, so this loses no
-    generality.  Each trial draws its pattern from a counter-based stream
-    keyed (seed, trial_index), making the tally independent of batching or
-    execution order.  Failures are detected with the resolution profile,
-    which agrees with sc_decode_bec by construction (and by test).
+    generality.  seed must lie in [0, 2**64).
+
+    Trial t reads the 4*B raw words of np.random.Philox(key=seed,
+    counter=t*B), with B = ceil(2**n / 4), and uses the first 2**n of them:
+    position i is erased iff (raw[i] >> 11) < ceil(z0 * 2**53), which is
+    Generator.random() < z0 bit for bit.  Each batch opens that stream once
+    at its first trial, so the tally is independent of batching.  Tallies
+    for a given seed differ from polarbec 0.1.0, which keyed one Philox
+    per trial.
+
+    Failures are detected with the resolution profile, which agrees with
+    sc_decode_bec by construction (and by test), run bit-sliced on 64
+    trials per uint64 word.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if batch < 1:
         raise ValueError("batch must be positive")
-    z0 = root.z0
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     size = 1 << spec.n
+    blocks = -(-size // 4)  # Philox counter steps per trial, four raw words each
+    threshold = np.uint64(math.ceil(root.z0 * 2.0**53))
     info_pos = spec.indices.astype(np.int64) - 1
     total = 0
     batches: list[tuple[int, int]] = []
     for start in range(0, trials, batch):
         count = min(batch, trials - start)
-        known = np.empty((count, size), dtype=bool)
-        for t in range(count):
-            gen = np.random.Generator(np.random.Philox(key=[seed, start + t]))
-            known[t] = gen.random(size) >= z0
-        if info_pos.size:
-            resolved = _resolution_profile(known)
-            failures = int((~resolved[:, info_pos]).any(axis=1).sum())
-        else:
-            failures = 0
+        bitgen = np.random.Philox(key=seed, counter=start * blocks)
+        # bit r of words[w, i] is position i of trial start + 64 * w + r
+        words = np.zeros((-(-count // 64), size), dtype="<u8")
+        word_bytes = words.view(np.uint8).reshape(*words.shape, 8)
+        for w in range(words.shape[0]):
+            rows = min(64, count - 64 * w)
+            raw = bitgen.random_raw(rows * 4 * blocks)
+            known = (raw.reshape(rows, -1)[:, :size] >> 11) >= threshold
+            packed = np.packbits(known, axis=0, bitorder="little")
+            word_bytes[w, :, : packed.shape[0]] = packed.T
+        resolved = _resolution_profile(words)
+        failed = np.bitwise_or.reduce(~resolved[:, info_pos], axis=1)
+        # bits past the batch's last trial are padding
+        failed[-1] &= np.uint64((1 << (count - 64 * (words.shape[0] - 1))) - 1)
+        failures = int(np.bitwise_count(failed).sum())
         total += failures
         batches.append((failures, count))
     return SimResult(trials=trials, block_errors=total, batches=tuple(batches))

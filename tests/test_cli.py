@@ -178,6 +178,20 @@ def test_construct_writes_and_simulate_reads(capsys, tmp_path):
     assert sum(int(r[1]) for r in rows[1:]) == out["block_errors"]
 
 
+def test_simulate_seed_out_of_range_exits_2(capsys, tmp_path):
+    code_file = tmp_path / "code.txt"
+    code, _, _ = run_cli(
+        capsys, "construct", "--mode", "classical", "--n", "2", "--rate", "0.5",
+        "--code-out", str(code_file),
+    )
+    assert code == 0
+    for seed in ("18446744073709551616", "-1"):
+        code, out, err = run_cli(capsys, "simulate", "--code", str(code_file), f"--seed={seed}")
+        assert code == 2 and out is None
+        assert err["exit_code"] == 2 and err["error"] == "ValueError"
+        assert "seed" in err["message"]
+
+
 def test_simulate_without_code_exits_2(capsys):
     code, _, err = run_cli(capsys, "simulate")
     assert code == 2 and "--code" in err["message"]

@@ -1,6 +1,8 @@
 """Encoder algebra, SC decoding on erasure patterns, and the two error routes."""
 
 import itertools
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -172,9 +174,13 @@ def test_decode_input_validation():
         codec.sc_decode_bec(np.zeros(2, dtype=bool), np.zeros(2, dtype=np.int8), spec, [0, 1])
 
 
-@settings(max_examples=60, deadline=None)
+def _bits(mask: int, size: int) -> np.ndarray:
+    return np.array([mask >> t & 1 for t in range(size)], dtype=np.int8)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    n=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=1, max_value=6),
     rate_idx=st.integers(min_value=0, max_value=2),
     data=st.data(),
 )
@@ -183,20 +189,18 @@ def test_profile_matches_decoder(n, rate_idx, data):
     rate = (0.25, 0.5, 0.75)[rate_idx]
     spec = co.select_classical(er.RootChannel(0.5), n, rate=rate)
     info_pos = spec.indices.astype(int) - 1
-    known = np.array(
-        data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
-    )
-    profile = codec._resolution_profile(known)
-    res = codec.sc_decode_bec(
-        ~known,
-        np.zeros(size, dtype=np.int8),
-        spec,
-        np.zeros(size - len(spec), dtype=np.int8),
-    )
-    assert res.ok == bool(profile[info_pos].all())
-    if not res.ok:
-        want = int(spec.indices[int(np.argmin(profile[info_pos]))])
-        assert res.first_failure == want
+    frozen_pos = np.setdiff1d(np.arange(size), info_pos)
+    known = _bits(data.draw(st.integers(0, (1 << size) - 1)), size).astype(bool)
+    profile = codec._resolution_profile(known.copy())
+    nonzero = _bits(data.draw(st.integers(1, (1 << size) - 1)), size)
+    for u in (np.zeros(size, dtype=np.int8), nonzero):
+        res = codec.sc_decode_bec(~known, codec.polar_encode(u), spec, u[frozen_pos])
+        assert res.ok == bool(profile[info_pos].all())
+        if res.ok:
+            assert np.array_equal(res.info_bits, u[info_pos])
+        else:
+            want = int(spec.indices[int(np.argmin(profile[info_pos]))])
+            assert res.first_failure == want
 
 
 def _rational_erasures(z0: Fraction, n: int) -> list[Fraction]:
@@ -259,6 +263,17 @@ def test_exact_block_error_sandwich(n, z0):
     assert total == pytest.approx(2.0 ** -co.union_bound(spec), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "z0, want",
+    # at z0 = 1/2 every pattern weighs 2**-16, so the value is a count over 2**16
+    [(0.2, 0.03836713034711044), (0.5, 0.6524505615234375)],
+)
+def test_exact_block_error_pinned_level4(z0, want):
+    root = er.RootChannel(z0)
+    spec = co.select_classical(root, 4, rate=0.5)
+    assert codec.exact_block_error(spec, root) == want
+
+
 def test_wilson_interval_properties():
     for errors, trials in [(0, 50), (1, 50), (25, 50), (50, 50), (3, 7)]:
         lo, hi = codec.wilson_interval(errors, trials)
@@ -304,6 +319,46 @@ def test_simulate_validation():
         codec.simulate(spec, er.RootChannel(0.5), 0, seed=1)
     with pytest.raises(ValueError):
         codec.simulate(spec, er.RootChannel(0.5), 10, seed=1, batch=0)
+
+
+def test_simulate_seed_range():
+    spec = _spec_single(2, 4)
+    root = er.RootChannel(0.5)
+    for seed in (-1, 2**64, 2**80):
+        with pytest.raises(ValueError, match="seed"):
+            codec.simulate(spec, root, 10, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 2**64 - 1):
+            assert codec.simulate(spec, root, 10, seed=seed).trials == 10
+
+
+@pytest.mark.parametrize("n, z0, trials", [(2, 0.5, 150), (4, 0.2, 300)])
+def test_simulate_follows_documented_stream(n, z0, trials):
+    # Rebuild every trial's pattern from the stream simulate() documents and
+    # decode it with the message-passing decoder; trial counts that are not
+    # multiples of 64 leave padding lanes that must not count as failures.
+    size = 1 << n
+    blocks = -(-size // 4)
+    seed = 2**63 + 12345
+    root = er.RootChannel(z0)
+    spec = co.select_classical(root, n, rate=0.5)
+    frozen = np.zeros(size - len(spec), dtype=np.int8)
+    failures = 0
+    for t in range(trials):
+        raw = np.random.Philox(key=seed, counter=t * blocks).random_raw(4 * blocks)
+        erased = (raw[:size] >> 11) < math.ceil(z0 * 2**53)
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=t * blocks))
+        assert np.array_equal(erased, gen.random(size) < z0)
+        res = codec.sc_decode_bec(erased, np.zeros(size, dtype=np.int8), spec, frozen)
+        failures += not res.ok
+    assert 0 < failures < trials
+    for batch in (1, 63, 64, 65, 100, trials, 4096):
+        got = codec.simulate(spec, root, trials, seed, batch=batch)
+        assert got.block_errors == failures
+        assert [t for _, t in got.batches] == [
+            min(batch, trials - s) for s in range(0, trials, batch)
+        ]
 
 
 def test_simulate_tracks_exact_probability():
