@@ -27,10 +27,8 @@ import numpy as np
 
 from .erasure import (
     DEFAULT_MAX_LEVEL,
-    ChannelPath,
-    LogErasure,
     RootChannel,
-    _complement_log2_arr,
+    complement_log2,
     extend_log_table,
     level_log_table,
 )
@@ -49,19 +47,6 @@ def _round_nearest(x: float) -> int:
 
 def squaring_quota(beta_p: float, n: int) -> int:
     return int(math.ceil(beta_p * n - _CEIL_SLACK))
-
-
-@dataclass(frozen=True)
-class Pocket:
-    """One recruit level: members are level-m path integers, post exclusion."""
-
-    level: int
-    threshold_log: float  # recruit bound as -log2 of p_ub * 2**(-D m)
-    members: np.ndarray
-
-    @property
-    def weight(self) -> float:
-        return self.members.size * 2.0 ** -self.level
 
 
 @dataclass(frozen=True)
@@ -124,9 +109,6 @@ class CodeSpec:
     @property
     def rate(self) -> float:
         return self.indices.size / float(1 << self.n)
-
-    def paths(self) -> list[ChannelPath]:
-        return [ChannelPath.from_index(self.n, int(j)) for j in self.indices]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CodeSpec):
@@ -283,7 +265,7 @@ def construct_multipocket(
     table_lr = np.array([z.l_rel])
     table_level = 0
 
-    recruited: list[Pocket] = []
+    claimed = np.zeros(1, dtype=bool)  # under a channel an earlier pocket recruited
     stats: list[PocketStats] = []
     sel_paths: list[np.ndarray] = []
     sel_le: list[np.ndarray] = []
@@ -293,25 +275,16 @@ def construct_multipocket(
 
     for m in realized:
         table_le, table_lr = extend_log_table(table_le, table_lr, m - table_level)
+        claimed = np.repeat(claimed, 1 << (m - table_level))
         table_level = m
         threshold_log = d_count * m - math.log2(p_ub)
-        mask = table_le > threshold_log
-        for earlier in recruited:
-            shift = m - earlier.level
-            mask &= ~np.isin(
-                np.arange(1 << m, dtype=np.uint64) >> np.uint64(shift),
-                earlier.members,
-            )
-        members = np.nonzero(mask)[0].astype(np.uint64)
-        pocket = Pocket(level=m, threshold_log=threshold_log, members=members)
-        recruited.append(pocket)
+        members = np.nonzero((table_le > threshold_log) & ~claimed)[0]
+        claimed[members] = True
 
         steps = n - m
         if members.size:
             desc_le, desc_lr = extend_log_table(
-                table_le[members.astype(np.intp)],
-                table_lr[members.astype(np.intp)],
-                steps,
+                table_le[members], table_lr[members], steps
             )
             offsets = np.tile(
                 np.arange(1 << steps, dtype=np.uint64), members.size
@@ -321,7 +294,7 @@ def construct_multipocket(
             if final_le_min is not None:
                 keep &= desc_le >= final_le_min
             paths = (
-                np.repeat(members, 1 << steps) << np.uint64(steps)
+                np.repeat(members.astype(np.uint64), 1 << steps) << np.uint64(steps)
             ) + offsets
             sel_paths.append(paths[keep])
             sel_le.append(desc_le[keep])
@@ -334,7 +307,7 @@ def construct_multipocket(
         stats.append(
             PocketStats(
                 level=m,
-                recruited_weight=pocket.weight,
+                recruited_weight=members.size * 2.0 ** -m,
                 retained_weight=retained_weight,
             )
         )
@@ -441,7 +414,7 @@ def load_codespec(path: str) -> CodeSpec:
         z0=z0,
         indices=np.array(js, dtype=np.uint64),
         l_era=le,
-        l_rel=_complement_log2_arr(le),
+        l_rel=complement_log2(le),
         squaring_count=np.array(sqs, dtype=np.int64),
         source_pocket=np.array(ms, dtype=np.int64),
         params=params,

@@ -23,14 +23,20 @@ from .errors import DegenerateFitError, InvalidCandidateError
 ENDPOINT_TOL = 1e-12
 
 
-def binary_entropy(p: float) -> float:
-    """H2(p) in bits, with the limit value 0 at p in {0, 1}."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"binary_entropy domain is [0, 1], got {p!r}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    q = 1.0 - p
-    return -(p * math.log2(p) + q * math.log2(q))
+def binary_entropy(p):
+    """H2(p) in bits, with the limit value 0 at p in {0, 1}.
+
+    Takes a scalar or an array; 0-d input gives a float.
+    """
+    x = np.asarray(p, dtype=np.float64)
+    inside = (x >= 0.0) & (x <= 1.0)  # False for NaN
+    if not np.all(inside):
+        bad = float(x[~inside].flat[0])
+        raise ValueError(f"binary_entropy domain is [0, 1], got {bad!r}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x))
+    out = np.where((x == 0.0) | (x == 1.0), 0.0, out)
+    return out if out.ndim else float(out)
 
 
 def binary_entropy_inv(y: float, tol: float = 1e-12) -> float:

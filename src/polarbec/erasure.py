@@ -22,7 +22,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -42,8 +41,8 @@ CACHE_MAGIC = b"PLZT"
 CACHE_VERSION = 1
 
 
-def complement_log2(x: float) -> float:
-    """-log2(1 - 2**-x) for x >= 0, stable at both ends.
+def complement_log2(x):
+    """-log2(1 - 2**-x) for x >= 0, stable at both ends; scalar or array.
 
     x == 0 maps to inf (the complement event is impossible) and x == inf
     maps to 0.  Two exact branches: below 1 the expm1 form avoids the
@@ -51,36 +50,19 @@ def complement_log2(x: float) -> float:
     of a value crowding 1.  Above COMPLEMENT_CUTOFF the first-order
     expansion is used; it underflows to 0.0 beyond x ~ 1074, which is the
     correct float64 limit for a probability indistinguishable from 1.
-
-    The branch structure and operation order must stay identical to
-    _complement_log2_arr: construction compares scalar folds against
-    vectorized tables bit for bit.
+    0-d input gives a float.
     """
-    if x == 0.0:
-        return math.inf
-    if math.isinf(x):
-        return 0.0
-    # np kernels, not math.*: C libm and numpy's SIMD loops disagree in the
-    # last ulp for pow/log1p, which would break scalar-vs-table equality.
-    if x > COMPLEMENT_CUTOFF:
-        return float(np.exp2(-x) / LN2)
-    if x >= 1.0:
-        return float(-np.log1p(-np.exp2(-x)) / LN2)
-    return float(-np.log(-np.expm1(-x * LN2)) / LN2)
-
-
-def _complement_log2_arr(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     zero = x == 0.0
-    low = (x > 0.0) & (x < 1.0)
     mid = (x >= 1.0) & (x <= COMPLEMENT_CUTOFF)
     big = x > COMPLEMENT_CUTOFF
+    low = ~(zero | mid | big)  # negative or NaN input lands here and gives NaN
     out[zero] = np.inf
-    xl = x[low]
-    out[low] = -np.log(-np.expm1(-xl * LN2)) / LN2
+    out[low] = -np.log(-np.expm1(-x[low] * LN2)) / LN2
     out[mid] = -np.log1p(-np.exp2(-x[mid])) / LN2
     out[big] = np.exp2(-x[big]) / LN2
-    return out
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -149,95 +131,6 @@ class RootChannel:
         return LogErasure.from_prob(self.z0)
 
 
-@dataclass(frozen=True)
-class ChannelPath:
-    """Position of a synthetic channel in the polarization tree.
-
-    ``path`` lists one bit per level: 0 descends to the worse (degraded)
-    child, 1 to the better (upgraded) child.  Reading the path as a binary
-    number, most significant bit first, gives index - 1, so the channel
-    index is j = 1 + sum(path[i] * 2**(level - 1 - i)).
-    """
-
-    level: int
-    path: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError("level must be nonnegative")
-        if len(self.path) != self.level:
-            raise ValueError("path length must equal level")
-        if any(b not in (0, 1) for b in self.path):
-            raise ValueError("path bits must be 0 or 1")
-
-    @classmethod
-    def from_index(cls, level: int, index: int) -> "ChannelPath":
-        if not 1 <= index <= 1 << level:
-            raise ValueError(f"index must lie in [1, 2**{level}], got {index}")
-        p = index - 1
-        bits = tuple((p >> (level - 1 - i)) & 1 for i in range(level))
-        return cls(level, bits)
-
-    @property
-    def index(self) -> int:
-        """1-based channel index j at this level."""
-        return 1 + self.path_int
-
-    @property
-    def path_int(self) -> int:
-        j = 0
-        for b in self.path:
-            j = (j << 1) | b
-        return j
-
-    @property
-    def squaring_count(self) -> int:
-        """Number of erasure-squaring (better) steps along the path."""
-        return sum(self.path)
-
-    def prefix(self, level: int) -> "ChannelPath":
-        if not 0 <= level <= self.level:
-            raise ValueError("prefix level out of range")
-        return ChannelPath(level, self.path[:level])
-
-    def is_descendant_of(self, other: "ChannelPath") -> bool:
-        return (
-            other.level <= self.level
-            and self.path[: other.level] == other.path
-        )
-
-
-def channel_erasure(root: RootChannel, channel: ChannelPath) -> LogErasure:
-    """Erasure of the synthetic channel reached by following ``channel``."""
-    le = root.erasure()
-    for bit in channel.path:
-        le = polar_better(le) if bit else polar_worse(le)
-    return le
-
-
-def level_erasures(
-    root: RootChannel, n: int, *, max_level: int = DEFAULT_MAX_LEVEL
-) -> Iterator[tuple[ChannelPath, LogErasure]]:
-    """Stream all 2**n level-n channels in index order (j = 1 .. 2**n).
-
-    Depth-first with the worse child visited first, so paths appear in
-    ascending binary order without materializing the level.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > max_level:
-        raise LevelTooLargeError(f"level {n} exceeds the configured maximum {max_level}")
-    stack: list[tuple[int, int, LogErasure]] = [(0, 0, root.erasure())]
-    while stack:
-        depth, path_int, le = stack.pop()
-        if depth == n:
-            bits = tuple((path_int >> (n - 1 - i)) & 1 for i in range(n))
-            yield ChannelPath(n, bits), le
-            continue
-        stack.append((depth + 1, 2 * path_int + 1, polar_better(le)))
-        stack.append((depth + 1, 2 * path_int, polar_worse(le)))
-
-
 def extend_log_table(
     l_era: np.ndarray, l_rel: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -253,9 +146,9 @@ def extend_log_table(
         nle = np.empty(2 * le.size)
         nlr = np.empty(2 * le.size)
         nlr[0::2] = 2.0 * lr
-        nle[0::2] = _complement_log2_arr(nlr[0::2])
+        nle[0::2] = complement_log2(nlr[0::2])
         nle[1::2] = 2.0 * le
-        nlr[1::2] = _complement_log2_arr(nle[1::2])
+        nlr[1::2] = complement_log2(nle[1::2])
         le, lr = nle, nlr
     return le, lr
 

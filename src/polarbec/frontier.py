@@ -8,6 +8,20 @@ holds for every pi in [0, 1].  beta_p is the block-error exponent (error
 probability 2**-2**(beta_p * n)) and 1/mu_p the gap exponent (gap to
 capacity 2**(-n/mu_p)); mu_star is the certified polarization exponent.
 
+The boundary has a closed form.  With d = mu_p - mu_star * pi and
+s = beta_p * mu_p / d the condition (with slack eps) reads
+
+    beta_p < (1/mu_star - 1/mu_p) * s / (H2(s) - 1 + c),   c = 1/mu_star + eps,
+
+for every s the sweep over pi visits.  The quotient is unimodal because H2
+is concave; its minimum sits at the tangent point s* = 1 - 2**-(1 - c),
+where H2(s*) - 1 + c = s* * theta with theta = -log2(2**(1 - c) - 1).  So
+the largest beta_p is H2inv(1 - 1/mu_p - eps) (the pi = 0 end binds) when
+that is at least s*, and otherwise the straight segment
+(1/mu_star - 1/mu_p) / theta.  At eps = 0 that segment meets 1/mu_p = 0 at
+conjectured_intercept(mu_star).  is_achievable checks membership by a pi
+scan instead and stays independent of the closed form.
+
 The module also carries the interpolation curve parametrized by gamma, the
 numeric checks behind its containment in the region, and the reference
 boundary for mu_star = 3.627 used as regression data.
@@ -26,8 +40,9 @@ from .criterion import binary_entropy, binary_entropy_inv, golden_section_max
 # Proxy for "no constraint on the gap exponent" when sweeping 1/mu_p to 0.
 INFINITE_MU = 1e12
 
-# Strict inequality over a compact range; require at least this much room
-# so bisection does not chatter on the boundary.
+# Strict inequality over a compact range; require at least this much room.
+# max_beta's closed form carries the same slack, so its boundary is the edge
+# of what is_achievable accepts.
 ACHIEVABILITY_SLACK = 1e-12
 
 
@@ -64,26 +79,13 @@ class RegionQuery:
             raise ValueError("pi_grid too coarse")
 
 
-def _entropy_term(arg: float) -> float:
+def _entropy_term(args):
     # Arguments above 1 leave H2's domain; penalize linearly so the
-    # condition stays total and monotone for bisection.
-    if arg > 1.0:
-        return 1.0 + (arg - 1.0)
-    return binary_entropy(arg)
+    # condition stays total and monotone in beta_p.
+    return np.where(args > 1.0, args, binary_entropy(np.minimum(args, 1.0)))
 
 
-def _entropy_term_arr(args: np.ndarray) -> np.ndarray:
-    out = np.empty_like(args)
-    over = args > 1.0
-    out[over] = args[over]  # 1 + (arg - 1)
-    a = args[~over]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = -(a * np.log2(a) + (1.0 - a) * np.log2(1.0 - a))
-    out[~over] = np.nan_to_num(e, nan=0.0)  # 0*log 0 limits at a in {0, 1}
-    return out
-
-
-def _lhs(beta_p: float, mu_p: float, mu_star: float, pi: float) -> float:
+def _region_lhs(beta_p: float, mu_p: float, mu_star: float, pi):
     denom = mu_p - mu_star * pi
     return (1.0 - pi) / denom + _entropy_term(beta_p * mu_p / denom)
 
@@ -91,13 +93,12 @@ def _lhs(beta_p: float, mu_p: float, mu_star: float, pi: float) -> float:
 def is_achievable(q: RegionQuery) -> AchievabilityResult:
     """Check the region condition over a pi grid plus local refinement."""
     pis = np.linspace(0.0, 1.0, q.pi_grid)
-    denom = q.mu_p - q.mu_star * pis
-    lhs = (1.0 - pis) / denom + _entropy_term_arr(q.beta_p * q.mu_p / denom)
+    lhs = _region_lhs(q.beta_p, q.mu_p, q.mu_star, pis)
     k = int(np.argmax(lhs))
     lo = pis[max(k - 1, 0)]
     hi = pis[min(k + 1, q.pi_grid - 1)]
     worst_pi, worst = golden_section_max(
-        lambda p: _lhs(q.beta_p, q.mu_p, q.mu_star, p), lo, hi
+        lambda p: float(_region_lhs(q.beta_p, q.mu_p, q.mu_star, p)), lo, hi
     )
     if lhs[k] > worst:
         worst_pi, worst = float(pis[k]), float(lhs[k])
@@ -105,27 +106,36 @@ def is_achievable(q: RegionQuery) -> AchievabilityResult:
     return AchievabilityResult(margin > ACHIEVABILITY_SLACK, margin, worst_pi)
 
 
-def max_beta(
-    mu_p: float,
-    mu_star: float,
-    tol: float = 1e-9,
-    pi_grid: int = 2048,
-) -> float:
-    """Largest achievable error exponent at a fixed gap exponent, by bisection.
+def _theta(c: float) -> float:
+    # Slope factor of the straight segment; c = 1/mu_star (+ slack).
+    return -math.log2(2.0 ** (1.0 - c) - 1.0)
 
-    Achievability is monotone in beta_p (the entropy term only grows), so
-    bisection on [0, 1/2] is exact up to tol.
+
+def max_beta(mu_p: float, mu_star: float) -> float:
+    """Largest error exponent achievable at a fixed gap exponent, closed form.
+
+    Every s = beta_p * mu_p / d the pi sweep visits must stay at or below
+    H2inv(1 - eps) < 1/2 (the pi = 1 end), so only H2's rising branch
+    matters.  When H2inv(1 - 1/mu_p - eps) is at least the tangent point s*
+    the pi = 0 end binds; otherwise the straight segment does.  When s*
+    itself exceeds H2inv(1 - eps), which needs mu_star beyond about 5e5,
+    the pi = 1 end binds: H2inv(1 - eps) * (1 - mu_star / mu_p).
     """
-    lo, hi = 0.0, 0.5
-    if not is_achievable(RegionQuery(lo, mu_p, mu_star, pi_grid)).achievable:
-        return 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if is_achievable(RegionQuery(mid, mu_p, mu_star, pi_grid)).achievable:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if mu_star <= 2.0:
+        raise ValueError(f"mu_star must exceed 2, got {mu_star!r}")
+    if mu_p <= mu_star:
+        raise ValueError(
+            f"mu_p must exceed mu_star, got {mu_p!r} <= {mu_star!r}"
+        )
+    c = 1.0 / mu_star + ACHIEVABILITY_SLACK
+    s_star = 1.0 - 2.0 ** (c - 1.0)
+    s_lo = binary_entropy_inv(1.0 - 1.0 / mu_p - ACHIEVABILITY_SLACK)
+    if s_lo >= s_star:
+        return s_lo
+    if binary_entropy(s_star) >= 1.0 - ACHIEVABILITY_SLACK:
+        s_hi = binary_entropy_inv(1.0 - ACHIEVABILITY_SLACK)
+        return s_hi * (1.0 - mu_star / mu_p)
+    return (1.0 / mu_star - 1.0 / mu_p) / _theta(c)
 
 
 def trace_frontier(mu_star: float, samples: int = 53) -> list[FrontierPoint]:
@@ -184,8 +194,7 @@ def conjectured_intercept(mu_star: float) -> float:
     """
     if mu_star <= 1.0:
         raise ValueError("mu_star must exceed 1")
-    theta = -math.log2(2.0 ** (1.0 - 1.0 / mu_star) - 1.0)
-    return 1.0 / (mu_star * theta)
+    return 1.0 / (mu_star * _theta(1.0 / mu_star))
 
 
 @dataclass(frozen=True)
@@ -247,9 +256,7 @@ def verify_corollaries(
     if grid < 1000:
         raise ValueError("grid must be at least 1000")
     xis = np.linspace(0.0, 1.0, grid)
-    lhs = np.array(
-        [(1.0 - x) / mu_star + binary_entropy(beta_star * x) for x in xis]
-    )
+    lhs = (1.0 - xis) / mu_star + binary_entropy(beta_star * xis)
     k = int(np.argmax(lhs))
     margins = 1.0 - lhs
     containment = []
@@ -342,16 +349,13 @@ def discretization_margin(
     if pockets < 1:
         raise ValueError("pockets must be at least 1")
     d = 9.0 / pockets
-    worst = math.inf
-    for pi in np.linspace(-1.0 / pockets, 1.0 + 1.0 / pockets, pi_grid):
-        denom = mu_p - mu_star * (pi + d)  # worst denominator for both terms
-        if denom <= 0.0:
-            return -math.inf
-        first = (1.0 - (pi - d)) / denom
-        lo_arg = beta_p * mu_p / (mu_p - mu_star * (pi - d))
-        hi_arg = beta_p * mu_p / denom
-        ent = max(_entropy_term(lo_arg), _entropy_term(hi_arg))
-        if lo_arg < 0.5 < hi_arg:
-            ent = 1.0
-        worst = min(worst, 1.0 - (first + ent))
-    return worst
+    pis = np.linspace(-1.0 / pockets, 1.0 + 1.0 / pockets, pi_grid)
+    denom = mu_p - mu_star * (pis + d)  # worst denominator for both terms
+    if np.any(denom <= 0.0):
+        return -math.inf
+    first = (1.0 - (pis - d)) / denom
+    lo_arg = beta_p * mu_p / (mu_p - mu_star * (pis - d))
+    hi_arg = beta_p * mu_p / denom
+    ent = np.maximum(_entropy_term(lo_arg), _entropy_term(hi_arg))
+    ent[(lo_arg < 0.5) & (hi_arg > 0.5)] = 1.0
+    return float(np.min(1.0 - (first + ent)))

@@ -1,0 +1,108 @@
+"""Per-channel oracles: the polarization tree walked one scalar step at a time.
+
+Tests compare the vectorized level tables and constructions against these
+folds; the package itself never calls them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterator
+
+from polarbec.erasure import (
+    DEFAULT_MAX_LEVEL,
+    LogErasure,
+    RootChannel,
+    polar_better,
+    polar_worse,
+)
+from polarbec.errors import LevelTooLargeError
+
+
+@dataclass(frozen=True)
+class ChannelPath:
+    """Position of a synthetic channel in the polarization tree.
+
+    ``path`` lists one bit per level: 0 descends to the worse (degraded)
+    child, 1 to the better (upgraded) child.  Reading the path as a binary
+    number, most significant bit first, gives index - 1, so the channel
+    index is j = 1 + sum(path[i] * 2**(level - 1 - i)).
+    """
+
+    level: int
+    path: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.level < 0:
+            raise ValueError("level must be nonnegative")
+        if len(self.path) != self.level:
+            raise ValueError("path length must equal level")
+        if any(b not in (0, 1) for b in self.path):
+            raise ValueError("path bits must be 0 or 1")
+
+    @classmethod
+    def from_index(cls, level: int, index: int) -> "ChannelPath":
+        if not 1 <= index <= 1 << level:
+            raise ValueError(f"index must lie in [1, 2**{level}], got {index}")
+        p = index - 1
+        bits = tuple((p >> (level - 1 - i)) & 1 for i in range(level))
+        return cls(level, bits)
+
+    @property
+    def index(self) -> int:
+        """1-based channel index j at this level."""
+        return 1 + self.path_int
+
+    @property
+    def path_int(self) -> int:
+        j = 0
+        for b in self.path:
+            j = (j << 1) | b
+        return j
+
+    @property
+    def squaring_count(self) -> int:
+        """Number of erasure-squaring (better) steps along the path."""
+        return sum(self.path)
+
+    def prefix(self, level: int) -> "ChannelPath":
+        if not 0 <= level <= self.level:
+            raise ValueError("prefix level out of range")
+        return ChannelPath(level, self.path[:level])
+
+    def is_descendant_of(self, other: "ChannelPath") -> bool:
+        return (
+            other.level <= self.level
+            and self.path[: other.level] == other.path
+        )
+
+
+def channel_erasure(root: RootChannel, channel: ChannelPath) -> LogErasure:
+    """Erasure of the synthetic channel reached by following ``channel``."""
+    le = root.erasure()
+    for bit in channel.path:
+        le = polar_better(le) if bit else polar_worse(le)
+    return le
+
+
+def level_erasures(
+    root: RootChannel, n: int, *, max_level: int = DEFAULT_MAX_LEVEL
+) -> Iterator[tuple[ChannelPath, LogErasure]]:
+    """Stream all 2**n level-n channels in index order (j = 1 .. 2**n).
+
+    Depth-first with the worse child visited first, so paths appear in
+    ascending binary order without materializing the level.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > max_level:
+        raise LevelTooLargeError(f"level {n} exceeds the configured maximum {max_level}")
+    stack: list[tuple[int, int, LogErasure]] = [(0, 0, root.erasure())]
+    while stack:
+        depth, path_int, le = stack.pop()
+        if depth == n:
+            bits = tuple((path_int >> (n - 1 - i)) & 1 for i in range(n))
+            yield ChannelPath(n, bits), le
+            continue
+        stack.append((depth + 1, 2 * path_int + 1, polar_better(le)))
+        stack.append((depth + 1, 2 * path_int, polar_worse(le)))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ChannelPath, channel_erasure
 
 from polarbec import codec, construction as co, erasure as er
 from polarbec.errors import DecodingInconsistencyError, LevelTooLargeError
@@ -26,7 +27,7 @@ LEVEL3_HALF = [
 
 
 def _spec_single(n: int, j: int, z0: float = 0.5) -> co.CodeSpec:
-    le = er.channel_erasure(er.RootChannel(z0), er.ChannelPath.from_index(n, j))
+    le = channel_erasure(er.RootChannel(z0), ChannelPath.from_index(n, j))
     return co.CodeSpec(
         n=n,
         z0=z0,
@@ -99,11 +100,11 @@ def test_prime_string_rows_map_to_indices():
     # means swapping the top two bits to land on the path (r1, r2, r0).
     rows = [(r >> 2 & 1, r >> 1 & 1, r & 1) for r in range(8)]
     paths = [(r1, r2, r0) for (r2, r1, r0) in rows]
-    js = [er.ChannelPath(3, p).index for p in paths]
+    js = [ChannelPath(3, p).index for p in paths]
     assert js == [1, 2, 5, 6, 3, 4, 7, 8]
     root = er.RootChannel(0.5)
     for path, j in zip(paths, js):
-        got = er.channel_erasure(root, er.ChannelPath(3, path)).prob
+        got = channel_erasure(root, ChannelPath(3, path)).prob
         assert got == pytest.approx(LEVEL3_HALF[j - 1], abs=1e-15)
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ChannelPath, channel_erasure, level_erasures
 
 from polarbec import construction as co
 from polarbec import criterion as cr
@@ -39,7 +40,7 @@ def brute_force_multipocket(root, n, beta_p, mu_p, mu_star, pockets, p_ub):
     recruited: dict[int, set[tuple[int, ...]]] = {}
     for m in levels:
         taken: set[tuple[int, ...]] = set()
-        for ch, z in er.level_erasures(root, m):
+        for ch, z in level_erasures(root, m):
             if any(ch.path[:lv] in mem for lv, mem in recruited.items()):
                 continue
             if z.l_era > pockets * m - math.log2(p_ub):
@@ -51,8 +52,8 @@ def brute_force_multipocket(root, n, beta_p, mu_p, mu_star, pockets, p_ub):
             for ext in itertools.product((0, 1), repeat=n - m):
                 if sum(ext) < quota:
                     continue
-                full = er.ChannelPath(n, prefix + ext)
-                z = er.channel_erasure(root, full)
+                full = ChannelPath(n, prefix + ext)
+                z = channel_erasure(root, full)
                 if beta_p > 0.0 and z.l_era < 2.0 ** (beta_p * n):
                     continue
                 survivors[full.index] = (m, sum(ext), z.l_era)

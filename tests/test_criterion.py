@@ -24,6 +24,20 @@ def test_binary_entropy_domain():
         cr.binary_entropy(-0.01)
     with pytest.raises(ValueError):
         cr.binary_entropy(1.01)
+    with pytest.raises(ValueError):
+        cr.binary_entropy(math.nan)
+    with pytest.raises(ValueError):
+        cr.binary_entropy(np.array([0.2, math.nan]))
+    with pytest.raises(ValueError):
+        cr.binary_entropy(np.array([0.2, 1.5]))
+
+
+def test_binary_entropy_array_matches_scalar():
+    ps = np.array([0.0, 1e-300, 0.11, 0.5, 0.75, 1.0 - 1e-16, 1.0])
+    got = cr.binary_entropy(ps)
+    assert got.shape == ps.shape
+    assert got.tolist() == [cr.binary_entropy(float(p)) for p in ps]
+    assert isinstance(cr.binary_entropy(np.float64(0.3)), float)
 
 
 def test_binary_entropy_inv_values():

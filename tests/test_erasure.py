@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ChannelPath, channel_erasure, level_erasures
 
 from polarbec import erasure as er
 from polarbec.errors import LevelTooLargeError
@@ -68,14 +69,14 @@ def test_polar_better_doubles_l_era_exactly():
 
 def test_channel_erasure_paths():
     root = er.RootChannel(0.5)
-    assert er.channel_erasure(root, er.ChannelPath(2, (1, 1))).prob == pytest.approx(0.0625, abs=1e-15)
-    assert er.channel_erasure(root, er.ChannelPath(2, (0, 0))).prob == pytest.approx(0.9375, abs=1e-15)
-    assert er.channel_erasure(root, er.ChannelPath(2, (1, 0))).prob == pytest.approx(0.4375, abs=1e-15)
+    assert channel_erasure(root, ChannelPath(2, (1, 1))).prob == pytest.approx(0.0625, abs=1e-15)
+    assert channel_erasure(root, ChannelPath(2, (0, 0))).prob == pytest.approx(0.9375, abs=1e-15)
+    assert channel_erasure(root, ChannelPath(2, (1, 0))).prob == pytest.approx(0.4375, abs=1e-15)
 
 
 def test_level_erasures_level3_table():
     root = er.RootChannel(0.5)
-    rows = list(er.level_erasures(root, 3))
+    rows = list(level_erasures(root, 3))
     assert len(rows) == 8
     assert [ch.index for ch, _ in rows] == list(range(1, 9))
     for (_, z), want in zip(rows, LEVEL3_HALF):
@@ -83,9 +84,9 @@ def test_level_erasures_level3_table():
 
 
 def test_level_erasures_degenerate_levels():
-    rows = list(er.level_erasures(er.RootChannel(0.37), 0))
+    rows = list(level_erasures(er.RootChannel(0.37), 0))
     assert len(rows) == 1 and rows[0][1].prob == pytest.approx(0.37, abs=1e-15)
-    z1 = [z.prob for _, z in er.level_erasures(er.RootChannel(0.3), 1)]
+    z1 = [z.prob for _, z in level_erasures(er.RootChannel(0.3), 1)]
     assert z1 == pytest.approx([0.51, 0.09], abs=1e-12)
 
 
@@ -97,7 +98,7 @@ def test_level_erasures_respects_max_level():
 def test_table_matches_stream_order():
     root = er.RootChannel(0.42)
     le, lr = er.level_log_table(root, 5)
-    streamed = [z for _, z in er.level_erasures(root, 5)]
+    streamed = [z for _, z in level_erasures(root, 5)]
     assert np.array_equal(le, np.array([z.l_era for z in streamed]))
     assert np.array_equal(lr, np.array([z.l_rel for z in streamed]))
 
@@ -109,8 +110,8 @@ def test_table_matches_scalar_chains_bitwise():
     root = er.RootChannel(0.3)
     le, lr = er.level_log_table(root, 6)
     for j in (1, 7, 22, 41, 64):
-        ch = er.ChannelPath.from_index(6, j)
-        z = er.channel_erasure(root, ch)
+        ch = ChannelPath.from_index(6, j)
+        z = channel_erasure(root, ch)
         assert z.l_era == le[j - 1]
         assert z.l_rel == lr[j - 1]
 
@@ -119,7 +120,7 @@ def test_rational_oracle_level_tables():
     half = Fraction(1, 2)
     for n, table in ((2, LEVEL2_HALF), (3, LEVEL3_HALF)):
         for j in range(1, 2**n + 1):
-            bits = er.ChannelPath.from_index(n, j).path
+            bits = ChannelPath.from_index(n, j).path
             assert rational_chain(half, bits) == Fraction(table[j - 1])
 
 
@@ -155,6 +156,21 @@ def test_complement_log2_endpoints():
     assert er.complement_log2(math.inf) == 0.0
 
 
+def test_complement_log2_array_matches_scalar_bitwise():
+    # zero, below 1, [1, cutoff], above cutoff (inf included)
+    xs = np.array([
+        0.0, 1e-300, 1e-9, 0.3, 0.999999, 1.0, 5.0, 39.9, er.COMPLEMENT_CUTOFF,
+        np.nextafter(er.COMPLEMENT_CUTOFF, np.inf), 100.0, 1074.0, 1e300, np.inf,
+    ])
+    got = er.complement_log2(xs)
+    assert got.shape == xs.shape
+    for x, y in zip(xs, got):
+        scalar = er.complement_log2(float(x))
+        assert isinstance(scalar, float)
+        assert np.array_equal(np.float64(scalar), y)
+    assert np.array_equal(er.complement_log2(xs.reshape(2, 7)), got.reshape(2, 7))
+
+
 @given(st.floats(min_value=1e-9, max_value=1.0 - 1e-9))
 def test_log_pair_consistency(z):
     pair = er.LogErasure.from_prob(z)
@@ -172,7 +188,7 @@ def test_degradation_ordering(z):
 @given(st.integers(min_value=0, max_value=20), st.data())
 def test_channel_path_round_trip(level, data):
     j = data.draw(st.integers(min_value=1, max_value=2**level))
-    ch = er.ChannelPath.from_index(level, j)
+    ch = ChannelPath.from_index(level, j)
     assert ch.index == j
     assert ch.level == level
     assert ch.squaring_count == sum(ch.path)
@@ -181,11 +197,11 @@ def test_channel_path_round_trip(level, data):
 
 
 def test_channel_path_prefix_and_descendants():
-    ch = er.ChannelPath(4, (1, 0, 1, 1))
+    ch = ChannelPath(4, (1, 0, 1, 1))
     pre = ch.prefix(2)
     assert pre.path == (1, 0)
     assert ch.is_descendant_of(pre)
-    assert not ch.is_descendant_of(er.ChannelPath(2, (0, 0)))
+    assert not ch.is_descendant_of(ChannelPath(2, (0, 0)))
     assert not pre.is_descendant_of(ch)
 
 
@@ -240,5 +256,5 @@ def test_extend_matches_per_channel_fold(z0, n):
     root = er.RootChannel(z0)
     le, _ = er.level_log_table(root, n)
     for j in (1, 2**n):
-        ch = er.ChannelPath.from_index(n, j)
-        assert er.channel_erasure(root, ch).l_era == le[j - 1]
+        ch = ChannelPath.from_index(n, j)
+        assert channel_erasure(root, ch).l_era == le[j - 1]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarbec import frontier as fr
-from polarbec.criterion import binary_entropy_inv
+from polarbec.criterion import binary_entropy, binary_entropy_inv
 
 MU = 3.627
 
@@ -54,6 +54,46 @@ def test_max_beta_anchors():
     assert fr.max_beta(20.0, MU) == pytest.approx(0.36589984595775604, abs=1e-9)
     assert fr.max_beta(10.0, MU) == pytest.approx(0.28484452702105045, abs=1e-9)
     assert fr.max_beta(4.0, MU) == pytest.approx(0.041678568348288536, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mu_star=st.floats(min_value=2.05, max_value=8.0),
+    ratio=st.floats(min_value=1.0 + 1e-3, max_value=1e3),
+)
+def test_max_beta_sits_on_the_oracle_boundary(mu_star, ratio):
+    mu_p = mu_star * ratio
+    b = fr.max_beta(mu_p, mu_star)
+    assert fr.is_achievable(fr.RegionQuery(b * (1.0 - 1e-7), mu_p, mu_star)).achievable
+    above = fr.RegionQuery(b * (1.0 + 1e-7) + 1e-12, mu_p, mu_star)
+    assert not fr.is_achievable(above).achievable
+
+
+def test_max_beta_pi_one_end_binds_for_huge_mu_star():
+    # s* = 1 - 2**-(1 - c) lies above H2inv(1 - eps) once mu_star passes ~5e5
+    mu_star, mu_p = 1e6, 2e6
+    s_star = 1.0 - 2.0 ** -(1.0 - 1.0 / mu_star - fr.ACHIEVABILITY_SLACK)
+    assert s_star > binary_entropy_inv(1.0 - fr.ACHIEVABILITY_SLACK)
+    b = fr.max_beta(mu_p, mu_star)
+    assert fr.is_achievable(fr.RegionQuery(b * (1.0 - 1e-7), mu_p, mu_star)).achievable
+    above = fr.RegionQuery(b * (1.0 + 1e-7), mu_p, mu_star)
+    res = fr.is_achievable(above)
+    assert not res.achievable and res.worst_pi == 1.0
+
+
+@pytest.mark.parametrize("mu_star", [2.1, 2.5, 3.0, 3.627, 5.0, 8.0, 20.0])
+def test_segment_extrapolates_to_conjectured_intercept(mu_star):
+    # eps = 0: the quotient (1/mu_star) s / (H2(s) - 1 + 1/mu_star) at its
+    # tangent point s* = 1 - 2**-(1 - 1/mu_star) is the segment at 1/mu_p = 0
+    s = 1.0 - 2.0 ** -(1.0 - 1.0 / mu_star)
+    at_zero = (1.0 / mu_star) * s / (binary_entropy(s) - 1.0 + 1.0 / mu_star)
+    assert at_zero == pytest.approx(fr.conjectured_intercept(mu_star), abs=1e-12)
+    # max_beta near the top of the frontier lies on that straight line; the
+    # slack eps = 1e-12 moves its intercept by a few 1e-12
+    invs = (0.9 / mu_star, 0.95 / mu_star)
+    b1, b2 = (fr.max_beta(1.0 / inv, mu_star) for inv in invs)
+    extrapolated = b1 - invs[0] * (b2 - b1) / (invs[1] - invs[0])
+    assert extrapolated == pytest.approx(fr.conjectured_intercept(mu_star), abs=1e-10)
 
 
 def test_max_beta_monotone_in_mu():
