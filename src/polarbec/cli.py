@@ -46,86 +46,67 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 
-DEFAULTS: dict[str, dict] = {
-    "criterion": {
-        "alpha": 0.64,
-        "h_table": None,
-        "grid": 4096,
-        "ratio_csv": None,
-    },
-    "mu-estimate": {
-        "a": 0.01,
-        "b": 0.99,
-        "steps": 30,
-        "grid": 8192,
-        "z0": 0.5,
-        "fit_fraction": 0.5,
-        "iterates_csv": None,
-    },
-    "construct": {
-        "mode": "multipocket",
-        "n": 16,
-        "z0": 0.5,
-        "beta_p": 0.30,
-        "mu_p": 8.0,
-        "mu_star": 3.8,
-        "pockets": 8,
-        "p_ub": 2.0 ** -10,
-        "levels": None,
-        "level_fractions": None,
-        "rate": None,
-        "budget": None,
-        "code_out": None,
-    },
-    "frontier": {
-        "mu_star": 3.627,
-        "samples": 53,
-        "csv": None,
-    },
-    "simulate": {
-        "code": None,
-        "z0": None,
-        "trials": 10_000,
-        "seed": 0,
-        "batch": 4096,
-        "csv": None,
-    },
-    "corollaries": {
-        "mu_star": 3.627,
-        "beta_star": 0.4469,
-        "grid": 10_000,
-        "gammas": "0.30,0.50,0.70,0.90,0.99",
-    },
-}
+
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
-def _float_list(text: str) -> list[float]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if not parts:
-        raise ValueError("expected a comma-separated list of numbers")
-    return [float(p) for p in parts]
+def _integer(value) -> int:
+    # Flag text must be an integer literal; a JSON number must be integral.
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(round(v)) for v in _float_list(text)]
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _list_of(item):
+    def convert(value) -> list:
+        parts = value.replace(",", " ").split() if isinstance(value, str) else value
+        if not isinstance(parts, list) or not parts:
+            raise ValueError("expected a comma-separated list of numbers")
+        return [item(p) for p in parts]
+
+    return convert
+
+
+_float_list = _list_of(_real)
+_int_list = _list_of(_integer)
 
 
 def resolve_config(sub: str, args: argparse.Namespace) -> dict:
-    """Merge defaults, the optional config file, and explicit flags."""
-    merged = dict(DEFAULTS[sub])
+    """Merge the table's defaults, the optional config file, and explicit flags.
+
+    Flag text and config-file values pass through the same per-option type;
+    null is accepted only where the default is None.
+    """
+    _, _, options = SUBCOMMANDS[sub]
+    merged = {key: default for key, default, _, _ in options}
+    given = {}
     if args.config is not None:
         with open(args.config) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
+            given = json.load(fh)
+        if not isinstance(given, dict):
             raise ValueError("--config must hold a JSON object")
-        unknown = sorted(set(loaded) - set(merged))
+        unknown = sorted(set(given) - set(merged))
         if unknown:
             raise ValueError(f"unknown config keys for {sub}: {', '.join(unknown)}")
-        merged.update(loaded)
-    for key in merged:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
+    given.update({key: v for key in merged if (v := getattr(args, key)) is not None})
+    for key, default, kind, _ in options:
+        if key not in given or (given[key] is None and default is None):
+            continue
+        try:
+            merged[key] = kind(given[key])
+        except (ValueError, OverflowError) as exc:  # float() of a huge JSON int
+            raise ValueError(f"{sub} option {key}: {exc}") from None
     return merged
 
 
@@ -212,7 +193,7 @@ def _feasibility_hint(beta_p: float, mu_p: float, mu_star: float) -> str:
 
 def cmd_construct(config: dict) -> dict:
     root = RootChannel(config["z0"])
-    n = int(config["n"])
+    n = config["n"]
     cache_dir = os.environ.get(CACHE_ENV)
     if config["mode"] == "classical":
         if config["rate"] is None and config["budget"] is None:
@@ -245,7 +226,7 @@ def cmd_construct(config: dict) -> dict:
                 config["beta_p"],
                 config["mu_p"],
                 config["mu_star"],
-                pockets=int(config["pockets"]),
+                pockets=config["pockets"],
                 p_ub=config["p_ub"],
                 levels=levels,
             )
@@ -282,7 +263,7 @@ def cmd_construct(config: dict) -> dict:
 
 def cmd_frontier(config: dict) -> dict:
     mu_star = config["mu_star"]
-    points = frontier.trace_frontier(mu_star, samples=int(config["samples"]))
+    points = frontier.trace_frontier(mu_star, samples=config["samples"])
     rows = [(p.beta_p, p.inv_mu_p) for p in points]
     if config["csv"] is not None:
         detailed = []
@@ -313,9 +294,9 @@ def cmd_simulate(config: dict) -> dict:
     result = simulate(
         spec,
         root,
-        int(config["trials"]),
-        int(config["seed"]),
-        batch=int(config["batch"]),
+        config["trials"],
+        config["seed"],
+        batch=config["batch"],
     )
     if config["csv"] is not None:
         rows = []
@@ -340,25 +321,67 @@ def cmd_simulate(config: dict) -> dict:
 
 
 def cmd_corollaries(config: dict) -> dict:
-    gammas = config["gammas"]
-    if isinstance(gammas, str):
-        gammas = _float_list(gammas)
     report = frontier.verify_corollaries(
         mu_star=config["mu_star"],
-        grid=int(config["grid"]),
+        grid=config["grid"],
         beta_star=config["beta_star"],
-        gammas=tuple(gammas),
+        gammas=tuple(_float_list(config["gammas"])),
     )
     return report.as_dict()
 
 
-HANDLERS = {
-    "criterion": cmd_criterion,
-    "mu-estimate": cmd_mu_estimate,
-    "construct": cmd_construct,
-    "frontier": cmd_frontier,
-    "simulate": cmd_simulate,
-    "corollaries": cmd_corollaries,
+# Per subcommand: handler, help line, and (key, default, type, help) rows.
+# Each key is also the flag --key (with _ written as -) and the config key.
+SUBCOMMANDS = {
+    "criterion": (cmd_criterion, "sup-ratio check for a candidate h and the implied mu*", (
+        ("alpha", 0.64, _real, "power-family exponent"),
+        ("h_table", None, _text, "CSV xi,value table for a custom candidate"),
+        ("grid", 4096, _integer, "ratio grid size"),
+        ("ratio_csv", None, _text, "write the sampled ratio curve here"),
+    )),
+    "mu-estimate": (cmd_mu_estimate, "estimate mu from the functional iteration", (
+        ("a", 0.01, _real, "indicator left edge"),
+        ("b", 0.99, _real, "indicator right edge"),
+        ("steps", 30, _integer, "iteration count"),
+        ("grid", 8192, _integer, "grid size"),
+        ("z0", 0.5, _real, "evaluation point"),
+        ("fit_fraction", 0.5, _real, "trailing fraction of iterates used in the fit"),
+        ("iterates_csv", None, _text, "write step,g_z0 samples here"),
+    )),
+    "construct": (cmd_construct, "build a code and report rate, gap, and pocket stats", (
+        ("mode", "multipocket", _text, "multipocket or classical"),
+        ("n", 16, _integer, "level, block length 2**n"),
+        ("z0", 0.5, _real, "channel erasure rate"),
+        ("beta_p", 0.30, _real, "target error exponent"),
+        ("mu_p", 8.0, _real, "target gap exponent"),
+        ("mu_star", 3.8, _real, "criterion exponent"),
+        ("pockets", 8, _integer, "pocket count D"),
+        ("p_ub", 2.0 ** -10, _real, "recruit tail budget"),
+        ("levels", None, _int_list, "explicit pocket levels, e.g. 2,4,6,8"),
+        ("level_fractions", None, _float_list, "pocket levels as fractions of n, e.g. 0.7,0.9"),
+        ("rate", None, _real, "classical mode: target rate"),
+        ("budget", None, _real, "classical mode: union-bound budget"),
+        ("code_out", None, _text, "write the selected channel file here"),
+    )),
+    "frontier": (cmd_frontier, "trace the achievable (beta', 1/mu') boundary", (
+        ("mu_star", 3.627, _real, "criterion exponent"),
+        ("samples", 53, _integer, "boundary points"),
+        ("csv", None, _text, "write inv_mu_p,beta_p,worst_pi,margin rows here"),
+    )),
+    "simulate": (cmd_simulate, "Monte-Carlo block error rate for a stored code", (
+        ("code", None, _text, "code file produced by construct"),
+        ("z0", None, _real, "override the stored channel erasure rate"),
+        ("trials", 10_000, _integer, "trial count"),
+        ("seed", 0, _integer, "random seed"),
+        ("batch", 4096, _integer, "trials per tally row"),
+        ("csv", None, _text, "write per-batch tallies here"),
+    )),
+    "corollaries": (cmd_corollaries, "numeric checks tying the region to its reference points", (
+        ("mu_star", 3.627, _real, "criterion exponent"),
+        ("beta_star", 0.4469, _real, "straight-segment error exponent"),
+        ("grid", 10_000, _integer, "xi grid size"),
+        ("gammas", "0.30,0.50,0.70,0.90,0.99", _text, "comma-separated sweep"),
+    )),
 }
 
 
@@ -368,78 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Polar-code construction and analysis on the binary erasure channel.",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (_, help_text, options) in SUBCOMMANDS.items():
         sp = subs.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON file with defaults for this subcommand")
         sp.add_argument("--output", help="write the JSON report here instead of stdout")
-        return sp
-
-    d = DEFAULTS["criterion"]
-    sp = add("criterion", "sup-ratio check for a candidate h and the implied mu*")
-    sp.add_argument("--alpha", type=float, help=f"power-family exponent (default {d['alpha']})")
-    sp.add_argument("--h-table", dest="h_table", help="CSV xi,value table for a custom candidate")
-    sp.add_argument("--grid", type=int, help=f"ratio grid size (default {d['grid']})")
-    sp.add_argument("--ratio-csv", dest="ratio_csv", help="write the sampled ratio curve here")
-
-    d = DEFAULTS["mu-estimate"]
-    sp = add("mu-estimate", "estimate mu from the functional iteration")
-    sp.add_argument("--a", type=float, help=f"indicator left edge (default {d['a']})")
-    sp.add_argument("--b", type=float, help=f"indicator right edge (default {d['b']})")
-    sp.add_argument("--steps", type=int, help=f"iteration count (default {d['steps']})")
-    sp.add_argument("--grid", type=int, help=f"grid size (default {d['grid']})")
-    sp.add_argument("--z0", type=float, help=f"evaluation point (default {d['z0']})")
-    sp.add_argument(
-        "--fit-fraction",
-        dest="fit_fraction",
-        type=float,
-        help=f"trailing fraction of iterates used in the fit (default {d['fit_fraction']})",
-    )
-    sp.add_argument("--iterates-csv", dest="iterates_csv", help="write step,g_z0 samples here")
-
-    d = DEFAULTS["construct"]
-    sp = add("construct", "build a code and report rate, gap, and pocket stats")
-    sp.add_argument("--mode", choices=["multipocket", "classical"], help=f"(default {d['mode']})")
-    sp.add_argument("--n", type=int, help=f"level, block length 2**n (default {d['n']})")
-    sp.add_argument("--z0", type=float, help=f"channel erasure rate (default {d['z0']})")
-    sp.add_argument("--beta-p", dest="beta_p", type=float, help=f"target error exponent (default {d['beta_p']})")
-    sp.add_argument("--mu-p", dest="mu_p", type=float, help=f"target gap exponent (default {d['mu_p']})")
-    sp.add_argument("--mu-star", dest="mu_star", type=float, help=f"criterion exponent (default {d['mu_star']})")
-    sp.add_argument("--pockets", type=int, help=f"pocket count D (default {d['pockets']})")
-    sp.add_argument("--p-ub", dest="p_ub", type=float, help=f"recruit tail budget (default 2**-10)")
-    sp.add_argument("--levels", type=_int_list, help="explicit pocket levels, e.g. 2,4,6,8")
-    sp.add_argument(
-        "--level-fractions",
-        dest="level_fractions",
-        type=_float_list,
-        help="pocket levels as fractions of n, e.g. 0.7,0.9",
-    )
-    sp.add_argument("--rate", type=float, help="classical mode: target rate")
-    sp.add_argument("--budget", type=float, help="classical mode: union-bound budget")
-    sp.add_argument("--code-out", dest="code_out", help="write the selected channel file here")
-
-    d = DEFAULTS["frontier"]
-    sp = add("frontier", "trace the achievable (beta', 1/mu') boundary")
-    sp.add_argument("--mu-star", dest="mu_star", type=float, help=f"(default {d['mu_star']})")
-    sp.add_argument("--samples", type=int, help=f"(default {d['samples']})")
-    sp.add_argument("--csv", help="write beta_p,inv_mu_p rows here")
-
-    d = DEFAULTS["simulate"]
-    sp = add("simulate", "Monte-Carlo block error rate for a stored code")
-    sp.add_argument("--code", help="code file produced by construct")
-    sp.add_argument("--z0", type=float, help="override the stored channel erasure rate")
-    sp.add_argument("--trials", type=int, help=f"(default {d['trials']})")
-    sp.add_argument("--seed", type=int, help=f"(default {d['seed']})")
-    sp.add_argument("--batch", type=int, help=f"trials per tally row (default {d['batch']})")
-    sp.add_argument("--csv", help="write per-batch tallies here")
-
-    d = DEFAULTS["corollaries"]
-    sp = add("corollaries", "numeric checks tying the region to its reference points")
-    sp.add_argument("--mu-star", dest="mu_star", type=float, help=f"(default {d['mu_star']})")
-    sp.add_argument("--beta-star", dest="beta_star", type=float, help=f"(default {d['beta_star']})")
-    sp.add_argument("--grid", type=int, help=f"(default {d['grid']})")
-    sp.add_argument("--gammas", help=f"comma-separated sweep (default {d['gammas']})")
-
+        for key, default, _, text in options:
+            suffix = "" if default is None else f" (default {default})"
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=text + suffix)
     return parser
 
 
@@ -459,20 +417,16 @@ def entrypoint(argv=None) -> int:
     sub = args.subcommand
     try:
         config = resolve_config(sub, args)
-        body = HANDLERS[sub](config)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        return _fail(exc, EXIT_USAGE)
-    except (InvalidCandidateError, LevelTooLargeError) as exc:
+        body = SUBCOMMANDS[sub][0](config)
+    except (ValueError, OSError, InvalidCandidateError, LevelTooLargeError) as exc:
         return _fail(exc, EXIT_USAGE)
     except (InfeasibleTargetError, EmptyCodeError, DegenerateFitError) as exc:
         return _fail(exc, EXIT_INFEASIBLE)
-    except PolarBECError as exc:
-        return _fail(exc, EXIT_INTERNAL)
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit 4
         return _fail(exc, EXIT_INTERNAL)
     report = {"config": {"subcommand": sub, **config}}
     report.update(body)
-    _write_json(report, getattr(args, "output", None))
+    _write_json(report, args.output)
     return EXIT_OK
 
 

@@ -28,7 +28,6 @@ import numpy as np
 from .erasure import (
     DEFAULT_MAX_LEVEL,
     RootChannel,
-    complement_log2,
     extend_log_table,
     level_log_table,
 )
@@ -88,14 +87,13 @@ class CodeSpec:
     z0: float
     indices: np.ndarray  # uint64, 1-based, strictly increasing
     l_era: np.ndarray
-    l_rel: np.ndarray
     squaring_count: np.ndarray
     source_pocket: np.ndarray
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         m = self.indices.size
-        for name in ("l_era", "l_rel", "squaring_count", "source_pocket"):
+        for name in ("l_era", "squaring_count", "source_pocket"):
             if getattr(self, name).shape != (m,):
                 raise ValueError(f"column {name} misaligned")
         if m and (self.indices[0] < 1 or self.indices[-1] > (1 << self.n)):
@@ -142,7 +140,6 @@ def select_classical(
     *,
     rate: float | None = None,
     max_sum_erasure: float | None = None,
-    max_level: int = DEFAULT_MAX_LEVEL,
     table: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CodeSpec:
     """Pick the best level-n channels, by count or by union-bound budget.
@@ -156,7 +153,7 @@ def select_classical(
     if (rate is None) == (max_sum_erasure is None):
         raise ValueError("specify exactly one of rate or max_sum_erasure")
     if table is None:
-        le, lr = level_log_table(root, n, max_level=max_level)
+        le, lr = level_log_table(root, n)
     else:
         le, lr = table
         if le.shape != (1 << n,) or lr.shape != (1 << n,):
@@ -186,7 +183,6 @@ def select_classical(
         z0=root.z0,
         indices=chosen.astype(np.uint64) + 1,
         l_era=le[chosen],
-        l_rel=lr[chosen],
         squaring_count=_popcount(chosen),
         source_pocket=np.zeros(count, dtype=np.int64),
         params=params,
@@ -217,7 +213,6 @@ def construct_multipocket(
     p_ub: float = 2.0 ** -10,
     *,
     levels: Sequence[int] | None = None,
-    max_level: int = DEFAULT_MAX_LEVEL,
 ) -> tuple[CodeSpec, ConstructionReport]:
     """Run recruit, train, retain over the pocket levels.
 
@@ -251,9 +246,9 @@ def construct_multipocket(
             not 1 <= m <= n for m in realized
         ) or any(b <= a for a, b in zip(realized, realized[1:])):
             raise ValueError("levels must be strictly increasing within [1, n]")
-    if max(realized) > max_level:
+    if max(realized) > DEFAULT_MAX_LEVEL:
         raise LevelTooLargeError(
-            f"pocket level {max(realized)} exceeds the configured maximum {max_level}"
+            f"pocket level {max(realized)} exceeds the maximum {DEFAULT_MAX_LEVEL}"
         )
 
     d_count = pockets if levels is None else len(realized)
@@ -269,7 +264,6 @@ def construct_multipocket(
     stats: list[PocketStats] = []
     sel_paths: list[np.ndarray] = []
     sel_le: list[np.ndarray] = []
-    sel_lr: list[np.ndarray] = []
     sel_sq: list[np.ndarray] = []
     sel_m: list[np.ndarray] = []
 
@@ -283,7 +277,7 @@ def construct_multipocket(
 
         steps = n - m
         if members.size:
-            desc_le, desc_lr = extend_log_table(
+            desc_le, _ = extend_log_table(
                 table_le[members], table_lr[members], steps
             )
             offsets = np.tile(
@@ -298,7 +292,6 @@ def construct_multipocket(
             ) + offsets
             sel_paths.append(paths[keep])
             sel_le.append(desc_le[keep])
-            sel_lr.append(desc_lr[keep])
             sel_sq.append(sq[keep])
             sel_m.append(np.full(int(keep.sum()), m, dtype=np.int64))
             retained_weight = int(keep.sum()) * 2.0 ** -n
@@ -327,7 +320,6 @@ def construct_multipocket(
         z0=root.z0,
         indices=paths + 1,
         l_era=np.concatenate(sel_le)[order],
-        l_rel=np.concatenate(sel_lr)[order],
         squaring_count=np.concatenate(sel_sq)[order],
         source_pocket=np.concatenate(sel_m)[order],
         params={
@@ -408,13 +400,11 @@ def load_codespec(path: str) -> CodeSpec:
         ms.append(int(fields["m"]))
         sqs.append(int(fields["sq"]))
         les.append(float(fields["lera"]))
-    le = np.array(les, dtype=np.float64)
     return CodeSpec(
         n=n,
         z0=z0,
         indices=np.array(js, dtype=np.uint64),
-        l_era=le,
-        l_rel=complement_log2(le),
+        l_era=np.array(les, dtype=np.float64),
         squaring_count=np.array(sqs, dtype=np.int64),
         source_pocket=np.array(ms, dtype=np.int64),
         params=params,

@@ -39,7 +39,7 @@ def binary_entropy(p):
     return out if out.ndim else float(out)
 
 
-def binary_entropy_inv(y: float, tol: float = 1e-12) -> float:
+def binary_entropy_inv(y: float) -> float:
     """The unique p in [0, 1/2] with H2(p) = y, by bisection."""
     if not 0.0 <= y <= 1.0:
         raise ValueError(f"binary_entropy_inv domain is [0, 1], got {y!r}")
@@ -50,7 +50,7 @@ def binary_entropy_inv(y: float, tol: float = 1e-12) -> float:
     if y == 1.0:
         return 0.5
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if binary_entropy(mid) < y:
             lo = mid
@@ -60,14 +60,14 @@ def binary_entropy_inv(y: float, tol: float = 1e-12) -> float:
 
 
 def golden_section_max(
-    f: Callable[[float], float], a: float, b: float, tol: float = 1e-10
+    f: Callable[[float], float], a: float, b: float
 ) -> tuple[float, float]:
     """Maximize a unimodal f on [a, b]; returns (argmax, value)."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-10:
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)

@@ -153,15 +153,13 @@ def extend_log_table(
     return le, lr
 
 
-def level_log_table(
-    root: RootChannel, n: int, *, max_level: int = DEFAULT_MAX_LEVEL
-) -> tuple[np.ndarray, np.ndarray]:
+def level_log_table(root: RootChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Materialize (l_era, l_rel) for all level-n channels in index order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > max_level:
+    if n > DEFAULT_MAX_LEVEL:
         raise LevelTooLargeError(
-            f"materializing level {n} exceeds the configured maximum {max_level}"
+            f"materializing level {n} exceeds the maximum {DEFAULT_MAX_LEVEL}"
         )
     z = root.erasure()
     return extend_log_table(
@@ -217,21 +215,17 @@ def _cache_filename(z0: float, m: int) -> str:
 
 
 def cached_level_table(
-    root: RootChannel,
-    m: int,
-    cache_dir: str | None,
-    *,
-    max_level: int = DEFAULT_MAX_LEVEL,
+    root: RootChannel, m: int, cache_dir: str | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Like level_log_table, backed by the PLZT file cache when a dir is given."""
     if cache_dir is None:
-        return level_log_table(root, m, max_level=max_level)
+        return level_log_table(root, m)
     path = os.path.join(cache_dir, _cache_filename(root.z0, m))
     if os.path.exists(path):
         z0, stored_m, le, lr = read_level_cache(path)
         if z0 == root.z0 and stored_m == m:
             return le, lr
-    le, lr = level_log_table(root, m, max_level=max_level)
+    le, lr = level_log_table(root, m)
     os.makedirs(cache_dir, exist_ok=True)
     write_level_cache(path, root.z0, m, le, lr)
     return le, lr

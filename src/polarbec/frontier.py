@@ -45,6 +45,9 @@ INFINITE_MU = 1e12
 # of what is_achievable accepts.
 ACHIEVABILITY_SLACK = 1e-12
 
+# pi samples of is_achievable's scan before its golden-section refinement.
+_PI_GRID = 2048
+
 
 class FrontierPoint(NamedTuple):
     beta_p: float
@@ -64,7 +67,6 @@ class RegionQuery:
     beta_p: float
     mu_p: float
     mu_star: float
-    pi_grid: int = 2048
 
     def __post_init__(self) -> None:
         if self.mu_star <= 2.0:
@@ -75,8 +77,6 @@ class RegionQuery:
             )
         if self.beta_p < 0.0:
             raise ValueError(f"beta_p must be nonnegative, got {self.beta_p!r}")
-        if self.pi_grid < 16:
-            raise ValueError("pi_grid too coarse")
 
 
 def _entropy_term(args):
@@ -92,11 +92,11 @@ def _region_lhs(beta_p: float, mu_p: float, mu_star: float, pi):
 
 def is_achievable(q: RegionQuery) -> AchievabilityResult:
     """Check the region condition over a pi grid plus local refinement."""
-    pis = np.linspace(0.0, 1.0, q.pi_grid)
+    pis = np.linspace(0.0, 1.0, _PI_GRID)
     lhs = _region_lhs(q.beta_p, q.mu_p, q.mu_star, pis)
     k = int(np.argmax(lhs))
     lo = pis[max(k - 1, 0)]
-    hi = pis[min(k + 1, q.pi_grid - 1)]
+    hi = pis[min(k + 1, _PI_GRID - 1)]
     worst_pi, worst = golden_section_max(
         lambda p: float(_region_lhs(q.beta_p, q.mu_p, q.mu_star, p)), lo, hi
     )
@@ -337,7 +337,6 @@ def discretization_margin(
     mu_p: float,
     mu_star: float,
     pockets: int,
-    pi_grid: int = 512,
 ) -> float:
     """Worst-case margin of the region condition under pocket discretization.
 
@@ -349,7 +348,7 @@ def discretization_margin(
     if pockets < 1:
         raise ValueError("pockets must be at least 1")
     d = 9.0 / pockets
-    pis = np.linspace(-1.0 / pockets, 1.0 + 1.0 / pockets, pi_grid)
+    pis = np.linspace(-1.0 / pockets, 1.0 + 1.0 / pockets, 512)
     denom = mu_p - mu_star * (pis + d)  # worst denominator for both terms
     if np.any(denom <= 0.0):
         return -math.inf

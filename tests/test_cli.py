@@ -101,6 +101,73 @@ def test_missing_config_file_exits_2(capsys, tmp_path):
     assert code == 2 and err["exit_code"] == 2
 
 
+def test_construct_bad_mode_exits_2_with_json_line(capsys):
+    code, out, err = run_cli(capsys, "construct", "--mode", "bogus")
+    assert code == 2 and out is None
+    assert err["exit_code"] == 2 and err["error"] == "ValueError"
+    assert "bogus" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "config, flags, key",
+    [
+        ({"n": 12.7, "mode": "classical", "rate": 0.5}, [], "n"),
+        ({"levels": [2.6, 4.2, 6, 8], "pockets": 4}, [], "levels"),
+        ({}, ["--levels", "2.6,4,6,8"], "levels"),
+    ],
+)
+def test_non_integer_exits_2(capsys, tmp_path, config, flags, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "construct", "--config", str(cfg), *flags)
+    assert code == 2 and out is None
+    assert err["exit_code"] == 2 and err["error"] == "ValueError"
+    assert f"construct option {key}:" in err["message"]
+
+
+def _every_key_args(tmp_path):
+    code_file = tmp_path / "tiny.txt"
+    assert entrypoint(
+        ["construct", "--mode", "classical", "--n", "2", "--rate", "0.5",
+         "--code-out", str(code_file), "--output", str(tmp_path / "tiny.json")]
+    ) == 0
+    table = tmp_path / "h.csv"
+    table.write_text("".join(f"{k / 64},{(k / 64) * (1 - k / 64)}\n" for k in range(65)))
+    out = str(tmp_path / "side.csv")
+    return {
+        "criterion": {"alpha": 0.5, "h_table": str(table), "grid": 1000, "ratio_csv": out},
+        "mu-estimate": {"a": 0.02, "b": 0.98, "steps": 10, "grid": 4096, "z0": 0.5,
+                        "fit_fraction": 0.5, "iterates_csv": out},
+        "construct": {"mode": "classical", "n": 3, "z0": 0.4, "beta_p": 0.3, "mu_p": 8,
+                      "mu_star": 3.8, "pockets": 4, "p_ub": 0.001, "levels": [1, 2],
+                      "level_fractions": [0.5, 0.9], "rate": 0.5, "budget": None,
+                      "code_out": str(tmp_path / "c3.txt")},
+        "frontier": {"mu_star": 3.627, "samples": 3, "csv": out},
+        "simulate": {"code": str(code_file), "z0": 0.3, "trials": 64, "seed": 5,
+                     "batch": 32, "csv": out},
+        "corollaries": {"mu_star": 3.627, "beta_star": 0.4469, "grid": 1000,
+                        "gammas": "0.5,0.9"},
+    }
+
+
+def test_config_with_every_key_echoes_like_flags(capsys, tmp_path):
+    for sub, values in _every_key_args(tmp_path).items():
+        cfg = tmp_path / f"{sub}.json"
+        cfg.write_text(json.dumps(values))
+        code, from_file, err = run_cli(capsys, sub, "--config", str(cfg))
+        assert code == 0, err
+        flags = []
+        for key, value in values.items():
+            if value is not None:
+                text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                flags += ["--" + key.replace("_", "-"), text]
+        code, from_flags, err = run_cli(capsys, sub, *flags)
+        assert code == 0, err
+        # compared as JSON text, so an unconverted 8 differs from 8.0
+        assert json.dumps(from_file["config"]) == json.dumps(from_flags["config"])
+        assert set(from_file["config"]) == {"subcommand", *values}
+
+
 def test_mu_estimate_run_and_csv(capsys, tmp_path):
     target = tmp_path / "iters.csv"
     code, out, _ = run_cli(

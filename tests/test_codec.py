@@ -33,7 +33,6 @@ def _spec_single(n: int, j: int, z0: float = 0.5) -> co.CodeSpec:
         z0=z0,
         indices=np.array([j], dtype=np.uint64),
         l_era=np.array([le.l_era]),
-        l_rel=np.array([le.l_rel]),
         squaring_count=np.array([bin(j - 1).count("1")], dtype=np.uint64),
         source_pocket=np.zeros(1, dtype=np.int64),
         params={},
@@ -46,7 +45,6 @@ def _empty_spec(n: int, z0: float = 0.5) -> co.CodeSpec:
         z0=z0,
         indices=np.array([], dtype=np.uint64),
         l_era=np.array([]),
-        l_rel=np.array([]),
         squaring_count=np.array([], dtype=np.uint64),
         source_pocket=np.array([], dtype=np.int64),
         params={},

@@ -109,7 +109,6 @@ def test_union_bound_examples():
         z0=0.5,
         indices=np.array([3, 9], dtype=np.uint64),
         l_era=np.array([10.0, 10.0]),
-        l_rel=np.array([er.complement_log2(10.0)] * 2),
         squaring_count=np.array([1, 1], dtype=np.uint64),
         source_pocket=np.zeros(2, dtype=np.int64),
         params={},
@@ -308,7 +307,6 @@ def test_codespec_validates_indices():
             z0=0.5,
             indices=np.array([3, 2], dtype=np.uint64),
             l_era=np.ones(2),
-            l_rel=np.ones(2),
             squaring_count=np.ones(2, dtype=np.uint64),
             source_pocket=np.zeros(2, dtype=np.int64),
             params={},

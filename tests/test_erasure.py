@@ -92,7 +92,7 @@ def test_level_erasures_degenerate_levels():
 
 def test_level_erasures_respects_max_level():
     with pytest.raises(LevelTooLargeError):
-        er.level_log_table(er.RootChannel(0.5), 7, max_level=6)
+        er.level_log_table(er.RootChannel(0.5), er.DEFAULT_MAX_LEVEL + 1)
 
 
 def test_table_matches_stream_order():

@@ -43,8 +43,6 @@ def test_region_query_validation():
         fr.RegionQuery(0.3, 8.0, 1.5)
     with pytest.raises(ValueError):
         fr.RegionQuery(-0.1, 8.0, MU)
-    with pytest.raises(ValueError):
-        fr.RegionQuery(0.3, 8.0, MU, pi_grid=8)
 
 
 def test_max_beta_anchors():
@@ -258,8 +256,8 @@ def test_discretization_margin_improves_with_pockets():
     mu_p=st.floats(min_value=4.0, max_value=100.0),
 )
 def test_achievability_monotone_in_beta(beta_hi, frac, mu_p):
-    hi = fr.is_achievable(fr.RegionQuery(beta_hi, mu_p, MU, pi_grid=256))
+    hi = fr.is_achievable(fr.RegionQuery(beta_hi, mu_p, MU))
     if hi.achievable:
-        lo = fr.is_achievable(fr.RegionQuery(beta_hi * frac, mu_p, MU, pi_grid=256))
+        lo = fr.is_achievable(fr.RegionQuery(beta_hi * frac, mu_p, MU))
         assert lo.achievable
         assert lo.worst_margin >= hi.worst_margin - 1e-12
