@@ -180,14 +180,19 @@ def cmd_mu_estimate(config: dict) -> dict:
     }
 
 
-def _feasibility_hint(beta_p: float, mu_p: float, mu_star: float) -> str:
+def _feasibility_hint(n: int, beta_p: float, mu_p: float, mu_star: float) -> str:
     try:
         cap = frontier.max_beta(mu_p, mu_star)
     except (ValueError, PolarBECError):
         return "no feasible beta_p at these exponents"
+    if beta_p > cap:
+        return (
+            f"largest achievable beta_p at mu_p={mu_p:g}, mu_star={mu_star:g}"
+            f" is about {cap:.4f} (requested {beta_p:g})"
+        )
     return (
-        f"largest achievable beta_p at mu_p={mu_p:g}, mu_star={mu_star:g}"
-        f" is about {cap:.4f} (requested {beta_p:g})"
+        f"beta_p={beta_p:g} is achievable at mu_p={mu_p:g}, mu_star={mu_star:g};"
+        f" n={n} is too small for these pocket levels"
     )
 
 
@@ -232,7 +237,7 @@ def cmd_construct(config: dict) -> dict:
             )
         except EmptyCodeError as err:
             hint = _feasibility_hint(
-                config["beta_p"], config["mu_p"], config["mu_star"]
+                n, config["beta_p"], config["mu_p"], config["mu_star"]
             )
             raise EmptyCodeError(f"{err} ({hint})") from err
         report = {

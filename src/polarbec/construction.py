@@ -1,16 +1,24 @@
 """Channel selection: classical single-threshold and multi-pocket constructions.
 
 The classical construction picks the best channels of the full level-n
-table.  The multi-pocket construction works in three phases per pocket
-level m:
+table: by rate, everything above one partition threshold plus the first
+ties in index order; by budget, a running sum in sorted order.  The
+multi-pocket construction works in three phases per pocket level m:
 
     recruit  keep level-m channels with erasure below p_ub * 2**(-D m),
              skipping descendants of channels already recruited by a
              lower pocket;
-    train    expand every recruit to all its level-n descendants;
+    train    expand every recruit to all its level-n descendants, one
+             (recruits, 2**(n - m)) table per pocket;
     retain   keep descendants squared at least ceil(beta_p * n) times
              during the n - m trained steps, then drop any whose final
-             erasure still exceeds 2**(-2**(beta_p * n)).
+             erasure still exceeds 2**(-2**(beta_p * n)).  The quota mask
+             is one row of 2**(n - m), broadcast over every recruit.
+
+Recruits are disjoint prefix subtrees, so each pocket's survivors come out
+in index order.  The pockets are merged by sorting the recruits' subtree
+starts and copying one slice per run of consecutive recruits from the same
+pocket; no channel-level sort is needed.
 
 Pocket levels are spread over [n0/D, n0] with n0 = <n mu_star / mu_p>,
 so the survivors inherit both the gap decay of the recruit levels and
@@ -28,6 +36,7 @@ import numpy as np
 from .erasure import (
     DEFAULT_MAX_LEVEL,
     RootChannel,
+    _descendant_l_era,
     extend_log_table,
     level_log_table,
 )
@@ -98,7 +107,7 @@ class CodeSpec:
                 raise ValueError(f"column {name} misaligned")
         if m and (self.indices[0] < 1 or self.indices[-1] > (1 << self.n)):
             raise ValueError("channel index out of range")
-        if m and np.any(np.diff(self.indices.astype(np.int64)) <= 0):
+        if m and not np.all(self.indices[1:] > self.indices[:-1]):
             raise ValueError("indices must be strictly increasing")
 
     def __len__(self) -> int:
@@ -159,34 +168,49 @@ def select_classical(
         if le.shape != (1 << n,) or lr.shape != (1 << n,):
             raise ValueError("supplied table does not match level n")
     size = 1 << n
-    order = np.lexsort((np.arange(size), -le))  # erasure ascending, then j
     if rate is not None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"rate must lie in [0, 1], got {rate!r}")
-        count = _round_nearest(rate * size)
+        chosen = _best_by_threshold(le, _round_nearest(rate * size))
         params = {"mode": "classical", "rate": rate}
     else:
         if max_sum_erasure <= 0.0:
             raise InfeasibleTargetError(
                 f"erasure budget must be positive, got {max_sum_erasure!r}"
             )
+        order = np.lexsort((np.arange(size), -le))  # erasure ascending, then j
         running = np.cumsum(np.exp2(-le[order]))
         count = int(np.searchsorted(running, max_sum_erasure, side="right"))
         if count == 0:
             raise InfeasibleTargetError(
                 f"best channel already exceeds the budget {max_sum_erasure!r}"
             )
+        chosen = np.sort(order[:count])
         params = {"mode": "classical", "max_sum_erasure": max_sum_erasure}
-    chosen = np.sort(order[:count])
     return CodeSpec(
         n=n,
         z0=root.z0,
         indices=chosen.astype(np.uint64) + 1,
         l_era=le[chosen],
         squaring_count=_popcount(chosen),
-        source_pocket=np.zeros(count, dtype=np.int64),
+        source_pocket=np.zeros(chosen.size, dtype=np.int64),
         params=params,
     )
+
+
+def _best_by_threshold(le: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the count largest l_era, ties to the smaller index, sorted.
+
+    Everything strictly above the count-th largest value is in; the ties
+    at that value fill the rest in index order.
+    """
+    if count == 0:
+        return np.zeros(0, dtype=np.intp)
+    cut = np.partition(le, le.size - count)[le.size - count]
+    keep = le > cut
+    ties = np.flatnonzero(le == cut)
+    keep[ties[: count - int(np.count_nonzero(keep))]] = True
+    return np.flatnonzero(keep)
 
 
 def _popcount(paths: np.ndarray) -> np.ndarray:
@@ -262,10 +286,7 @@ def construct_multipocket(
 
     claimed = np.zeros(1, dtype=bool)  # under a channel an earlier pocket recruited
     stats: list[PocketStats] = []
-    sel_paths: list[np.ndarray] = []
-    sel_le: list[np.ndarray] = []
-    sel_sq: list[np.ndarray] = []
-    sel_m: list[np.ndarray] = []
+    pockets_out: list[_PocketBlock] = []
 
     for m in realized:
         table_le, table_lr = extend_log_table(table_le, table_lr, m - table_level)
@@ -274,54 +295,28 @@ def construct_multipocket(
         threshold_log = d_count * m - math.log2(p_ub)
         members = np.nonzero((table_le > threshold_log) & ~claimed)[0]
         claimed[members] = True
-
-        steps = n - m
-        if members.size:
-            desc_le, _ = extend_log_table(
-                table_le[members], table_lr[members], steps
-            )
-            offsets = np.tile(
-                np.arange(1 << steps, dtype=np.uint64), members.size
-            )
-            sq = _popcount(offsets)
-            keep = sq >= quota
-            if final_le_min is not None:
-                keep &= desc_le >= final_le_min
-            paths = (
-                np.repeat(members.astype(np.uint64), 1 << steps) << np.uint64(steps)
-            ) + offsets
-            sel_paths.append(paths[keep])
-            sel_le.append(desc_le[keep])
-            sel_sq.append(sq[keep])
-            sel_m.append(np.full(int(keep.sum()), m, dtype=np.int64))
-            retained_weight = int(keep.sum()) * 2.0 ** -n
-        else:
-            retained_weight = 0.0
+        block = _train_and_retain(
+            table_le[members], table_lr[members], members, m, n, quota, final_le_min
+        )
+        pockets_out.append(block)
         stats.append(
             PocketStats(
                 level=m,
                 recruited_weight=members.size * 2.0 ** -m,
-                retained_weight=retained_weight,
+                retained_weight=int(block.bounds[-1]) * 2.0 ** -n,
             )
         )
 
-    total = sum(p.size for p in sel_paths)
-    if total == 0:
+    if sum(b.bounds[-1] for b in pockets_out) == 0:
         raise EmptyCodeError(
             f"no channel survives (n={n}, beta_p={beta_p}, mu_p={mu_p}, "
-            f"mu_star={mu_star}, pockets={pockets}, p_ub={p_ub}); "
+            f"mu_star={mu_star}, pockets={d_count}, p_ub={p_ub}); "
             "lower beta_p or mu_p, or raise n"
         )
-    paths = np.concatenate(sel_paths)
-    order = np.argsort(paths, kind="stable")
-    paths = paths[order]
     spec = CodeSpec(
         n=n,
         z0=root.z0,
-        indices=paths + 1,
-        l_era=np.concatenate(sel_le)[order],
-        squaring_count=np.concatenate(sel_sq)[order],
-        source_pocket=np.concatenate(sel_m)[order],
+        **_merge_by_subtree(pockets_out, n),
         params={
             "mode": "multipocket",
             "beta_p": beta_p,
@@ -340,6 +335,88 @@ def construct_multipocket(
         quota=quota,
     )
     return spec, report
+
+
+@dataclass
+class _PocketBlock:
+    """One pocket's survivors in index order, grouped by recruit.
+
+    The survivors of the recruit in row r are entries bounds[r] to
+    bounds[r + 1] of each column (indices, l_era, squaring_count); its
+    subtree starts at level-n path members[r] << (n - level).
+    """
+
+    level: int
+    members: np.ndarray
+    bounds: np.ndarray
+    columns: list[np.ndarray | None]
+
+
+def _train_and_retain(
+    le: np.ndarray,
+    lr: np.ndarray,
+    members: np.ndarray,
+    m: int,
+    n: int,
+    quota: int,
+    final_le_min: float | None,
+) -> _PocketBlock:
+    """Expand each recruit to level n and keep the descendants that pass.
+
+    The extension offsets, their squaring counts and the quota mask are one
+    row of 2**(n - m) shared by every recruit and broadcast over the
+    (recruits, 2**(n - m)) descendant table.
+    """
+    steps = n - m
+    shape = (members.size, 1 << steps)
+    offsets = np.arange(shape[1], dtype=np.uint64)
+    sq = _popcount(offsets)
+    keep = np.broadcast_to(sq >= quota, shape)
+    desc_le = _descendant_l_era(le, lr, steps).reshape(shape)
+    if final_le_min is not None:
+        keep = keep & (desc_le >= final_le_min)
+    bounds = np.zeros(members.size + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=bounds[1:])
+    first = (members.astype(np.uint64) << np.uint64(steps)) + np.uint64(1)
+    indices = np.broadcast_to(first[:, None], shape)[keep]
+    indices += np.broadcast_to(offsets, shape)[keep]
+    return _PocketBlock(
+        m, members, bounds, [indices, desc_le[keep], np.broadcast_to(sq, shape)[keep]]
+    )
+
+
+def _merge_by_subtree(blocks: list[_PocketBlock], n: int) -> dict[str, np.ndarray]:
+    """Interleave the pockets' columns into one index-ordered code.
+
+    Recruits are disjoint prefix subtrees, so sorting their starts orders
+    their survivors.  Consecutive recruits of one pocket form a run whose
+    survivors are one slice of that pocket's columns; the merge copies one
+    slice per run, one column at a time, and releases each pocket column
+    once it is merged.
+    """
+    starts = np.concatenate([b.members << (n - b.level) for b in blocks])
+    pocket = np.concatenate(
+        [np.full(b.members.size, k) for k, b in enumerate(blocks)]
+    )
+    row = np.concatenate([np.arange(b.members.size) for b in blocks])
+    order = np.argsort(starts)
+    pocket, row = pocket[order], row[order]
+    cuts = np.flatnonzero(pocket[1:] != pocket[:-1]) + 1
+    runs = []
+    for first, last in zip(np.r_[0, cuts], np.r_[cuts, pocket.size] - 1):
+        b = blocks[pocket[first]]
+        runs.append((b, b.bounds[row[first]], b.bounds[row[last] + 1]))
+    merged = {}
+    for c, name in enumerate(("indices", "l_era", "squaring_count")):
+        merged[name] = np.concatenate([b.columns[c][lo:hi] for b, lo, hi in runs])
+        for b in blocks:
+            b.columns[c] = None
+    merged["source_pocket"] = source = np.empty(merged["indices"].size, dtype=np.int64)
+    at = 0
+    for b, lo, hi in runs:
+        source[at : at + hi - lo] = b.level
+        at += hi - lo
+    return merged
 
 
 def pocket_weights(

@@ -143,14 +143,35 @@ def extend_log_table(
     le = np.asarray(l_era, dtype=np.float64)
     lr = np.asarray(l_rel, dtype=np.float64)
     for _ in range(steps):
-        nle = np.empty(2 * le.size)
-        nlr = np.empty(2 * le.size)
-        nlr[0::2] = 2.0 * lr
-        nle[0::2] = complement_log2(nlr[0::2])
-        nle[1::2] = 2.0 * le
-        nlr[1::2] = complement_log2(nle[1::2])
-        le, lr = nle, nlr
+        le, lr = _children(le, lr)
     return le, lr
+
+
+def _descendant_l_era(l_era: np.ndarray, l_rel: np.ndarray, steps: int) -> np.ndarray:
+    """The l_era half of extend_log_table, skipping the last step's l_rel."""
+    if steps == 0:
+        return np.asarray(l_era, dtype=np.float64)
+    le, lr = extend_log_table(l_era, l_rel, steps - 1)
+    return _children(le, lr, with_rel=False)[0]
+
+
+def _children(
+    le: np.ndarray, lr: np.ndarray, with_rel: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    # Each field doubles exactly on one side; the other side is the
+    # complement of the other field's double.  The doubles are contiguous
+    # temporaries, which complement_log2 reads faster than strided views.
+    two_le = 2.0 * le
+    two_lr = 2.0 * lr
+    nle = np.empty(2 * le.size)
+    nle[0::2] = complement_log2(two_lr)
+    nle[1::2] = two_le
+    if not with_rel:
+        return nle, None
+    nlr = np.empty(2 * le.size)
+    nlr[0::2] = two_lr
+    nlr[1::2] = complement_log2(two_le)
+    return nle, nlr
 
 
 def level_log_table(root: RootChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,11 +188,6 @@ def level_log_table(root: RootChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def linear_erasures(l_era: np.ndarray) -> np.ndarray:
-    """Linear-domain erasure probabilities; doubly-tiny entries underflow to 0."""
-    return np.exp2(-np.asarray(l_era, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # Optional on-disk cache of level tables, keyed by (z0, m).
 
@@ -186,9 +202,18 @@ def write_level_cache(
     records = np.empty((1 << m, 2), dtype="<f8")
     records[:, 0] = l_era
     records[:, 1] = l_rel
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, z0, m))
-        fh.write(records.tobytes())
+    # Write beside the target and rename over it, so a reader sees either
+    # the old file or the whole new one, never a partial write.
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, z0, m))
+            fh.write(records.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_level_cache(path: str) -> tuple[float, int, np.ndarray, np.ndarray]:
@@ -222,9 +247,13 @@ def cached_level_table(
         return level_log_table(root, m)
     path = os.path.join(cache_dir, _cache_filename(root.z0, m))
     if os.path.exists(path):
-        z0, stored_m, le, lr = read_level_cache(path)
-        if z0 == root.z0 and stored_m == m:
-            return le, lr
+        try:
+            z0, stored_m, le, lr = read_level_cache(path)
+        except ValueError:
+            pass  # truncated or foreign entry: recompute and overwrite it
+        else:
+            if z0 == root.z0 and stored_m == m:
+                return le, lr
     le, lr = level_log_table(root, m)
     os.makedirs(cache_dir, exist_ok=True)
     write_level_cache(path, root.z0, m, le, lr)

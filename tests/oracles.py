@@ -1,13 +1,17 @@
-"""Per-channel oracles: the polarization tree walked one scalar step at a time.
+"""Test-only oracles: the polarization tree walked one scalar step at a time,
+the linear-domain erasures of a table, and rate-mode classical selection by
+a full lexsort.
 
-Tests compare the vectorized level tables and constructions against these
-folds; the package itself never calls them.
+Tests compare the vectorized level tables and constructions against these;
+the package itself never calls them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from polarbec.erasure import (
     DEFAULT_MAX_LEVEL,
@@ -106,3 +110,18 @@ def level_erasures(
             continue
         stack.append((depth + 1, 2 * path_int + 1, polar_better(le)))
         stack.append((depth + 1, 2 * path_int, polar_worse(le)))
+
+
+def linear_erasures(l_era: np.ndarray) -> np.ndarray:
+    """Linear-domain erasure probabilities; doubly-tiny entries underflow to 0."""
+    return np.exp2(-np.asarray(l_era, dtype=np.float64))
+
+
+def classical_rate_reference(l_era: np.ndarray, count: int) -> np.ndarray:
+    """0-based paths of the count largest l_era, ties to the smaller index.
+
+    A full lexsort over the level, the ordering that rate-mode selection
+    must reproduce.
+    """
+    order = np.lexsort((np.arange(l_era.size), -l_era))
+    return np.sort(order[:count])

@@ -296,6 +296,16 @@ def test_construct_empty_code_exits_3_with_hint(capsys):
     assert "largest achievable beta_p" in err["message"]
 
 
+def test_construct_empty_code_blames_n_below_max_beta(capsys):
+    code, _, err = run_cli(
+        capsys, "construct", "--levels", "1,2", "--n", "4", "--beta-p", "0.01"
+    )
+    assert code == 3 and err["error"] == "EmptyCodeError"
+    assert "pockets=2" in err["message"]
+    assert "largest achievable beta_p" not in err["message"]
+    assert "n=4 is too small" in err["message"]
+
+
 def test_construct_classical_needs_target(capsys):
     code, _, err = run_cli(capsys, "construct", "--mode", "classical", "--n", "4")
     assert code == 2 and "rate" in err["message"]
@@ -354,6 +364,21 @@ def test_construct_cache_env_reused(capsys, tmp_path, monkeypatch):
     assert rc == 0
     assert sorted(p.name for p in cache.iterdir()) == files
     capsys.readouterr()
+
+
+def test_construct_heals_truncated_cache(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("POLARBEC_CACHE_DIR", str(cache))
+    argv = ["construct", "--mode", "classical", "--n", "10", "--rate", "0.4"]
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0
+    (entry,) = cache.iterdir()
+    entry.write_bytes(entry.read_bytes()[:100])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err is None and out == want
+    assert [p.name for p in cache.iterdir()] == [entry.name]
+    assert entry.stat().st_size == 20 + 16 * 2**10
 
 
 def test_frontier_report_and_csv(capsys, tmp_path):

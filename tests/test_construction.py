@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ChannelPath, channel_erasure, level_erasures
+from oracles import ChannelPath, channel_erasure, classical_rate_reference, level_erasures
 
 from polarbec import construction as co
 from polarbec import criterion as cr
@@ -24,18 +24,22 @@ def _round_half_down(x: float) -> int:
     return int(math.ceil(x - 0.5))
 
 
-def brute_force_multipocket(root, n, beta_p, mu_p, mu_star, pockets, p_ub):
+def brute_force_multipocket(root, n, beta_p, mu_p, mu_star, pockets, p_ub, levels=None):
     """Independent oracle: dict bookkeeping over streamed channels.
 
     Returns {index j: (pocket level, extension squarings, l_era)} for every
-    surviving channel, or {} when nothing survives.
+    surviving channel, or {} when nothing survives.  Explicit `levels`
+    replace the derived ones, and the thresholds then use D = len(levels).
     """
-    n0 = _round_half_down(n * mu_star / mu_p)
-    levels: list[int] = []
-    for k in range(1, pockets + 1):
-        m = _round_half_down(k * n0 / pockets)
-        if m not in levels:
-            levels.append(m)
+    if levels is None:
+        n0 = _round_half_down(n * mu_star / mu_p)
+        levels = []
+        for k in range(1, pockets + 1):
+            m = _round_half_down(k * n0 / pockets)
+            if m not in levels:
+                levels.append(m)
+    else:
+        pockets = len(levels)
     quota = math.ceil(beta_p * n - 1e-9)
     recruited: dict[int, set[tuple[int, ...]]] = {}
     for m in levels:
@@ -147,19 +151,25 @@ def test_multipocket_equals_brute_force_reference_run():
         assert ble == le  # scalar fold and table route agree bitwise
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
     z0=st.floats(min_value=0.25, max_value=0.75),
     n=st.integers(min_value=8, max_value=12),
     beta_p=st.sampled_from([0.0, 0.10, 0.25]),
     mu_p=st.floats(min_value=6.0, max_value=12.0),
+    p_ub=st.sampled_from([2.0**-6, 0.5, 0.9]),
+    pockets=st.integers(min_value=1, max_value=4),
+    levels=st.none()
+    | st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=4, unique=True).map(
+        sorted
+    ),
 )
-def test_multipocket_equals_brute_force_property(z0, n, beta_p, mu_p):
+def test_multipocket_equals_brute_force_property(z0, n, beta_p, mu_p, p_ub, pockets, levels):
     root = er.RootChannel(z0)
     mu_star = 3.8
     try:
         spec, _ = co.construct_multipocket(
-            root, n, beta_p, mu_p, mu_star, pockets=3, p_ub=2.0**-6
+            root, n, beta_p, mu_p, mu_star, pockets=pockets, p_ub=p_ub, levels=levels
         )
         got = {
             int(j): (int(m), int(sq), float(le))
@@ -171,8 +181,60 @@ def test_multipocket_equals_brute_force_property(z0, n, beta_p, mu_p):
         got = {}
     except ValueError:
         return  # n0 < pockets: rejected before any selection runs
-    want = brute_force_multipocket(root, n, beta_p, mu_p, mu_star, 3, 2.0**-6)
+    want = brute_force_multipocket(root, n, beta_p, mu_p, mu_star, pockets, p_ub, levels)
     assert got == want
+
+
+def test_multipocket_interleaved_pockets_equal_brute_force():
+    # Loose recruiting at levels 3, 5, 7 leaves pocket subtrees interleaved
+    # in index order, so the merge cuts the code into several runs.
+    root = er.RootChannel(0.3)
+    spec, _ = co.construct_multipocket(
+        root, 10, 0.10, 8.0, 3.8, p_ub=0.9, levels=[3, 5, 7]
+    )
+    runs = 1 + np.count_nonzero(np.diff(spec.source_pocket))
+    assert runs == 7 and set(spec.source_pocket.tolist()) == {3, 5, 7}
+    want = brute_force_multipocket(root, 10, 0.10, 8.0, 3.8, 3, 0.9, [3, 5, 7])
+    got = {
+        int(j): (int(m), int(sq), float(le))
+        for j, m, sq, le in zip(
+            spec.indices, spec.source_pocket, spec.squaring_count, spec.l_era
+        )
+    }
+    assert got == want
+
+
+def _check_classical_rate(root, n, table, count):
+    spec = co.select_classical(root, n, rate=count / 2**n, table=table)
+    want = classical_rate_reference(table[0], count)
+    assert np.array_equal(spec.indices, want.astype(np.uint64) + 1)
+    assert np.array_equal(spec.l_era, table[0][want])
+    assert spec.squaring_count.tolist() == [bin(int(p)).count("1") for p in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    values=st.lists(
+        st.sampled_from([0.0, math.inf, 1.0, 3.5]), min_size=64, max_size=64
+    ),
+    count=st.integers(min_value=0, max_value=64),
+)
+def test_classical_rate_equals_lexsort_on_tie_blocks(values, count):
+    le = np.array(values)
+    _check_classical_rate(er.RootChannel(0.5), 6, (le, np.zeros(64)), count)
+
+
+def test_classical_rate_boundary_inside_saturated_block():
+    # At n = 14, z0 = 0.2 the level holds 727 channels with l_era = inf
+    # and 48 with l_era = 0; put the cut inside each block and at its edges.
+    root = er.RootChannel(0.2)
+    table = er.level_log_table(root, 14)
+    saturated = int(np.count_nonzero(np.isinf(table[0])))
+    dead = int(np.count_nonzero(table[0] == 0.0))
+    assert saturated > 100 and dead > 10
+    size = 2**14
+    for count in (saturated // 2, saturated, saturated + 1, size - dead // 2, size):
+        _check_classical_rate(root, 14, table, count)
 
 
 def test_multipocket_beta_zero_keeps_all_trained():

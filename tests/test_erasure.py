@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ChannelPath, channel_erasure, level_erasures
+from oracles import ChannelPath, channel_erasure, level_erasures, linear_erasures
 
 from polarbec import erasure as er
 from polarbec.errors import LevelTooLargeError
@@ -211,7 +211,7 @@ def test_polarization_mass_leaves_the_middle():
     for n in range(4, 21):
         if n > 4:
             le, lr = er.extend_log_table(le, lr, 1)
-        z = er.linear_erasures(le)
+        z = linear_erasures(le)
         frac = float(np.mean((z > 0.01) & (z < 0.99)))
         assert frac <= previous + 1e-12
         previous = frac
@@ -248,6 +248,46 @@ def test_cache_rejects_corrupted_file(tmp_path):
     path.write_bytes(b"JUNK" + path.read_bytes()[4:])
     with pytest.raises(ValueError):
         er.read_level_cache(str(path))
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda blob: blob[:10],  # truncated header
+        lambda blob: blob[:-8],  # truncated records
+        lambda blob: b"JUNK" + blob[4:],  # bad magic
+        lambda blob: blob[:4] + struct.pack("<I", 99) + blob[8:],  # bad version
+        lambda blob: blob[:16] + struct.pack("<I", 5) + blob[20:],  # size mismatch
+    ],
+)
+def test_cache_unreadable_entry_is_a_miss(tmp_path, damage):
+    root = er.RootChannel(0.5)
+    er.cached_level_table(root, 6, str(tmp_path))
+    (name,) = os.listdir(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(damage(path.read_bytes()))
+    le, lr = er.cached_level_table(root, 6, str(tmp_path))
+    want_le, want_lr = er.level_log_table(root, 6)
+    assert np.array_equal(le, want_le) and np.array_equal(lr, want_lr)
+    assert os.listdir(tmp_path) == [name]
+    assert path.stat().st_size == 20 + 16 * 2**6
+    assert np.array_equal(er.read_level_cache(str(path))[2], want_le)
+
+
+def test_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    le, lr = er.level_log_table(er.RootChannel(0.5), 4)
+    target = tmp_path / "table.bin"
+    er.write_level_cache(str(target), 0.5, 4, le, lr)
+    assert os.listdir(tmp_path) == ["table.bin"]
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(er.os, "replace", fail)
+    with pytest.raises(OSError):
+        er.write_level_cache(str(target), 0.5, 4, 2.0 * le, lr)
+    assert os.listdir(tmp_path) == ["table.bin"]
+    assert np.array_equal(er.read_level_cache(str(target))[2], le)
 
 
 @settings(max_examples=30)
