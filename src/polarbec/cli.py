@@ -29,7 +29,7 @@ from .construction import (
     select_classical,
     union_bound,
 )
-from .erasure import RootChannel, cached_level_table
+from .erasure import RootChannel, _atomic_write, cached_level_table
 from .errors import (
     DegenerateFitError,
     EmptyCodeError,
@@ -115,12 +115,12 @@ def _write_json(report: dict, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w") as fh:
+        with _atomic_write(output) as fh:
             fh.write(text)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -199,17 +199,15 @@ def _feasibility_hint(n: int, beta_p: float, mu_p: float, mu_star: float) -> str
 def cmd_construct(config: dict) -> dict:
     root = RootChannel(config["z0"])
     n = config["n"]
-    cache_dir = os.environ.get(CACHE_ENV)
     if config["mode"] == "classical":
         if config["rate"] is None and config["budget"] is None:
             raise ValueError("classical mode needs --rate or --budget")
-        table = cached_level_table(root, n, cache_dir) if cache_dir else None
         spec = select_classical(
             root,
             n,
             rate=config["rate"],
             max_sum_erasure=config["budget"],
-            table=table,
+            table=cached_level_table(root, n, os.environ.get(CACHE_ENV) or None),
         )
         report = {
             "size": len(spec),
@@ -422,16 +420,15 @@ def entrypoint(argv=None) -> int:
     sub = args.subcommand
     try:
         config = resolve_config(sub, args)
-        body = SUBCOMMANDS[sub][0](config)
+        report = {"config": {"subcommand": sub, **config}}
+        report.update(SUBCOMMANDS[sub][0](config))
+        _write_json(report, args.output)
     except (ValueError, OSError, InvalidCandidateError, LevelTooLargeError) as exc:
         return _fail(exc, EXIT_USAGE)
     except (InfeasibleTargetError, EmptyCodeError, DegenerateFitError) as exc:
         return _fail(exc, EXIT_INFEASIBLE)
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit 4
         return _fail(exc, EXIT_INTERNAL)
-    report = {"config": {"subcommand": sub, **config}}
-    report.update(body)
-    _write_json(report, args.output)
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .construction import CodeSpec
 from .erasure import RootChannel
-from .errors import DecodingInconsistencyError, LevelTooLargeError
+from .errors import DecodingInconsistencyError, LevelTooLargeError, _check_memory
 
 # two-sided 95% normal quantile
 WILSON_Z95 = 1.959963984540054
@@ -294,6 +294,11 @@ def simulate(
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     size = 1 << spec.n
+    batch_words = -(-min(batch, trials) // 64)
+    # the word table, two gathers of its info columns, and one 64-trial
+    # block of raw draws with their shifted copy and the erased mask
+    need = 8 * batch_words * (size + 2 * len(spec)) + 64 * 17 * size
+    _check_memory(need, f"simulate at n={spec.n}, {64 * batch_words} trials a batch")
     blocks = -(-size // 4)  # Philox counter steps per trial, four raw words each
     threshold = np.uint64(math.ceil(root.z0 * 2.0**53))
     info_pos = spec.indices.astype(np.int64) - 1

@@ -1,8 +1,9 @@
 """Channel selection: classical single-threshold and multi-pocket constructions.
 
 The classical construction picks the best channels of the full level-n
-table: by rate, everything above one partition threshold plus the first
-ties in index order; by budget, a running sum in sorted order.  The
+table: everything above one partition threshold plus the first ties in
+index order.  Rate mode fixes the count; budget mode takes it from a
+running erasure sum in sorted order.  The
 multi-pocket construction works in three phases per pocket level m:
 
     recruit  keep level-m channels with erasure below p_ub * 2**(-D m),
@@ -36,11 +37,13 @@ import numpy as np
 from .erasure import (
     DEFAULT_MAX_LEVEL,
     RootChannel,
+    _atomic_write,
     _descendant_l_era,
     extend_log_table,
     level_log_table,
 )
 from .errors import EmptyCodeError, InfeasibleTargetError, LevelTooLargeError
+from .frontier import _check_exponents
 
 # ceil() guard against float noise like 3.0000000000000004 from beta_p * n
 _CEIL_SLACK = 1e-9
@@ -62,10 +65,6 @@ class PocketStats:
     level: int
     recruited_weight: float
     retained_weight: float
-
-    @property
-    def discarded_weight(self) -> float:
-        return self.recruited_weight - self.retained_weight
 
 
 @dataclass(frozen=True)
@@ -167,26 +166,24 @@ def select_classical(
         le, lr = table
         if le.shape != (1 << n,) or lr.shape != (1 << n,):
             raise ValueError("supplied table does not match level n")
-    size = 1 << n
     if rate is not None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"rate must lie in [0, 1], got {rate!r}")
-        chosen = _best_by_threshold(le, _round_nearest(rate * size))
+        count = _round_nearest(rate * (1 << n))
         params = {"mode": "classical", "rate": rate}
     else:
         if max_sum_erasure <= 0.0:
             raise InfeasibleTargetError(
                 f"erasure budget must be positive, got {max_sum_erasure!r}"
             )
-        order = np.lexsort((np.arange(size), -le))  # erasure ascending, then j
-        running = np.cumsum(np.exp2(-le[order]))
+        running = np.cumsum(np.exp2(-np.sort(le)[::-1]))  # erasure ascending
         count = int(np.searchsorted(running, max_sum_erasure, side="right"))
         if count == 0:
             raise InfeasibleTargetError(
                 f"best channel already exceeds the budget {max_sum_erasure!r}"
             )
-        chosen = np.sort(order[:count])
         params = {"mode": "classical", "max_sum_erasure": max_sum_erasure}
+    chosen = _best_by_threshold(le, count)
     return CodeSpec(
         n=n,
         z0=root.z0,
@@ -244,10 +241,7 @@ def construct_multipocket(
     pin them at fixed fractions of n); thresholds still use the pocket
     count D = len(levels).
     """
-    if mu_star <= 2.0:
-        raise ValueError(f"mu_star must exceed 2, got {mu_star!r}")
-    if mu_p <= mu_star:
-        raise ValueError(f"mu_p must exceed mu_star, got {mu_p!r}")
+    _check_exponents(mu_p, mu_star)
     if not 0.0 <= beta_p <= 0.5:
         raise ValueError(f"beta_p must lie in [0, 1/2], got {beta_p!r}")
     if pockets < 1:
@@ -425,10 +419,9 @@ def pocket_weights(
     """Per-pocket accounting rows (level, recruited, retained, lost_fraction)."""
     rows = []
     for s in report.pocket_stats:
-        lost = (
-            s.discarded_weight / s.recruited_weight if s.recruited_weight > 0 else 0.0
-        )
-        rows.append((s.level, s.recruited_weight, s.retained_weight, lost))
+        recruited, retained = s.recruited_weight, s.retained_weight
+        lost = (recruited - retained) / recruited if recruited > 0 else 0.0
+        rows.append((s.level, recruited, retained, lost))
     return rows
 
 
@@ -437,7 +430,7 @@ def pocket_weights(
 
 
 def save_codespec(spec: CodeSpec, path: str) -> None:
-    with open(path, "w") as fh:
+    with _atomic_write(path) as fh:
         fh.write(f"n={spec.n}\n")
         fh.write(f"z0={spec.z0!r}\n")
         params = " ".join(f"{k}={v}" for k, v in spec.params.items())
@@ -463,26 +456,37 @@ def _parse_param(token: str):
 
 
 def load_codespec(path: str) -> CodeSpec:
+    """Read a code file; a malformed channel line raises ValueError naming it."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if len(lines) < 3 or not lines[0].startswith("n=") or not lines[1].startswith("z0="):
+        lines = [(k, ln.rstrip("\n")) for k, ln in enumerate(fh, 1) if ln.strip()]
+    header = [ln for _, ln in lines[:3]]
+    if len(header) < 3 or not header[0].startswith("n=") or not header[1].startswith("z0="):
         raise ValueError(f"{path}: malformed header")
-    n = int(lines[0][2:])
-    z0 = float(lines[1][3:])
-    params = dict(_parse_param(tok) for tok in lines[2][len("params="):].split())
+    n = int(header[0][2:])
+    z0 = float(header[1][3:])
+    params = dict(_parse_param(tok) for tok in header[2][len("params="):].split())
     js, ms, sqs, les = [], [], [], []
-    for ln in lines[3:]:
-        fields = dict(tok.split("=", 1) for tok in ln.split())
-        js.append(int(fields["j"]))
-        ms.append(int(fields["m"]))
-        sqs.append(int(fields["sq"]))
-        les.append(float(fields["lera"]))
-    return CodeSpec(
-        n=n,
-        z0=z0,
-        indices=np.array(js, dtype=np.uint64),
-        l_era=np.array(les, dtype=np.float64),
-        squaring_count=np.array(sqs, dtype=np.int64),
-        source_pocket=np.array(ms, dtype=np.int64),
-        params=params,
-    )
+    for lineno, ln in lines[3:]:
+        tokens = ln.split()
+        try:
+            fields = dict(tok.split("=", 1) for tok in tokens)
+            if len(tokens) != 4 or fields.keys() != {"j", "m", "sq", "lera"}:
+                raise ValueError("expected the four fields j= m= sq= lera=")
+            js.append(int(fields["j"]))
+            ms.append(int(fields["m"]))
+            sqs.append(int(fields["sq"]))
+            les.append(float(fields["lera"]))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    try:
+        return CodeSpec(
+            n=n,
+            z0=z0,
+            indices=np.array(js, dtype=np.uint64),
+            l_era=np.array(les, dtype=np.float64),
+            squaring_count=np.array(sqs, dtype=np.int64),
+            source_pocket=np.array(ms, dtype=np.int64),
+            params=params,
+        )
+    except OverflowError as exc:  # an integer column out of its dtype's range
+        raise ValueError(f"{path}: {exc}") from None

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFitError, InvalidCandidateError
+from .errors import DegenerateFitError, InvalidCandidateError, _check_memory
 
 ENDPOINT_TOL = 1e-12
 
@@ -160,7 +160,7 @@ def ratio_curve(h: CandidateH, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
             raise InvalidCandidateError(
                 f"candidate must vanish at xi={endpoint}, got {float(h(endpoint)):.3g}"
             )
-    return xi, (h(xi * xi) + h(2.0 * xi - xi * xi)) / (2.0 * hx)
+    return xi, _ratio_at(h, xi)
 
 
 def _quadratic_extrapolate(xs: np.ndarray, ys: np.ndarray, x0: float) -> float:
@@ -228,6 +228,8 @@ def iterate_g(
         raise ValueError("grid_size must be at least 4096")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
+    need = (n_steps + 1) * (grid_size + 1) * 8  # every iterate is kept
+    _check_memory(need, f"iterate_g with {n_steps} steps on {grid_size} intervals")
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     sq = grid * grid
     dbl = 2.0 * grid - sq

@@ -18,6 +18,7 @@ accurate at both ends of [0, 1].
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -84,11 +85,6 @@ class LogErasure:
     def prob(self) -> float:
         """Linear-domain erasure probability (underflows to 0.0 when tiny)."""
         return 2.0 ** -self.l_era
-
-    @property
-    def reliability(self) -> float:
-        """Linear-domain probability of successful transmission, 1 - Z."""
-        return 2.0 ** -self.l_rel
 
 
 def polar_worse(z: LogErasure) -> LogErasure:
@@ -194,6 +190,30 @@ def level_log_table(root: RootChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
 _HEADER = struct.Struct("<4sIdI")
 
 
+@contextlib.contextmanager
+def _atomic_write(path: str, mode: str = "x", **open_args):
+    """Open a fresh file beside path; on success rename it over path.
+
+    A reader sees either the old file or the whole new one, never a partial
+    write.  If the body or the rename fails, the temporary file is removed
+    and path is left as it was.  A link, device or FIFO at path (such as
+    /dev/null) is written through in place: a rename would replace it.
+    """
+    if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode.replace("x", "w"), **open_args) as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, mode, **open_args)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_level_cache(
     path: str, z0: float, m: int, l_era: np.ndarray, l_rel: np.ndarray
 ) -> None:
@@ -202,18 +222,9 @@ def write_level_cache(
     records = np.empty((1 << m, 2), dtype="<f8")
     records[:, 0] = l_era
     records[:, 1] = l_rel
-    # Write beside the target and rename over it, so a reader sees either
-    # the old file or the whole new one, never a partial write.
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, z0, m))
-            fh.write(records.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with _atomic_write(path, "xb") as fh:
+        fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, z0, m))
+        fh.write(records.tobytes())
 
 
 def read_level_cache(path: str) -> tuple[float, int, np.ndarray, np.ndarray]:

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the memory check behind one."""
+
+import os
 
 
 class PolarBECError(Exception):
@@ -27,3 +29,13 @@ class EmptyCodeError(PolarBECError):
 
 class DecodingInconsistencyError(PolarBECError):
     """A resolved message contradicts a known value; indicates a harness bug."""
+
+
+def _check_memory(need: int, what: str) -> None:
+    """Refuse, before allocating, a plan that needs over half of physical memory."""
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    if need > budget:
+        raise LevelTooLargeError(
+            f"{what} would need about {need / 2**20:,.0f} MiB, over the budget of "
+            f"{budget / 2**20:,.0f} MiB (half of physical memory)"
+        )

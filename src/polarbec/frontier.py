@@ -60,6 +60,13 @@ class AchievabilityResult(NamedTuple):
     worst_pi: float
 
 
+def _check_exponents(mu_p: float, mu_star: float) -> None:
+    if mu_star <= 2.0:
+        raise ValueError(f"mu_star must exceed 2, got {mu_star!r}")
+    if mu_p <= mu_star:
+        raise ValueError(f"mu_p must exceed mu_star, got {mu_p!r} <= {mu_star!r}")
+
+
 @dataclass(frozen=True)
 class RegionQuery:
     """One membership question about the achievable region."""
@@ -69,12 +76,7 @@ class RegionQuery:
     mu_star: float
 
     def __post_init__(self) -> None:
-        if self.mu_star <= 2.0:
-            raise ValueError(f"mu_star must exceed 2, got {self.mu_star!r}")
-        if self.mu_p <= self.mu_star:
-            raise ValueError(
-                f"mu_p must exceed mu_star, got {self.mu_p!r} <= {self.mu_star!r}"
-            )
+        _check_exponents(self.mu_p, self.mu_star)
         if self.beta_p < 0.0:
             raise ValueError(f"beta_p must be nonnegative, got {self.beta_p!r}")
 
@@ -121,12 +123,7 @@ def max_beta(mu_p: float, mu_star: float) -> float:
     itself exceeds H2inv(1 - eps), which needs mu_star beyond about 5e5,
     the pi = 1 end binds: H2inv(1 - eps) * (1 - mu_star / mu_p).
     """
-    if mu_star <= 2.0:
-        raise ValueError(f"mu_star must exceed 2, got {mu_star!r}")
-    if mu_p <= mu_star:
-        raise ValueError(
-            f"mu_p must exceed mu_star, got {mu_p!r} <= {mu_star!r}"
-        )
+    _check_exponents(mu_p, mu_star)
     c = 1.0 / mu_star + ACHIEVABILITY_SLACK
     s_star = 1.0 - 2.0 ** (c - 1.0)
     s_lo = binary_entropy_inv(1.0 - 1.0 / mu_p - ACHIEVABILITY_SLACK)
@@ -331,30 +328,3 @@ REFERENCE_BOUNDARY_3627: tuple[tuple[float, float], ...] = (
     (0.498994722541618, 0.00000291592746097554),
 )
 
-
-def discretization_margin(
-    beta_p: float,
-    mu_p: float,
-    mu_star: float,
-    pockets: int,
-) -> float:
-    """Worst-case margin of the region condition under pocket discretization.
-
-    Splitting the level range into `pockets` pockets perturbs each occurrence
-    of pi by up to 9/pockets independently; the condition must survive every
-    perturbation for pi in [-1/pockets, 1 + 1/pockets].  Positive result
-    means the pocket count is fine enough for the targeted point.
-    """
-    if pockets < 1:
-        raise ValueError("pockets must be at least 1")
-    d = 9.0 / pockets
-    pis = np.linspace(-1.0 / pockets, 1.0 + 1.0 / pockets, 512)
-    denom = mu_p - mu_star * (pis + d)  # worst denominator for both terms
-    if np.any(denom <= 0.0):
-        return -math.inf
-    first = (1.0 - (pis - d)) / denom
-    lo_arg = beta_p * mu_p / (mu_p - mu_star * (pis - d))
-    hi_arg = beta_p * mu_p / denom
-    ent = np.maximum(_entropy_term(lo_arg), _entropy_term(hi_arg))
-    ent[(lo_arg < 0.5) & (hi_arg > 0.5)] = 1.0
-    return float(np.min(1.0 - (first + ent)))

@@ -2,8 +2,10 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -188,6 +190,14 @@ def test_mu_estimate_too_few_steps_exits_2(capsys):
     assert code == 2 and err["error"] == "ValueError"
 
 
+def test_mu_estimate_over_memory_budget_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "mu-estimate", "--steps", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
+    assert "MiB" in err["message"] and "half of physical memory" in err["message"]
+
+
 def test_mu_estimate_degenerate_exits_3(capsys):
     code, _, err = run_cli(capsys, "mu-estimate", "--z0", "1.0")
     assert code == 3 and err["error"] == "DegenerateFitError"
@@ -257,6 +267,32 @@ def test_simulate_seed_out_of_range_exits_2(capsys, tmp_path):
         assert code == 2 and out is None
         assert err["exit_code"] == 2 and err["error"] == "ValueError"
         assert "seed" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "j=1 m=0 lera=1.0",  # missing key
+        "j=1 m=0 sq=0 lera=1.0 x=2",  # extra token
+        "j=1 m=0 sq=0 lera=1.0 j=2",  # repeated key
+        "j=one m=0 sq=0 lera=1.0",  # non-integer j
+    ],
+)
+def test_simulate_bad_code_line_exits_2(capsys, tmp_path, line):
+    code_file = tmp_path / "code.txt"
+    code_file.write_text(f"n=2\nz0=0.5\nparams=mode=classical\n{line}\n")
+    code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
+    assert code == 2 and out is None and err["error"] == "ValueError"
+    assert f"{code_file}, line 4" in err["message"]
+
+
+def test_simulate_over_memory_budget_exits_2(capsys, tmp_path):
+    # one channel, but simulate would hold 2**26 words per 64 trials
+    code_file = tmp_path / "code.txt"
+    code_file.write_text("n=26\nz0=0.5\nparams=mode=classical\nj=1 m=0 sq=0 lera=1.0\n")
+    code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
+    assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
+    assert "n=26" in err["message"]
 
 
 def test_simulate_without_code_exits_2(capsys):
@@ -366,6 +402,14 @@ def test_construct_cache_env_reused(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
 
 
+def test_construct_empty_cache_env_means_no_cache(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("POLARBEC_CACHE_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "construct", "--mode", "classical", "--n", "6", "--rate", "0.5")
+    assert code == 0 and err is None
+    assert os.listdir(tmp_path) == []
+
+
 def test_construct_heals_truncated_cache(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     cache.mkdir()
@@ -417,6 +461,45 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert capsys.readouterr().out == ""
     report = json.loads(target.read_text())
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, first, second",
+    [
+        (["construct", "--mode", "classical", "--n", "4", "--code-out", "{}", "--rate"],
+         "0.5", "0.25"),
+        (["frontier", "--output", "{}", "--samples"], "5", "6"),
+        (["frontier", "--csv", "{}", "--samples"], "5", "6"),
+    ],
+)
+def test_failed_write_keeps_target_and_leaves_no_temp_file(
+    capsys, tmp_path, monkeypatch, argv, first, second
+):
+    target = tmp_path / "target"
+    argv = [str(target) if a == "{}" else a for a in argv]
+    assert entrypoint([*argv, first]) == 0
+    capsys.readouterr()
+    old = target.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, out, err = run_cli(capsys, *argv, second)
+    assert code == 2 and out is None and err["message"] == "disk full"
+    assert os.listdir(tmp_path) == ["target"]
+    assert target.read_bytes() == old
+
+
+def test_write_through_symlink_keeps_the_link(capsys, tmp_path):
+    real = tmp_path / "real.json"
+    real.write_text("old")
+    (tmp_path / "link.json").symlink_to(real)
+    rc = entrypoint(["corollaries", "--grid", "2000", "--output", str(tmp_path / "link.json")])
+    assert rc == 0
+    assert (tmp_path / "link.json").is_symlink()
+    assert json.loads(real.read_text())["passed"] is True
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
 
 
 def test_help_lists_subcommands(capsys):

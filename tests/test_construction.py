@@ -7,6 +7,10 @@ but the scalar polarization step.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,8 +208,11 @@ def test_multipocket_interleaved_pockets_equal_brute_force():
     assert got == want
 
 
-def _check_classical_rate(root, n, table, count):
-    spec = co.select_classical(root, n, rate=count / 2**n, table=table)
+def _check_classical_rate(root, n, table, count, budget=None):
+    if budget is None:
+        spec = co.select_classical(root, n, rate=count / 2**n, table=table)
+    else:
+        spec = co.select_classical(root, n, max_sum_erasure=budget, table=table)
     want = classical_rate_reference(table[0], count)
     assert np.array_equal(spec.indices, want.astype(np.uint64) + 1)
     assert np.array_equal(spec.l_era, table[0][want])
@@ -218,10 +225,20 @@ def _check_classical_rate(root, n, table, count):
         st.sampled_from([0.0, math.inf, 1.0, 3.5]), min_size=64, max_size=64
     ),
     count=st.integers(min_value=0, max_value=64),
+    budget=st.floats(min_value=0.05, max_value=70.0),
 )
-def test_classical_rate_equals_lexsort_on_tie_blocks(values, count):
+def test_classical_rate_equals_lexsort_on_tie_blocks(values, count, budget):
     le = np.array(values)
-    _check_classical_rate(er.RootChannel(0.5), 6, (le, np.zeros(64)), count)
+    root, table = er.RootChannel(0.5), (le, np.zeros(64))
+    _check_classical_rate(root, 6, table, count)
+    # budget mode: the count is the lexsort-ordered running sum's
+    running = np.cumsum(np.exp2(-le[np.lexsort((np.arange(64), -le))]))
+    budget_count = int(np.searchsorted(running, budget, side="right"))
+    if budget_count == 0:
+        with pytest.raises(InfeasibleTargetError):
+            co.select_classical(root, 6, max_sum_erasure=budget, table=table)
+    else:
+        _check_classical_rate(root, 6, table, budget_count, budget)
 
 
 def test_classical_rate_boundary_inside_saturated_block():
@@ -373,3 +390,22 @@ def test_codespec_validates_indices():
             source_pocket=np.zeros(2, dtype=np.int64),
             params={},
         )
+
+
+def test_gap_decay_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "gap_decay.py"),
+         "--levels", "10", "12", "14", "--betas", "0.0", "0.1"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    for beta, line in zip(("0.0", "0.1"), lines[1:]):
+        assert line.startswith(f"beta'={beta}: n=[10, 12, 14] gaps=[")
+        assert "log2-slope=" in line

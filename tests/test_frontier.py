@@ -1,7 +1,5 @@
 """Achievable-region membership, frontier tracing, and the corollary checks."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,28 +223,6 @@ def test_verify_corollaries_dict_shape():
     assert d["containment_check"]["per_gamma"][0]["gamma"] == 0.30
     with pytest.raises(ValueError):
         fr.verify_corollaries(MU, grid=500)
-
-
-def test_discretization_margin_examples():
-    assert fr.discretization_margin(0.30, 8.0, 3.8, 8) == -math.inf
-    assert fr.discretization_margin(0.30, 8.0, 3.8, 16) == pytest.approx(
-        -0.273972602739726, rel=1e-9
-    )
-    assert fr.discretization_margin(0.30, 8.0, 3.8, 512) < 0.0
-    assert fr.discretization_margin(0.10, 12.0, 3.8, 32) == pytest.approx(
-        0.3040820970687278, rel=1e-9
-    )
-    assert fr.discretization_margin(0.10, 12.0, 3.8, 64) == pytest.approx(
-        0.3546303430061487, rel=1e-9
-    )
-    with pytest.raises(ValueError):
-        fr.discretization_margin(0.10, 12.0, 3.8, 0)
-
-
-def test_discretization_margin_improves_with_pockets():
-    m32 = fr.discretization_margin(0.10, 12.0, 3.8, 32)
-    m64 = fr.discretization_margin(0.10, 12.0, 3.8, 64)
-    assert m64 > m32
 
 
 @settings(max_examples=25, deadline=None)
