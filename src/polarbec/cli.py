@@ -135,10 +135,7 @@ def cmd_criterion(config: dict) -> dict:
             criterion.GridFunction(table[:, 0], table[:, 1])
         )
     else:
-        alpha = config["alpha"]
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-        h = criterion.CandidateH.power(alpha)
+        h = criterion.CandidateH.power(config["alpha"])
     result = criterion.sup_ratio(h, grid_size=config["grid"])
     polarizes = result.ratio < 1.0
     above_2 = polarizes and result.ratio > 2.0 ** -0.5

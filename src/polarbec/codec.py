@@ -295,9 +295,11 @@ def simulate(
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     size = 1 << spec.n
     batch_words = -(-min(batch, trials) // 64)
-    # the word table, two gathers of its info columns, and one 64-trial
-    # block of raw draws with their shifted copy and the erased mask
-    need = 8 * batch_words * (size + 2 * len(spec)) + 64 * 17 * size
+    # the word table, plus the largest of what lives beside it: a 64-trial
+    # block (raw draws shifted in place, known mask and packed bits, 584 bytes
+    # a position), the profile's first-level temporary, or the info gather
+    table = 8 * batch_words * size
+    need = table + max(584 * size, table // 2, 8 * batch_words * len(spec))
     _check_memory(need, f"simulate at n={spec.n}, {64 * batch_words} trials a batch")
     blocks = -(-size // 4)  # Philox counter steps per trial, four raw words each
     threshold = np.uint64(math.ceil(root.z0 * 2.0**53))
@@ -312,12 +314,14 @@ def simulate(
         word_bytes = words.view(np.uint8).reshape(*words.shape, 8)
         for w in range(words.shape[0]):
             rows = min(64, count - 64 * w)
-            raw = bitgen.random_raw(rows * 4 * blocks)
-            known = (raw.reshape(rows, -1)[:, :size] >> 11) >= threshold
-            packed = np.packbits(known, axis=0, bitorder="little")
+            raw = bitgen.random_raw(rows * 4 * blocks).reshape(rows, -1)[:, :size]
+            raw >>= np.uint64(11)
+            packed = np.packbits(raw >= threshold, axis=0, bitorder="little")
             word_bytes[w, :, : packed.shape[0]] = packed.T
+            del raw, packed  # free this block before the next is drawn
         resolved = _resolution_profile(words)
-        failed = np.bitwise_or.reduce(~resolved[:, info_pos], axis=1)
+        # a trial fails where some info position is unresolved
+        failed = ~np.bitwise_and.reduce(resolved[:, info_pos], axis=1)
         # bits past the batch's last trial are padding
         failed[-1] &= np.uint64((1 << (count - 64 * (words.shape[0] - 1))) - 1)
         failures = int(np.bitwise_count(failed).sum())

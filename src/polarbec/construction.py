@@ -237,9 +237,8 @@ def construct_multipocket(
 ) -> tuple[CodeSpec, ConstructionReport]:
     """Run recruit, train, retain over the pocket levels.
 
-    `levels` overrides the derived pocket levels (the walkthrough configs
-    pin them at fixed fractions of n); thresholds still use the pocket
-    count D = len(levels).
+    `levels` overrides the derived pocket levels; thresholds then use the
+    pocket count D = len(levels).
     """
     _check_exponents(mu_p, mu_star)
     if not 0.0 <= beta_p <= 0.5:
@@ -273,9 +272,7 @@ def construct_multipocket(
     quota = squaring_quota(beta_p, n)
     final_le_min = 2.0 ** (beta_p * n) if beta_p > 0.0 else None
 
-    z = root.erasure()
-    table_le = np.array([z.l_era])
-    table_lr = np.array([z.l_rel])
+    table_le, table_lr = level_log_table(root, 0)
     table_level = 0
 
     claimed = np.zeros(1, dtype=bool)  # under a channel an earlier pocket recruited

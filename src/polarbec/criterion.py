@@ -23,40 +23,51 @@ from .errors import DegenerateFitError, InvalidCandidateError, _check_memory
 ENDPOINT_TOL = 1e-12
 
 
+def _unit_interval(v, name: str) -> np.ndarray:
+    x = np.asarray(v, dtype=np.float64)
+    inside = (x >= 0.0) & (x <= 1.0)  # False for NaN
+    if not np.all(inside):
+        bad = float(x[~inside].flat[0])
+        raise ValueError(f"{name} domain is [0, 1], got {bad!r}")
+    return x
+
+
+def _entropy_inside(x):
+    # H2 on the open interval (0, 1), where neither log2 needs a guard
+    return -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x))
+
+
 def binary_entropy(p):
     """H2(p) in bits, with the limit value 0 at p in {0, 1}.
 
     Takes a scalar or an array; 0-d input gives a float.
     """
-    x = np.asarray(p, dtype=np.float64)
-    inside = (x >= 0.0) & (x <= 1.0)  # False for NaN
-    if not np.all(inside):
-        bad = float(x[~inside].flat[0])
-        raise ValueError(f"binary_entropy domain is [0, 1], got {bad!r}")
+    x = _unit_interval(p, "binary_entropy")
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x))
+        out = _entropy_inside(x)
     out = np.where((x == 0.0) | (x == 1.0), 0.0, out)
     return out if out.ndim else float(out)
 
 
-def binary_entropy_inv(y: float) -> float:
-    """The unique p in [0, 1/2] with H2(p) = y, by bisection."""
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"binary_entropy_inv domain is [0, 1], got {y!r}")
+def binary_entropy_inv(y):
+    """The unique p in [0, 1/2] with H2(p) = y, by bisection.
+
+    Takes a scalar or an array; 0-d input gives a float.  Every target gets
+    the same 39 halvings of [0, 1/2], to a bracket of 2**-40 < 1e-12 whose
+    ends are dyadic, so lo + width is exact; its midpoint is returned.
+    """
+    t = _unit_interval(y, "binary_entropy_inv")
+    lo = np.zeros_like(t)
+    width = 0.5
+    for _ in range(39):
+        width *= 0.5
+        mid = lo + width
+        lo = np.where(_entropy_inside(mid) < t, mid, lo)
+    out = lo + 0.5 * width
     # float H2 plateaus at 1.0 on a ~1e-8 wide interval around 1/2, so the
     # endpoints are returned exactly instead of bisected
-    if y == 0.0:
-        return 0.0
-    if y == 1.0:
-        return 0.5
-    lo, hi = 0.0, 0.5
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    out = np.where(t == 0.0, 0.0, np.where(t == 1.0, 0.5, out))
+    return out if out.ndim else float(out)
 
 
 def golden_section_max(

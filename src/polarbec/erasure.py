@@ -67,49 +67,6 @@ def complement_log2(x):
 
 
 @dataclass(frozen=True)
-class LogErasure:
-    """Erasure probability of one channel, stored as the (l_era, l_rel) pair."""
-
-    l_era: float
-    l_rel: float
-
-    @classmethod
-    def from_prob(cls, z: float) -> "LogErasure":
-        if not 0.0 <= z <= 1.0:
-            raise ValueError(f"erasure probability must lie in [0, 1], got {z!r}")
-        l_era = math.inf if z == 0.0 else -math.log2(z)
-        l_rel = math.inf if z == 1.0 else -math.log1p(-z) / LN2
-        return cls(l_era, l_rel)
-
-    @property
-    def prob(self) -> float:
-        """Linear-domain erasure probability (underflows to 0.0 when tiny)."""
-        return 2.0 ** -self.l_era
-
-
-def polar_worse(z: LogErasure) -> LogErasure:
-    """One polarization step toward the degraded child: Z' = 1 - (1 - Z)**2."""
-    l_rel = 2.0 * z.l_rel
-    return LogErasure(complement_log2(l_rel), l_rel)
-
-
-def polar_better(z: LogErasure) -> LogErasure:
-    """One polarization step toward the upgraded child: Z'' = Z**2."""
-    l_era = 2.0 * z.l_era
-    return LogErasure(l_era, complement_log2(l_era))
-
-
-def polarize_prob(z, bit: int):
-    """One polarization step in the probability domain.
-
-    Pure arithmetic on whatever number type ``z`` is (float, Fraction,
-    Decimal), so exact types stay exact.  Only usable while Z is far from
-    the float extremes; the log-domain pair is the general tool.
-    """
-    return z * z if bit else z + z - z * z
-
-
-@dataclass(frozen=True)
 class RootChannel:
     """The underlying BEC, described by its erasure probability z0."""
 
@@ -122,9 +79,6 @@ class RootChannel:
     @property
     def capacity(self) -> float:
         return 1.0 - self.z0
-
-    def erasure(self) -> LogErasure:
-        return LogErasure.from_prob(self.z0)
 
 
 def extend_log_table(
@@ -178,10 +132,9 @@ def level_log_table(root: RootChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise LevelTooLargeError(
             f"materializing level {n} exceeds the maximum {DEFAULT_MAX_LEVEL}"
         )
-    z = root.erasure()
-    return extend_log_table(
-        np.array([z.l_era]), np.array([z.l_rel]), n
-    )
+    l_era = math.inf if root.z0 == 0.0 else -math.log2(root.z0)
+    l_rel = math.inf if root.z0 == 1.0 else -math.log1p(-root.z0) / LN2
+    return extend_log_table(np.array([l_era]), np.array([l_rel]), n)
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,14 @@ class AchievabilityResult(NamedTuple):
     worst_pi: float
 
 
-def _check_exponents(mu_p: float, mu_star: float) -> None:
+def _check_exponents(mu_p, mu_star: float) -> None:
     if mu_star <= 2.0:
         raise ValueError(f"mu_star must exceed 2, got {mu_star!r}")
-    if mu_p <= mu_star:
-        raise ValueError(f"mu_p must exceed mu_star, got {mu_p!r} <= {mu_star!r}")
+    mu = np.asarray(mu_p, dtype=np.float64)  # a scalar or an array
+    low = mu <= mu_star
+    if np.any(low):
+        bad = float(mu[low].flat[0])
+        raise ValueError(f"mu_p must exceed mu_star, got {bad!r} <= {mu_star!r}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ def _theta(c: float) -> float:
     return -math.log2(2.0 ** (1.0 - c) - 1.0)
 
 
-def max_beta(mu_p: float, mu_star: float) -> float:
+def max_beta(mu_p, mu_star: float):
     """Largest error exponent achievable at a fixed gap exponent, closed form.
 
     Every s = beta_p * mu_p / d the pi sweep visits must stay at or below
@@ -122,17 +125,20 @@ def max_beta(mu_p: float, mu_star: float) -> float:
     the pi = 0 end binds; otherwise the straight segment does.  When s*
     itself exceeds H2inv(1 - eps), which needs mu_star beyond about 5e5,
     the pi = 1 end binds: H2inv(1 - eps) * (1 - mu_star / mu_p).
+
+    mu_p is a scalar or an array; 0-d input gives a float.
     """
     _check_exponents(mu_p, mu_star)
+    mu_p = np.asarray(mu_p, dtype=np.float64)
     c = 1.0 / mu_star + ACHIEVABILITY_SLACK
     s_star = 1.0 - 2.0 ** (c - 1.0)
     s_lo = binary_entropy_inv(1.0 - 1.0 / mu_p - ACHIEVABILITY_SLACK)
-    if s_lo >= s_star:
-        return s_lo
     if binary_entropy(s_star) >= 1.0 - ACHIEVABILITY_SLACK:
-        s_hi = binary_entropy_inv(1.0 - ACHIEVABILITY_SLACK)
-        return s_hi * (1.0 - mu_star / mu_p)
-    return (1.0 / mu_star - 1.0 / mu_p) / _theta(c)
+        below = binary_entropy_inv(1.0 - ACHIEVABILITY_SLACK) * (1.0 - mu_star / mu_p)
+    else:
+        below = (1.0 / mu_star - 1.0 / mu_p) / _theta(c)
+    out = np.where(s_lo >= s_star, s_lo, below)
+    return out if out.ndim else float(out)
 
 
 def trace_frontier(mu_star: float, samples: int = 53) -> list[FrontierPoint]:
@@ -144,15 +150,15 @@ def trace_frontier(mu_star: float, samples: int = 53) -> list[FrontierPoint]:
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if mu_star <= 2.0:
-        raise ValueError(f"mu_star must exceed 2, got {mu_star!r}")
+    _check_exponents(INFINITE_MU, mu_star)  # the sweep's last point, before 1/mu_star
     top = 1.0 / (mu_star * (1.0 + 1e-9))
-    points = []
-    for k in range(samples):
-        inv = top * (samples - 1 - k) / (samples - 1)
-        mu_p = (1.0 / inv) if inv > 0.0 else INFINITE_MU
-        points.append(FrontierPoint(max_beta(mu_p, mu_star), 1.0 / mu_p if inv > 0.0 else 0.0))
-    return points
+    invs = top * np.arange(samples - 1, -1, -1) / (samples - 1)
+    finite = invs > 0.0
+    mu_p = np.full(samples, INFINITE_MU)
+    mu_p[finite] = 1.0 / invs[finite]
+    betas = max_beta(mu_p, mu_star)
+    inv_mu_p = np.where(finite, 1.0 / mu_p, 0.0)
+    return list(map(FrontierPoint, betas.tolist(), inv_mu_p.tolist()))
 
 
 def gamma_tradeoff(gamma: float, mu_star: float) -> FrontierPoint:

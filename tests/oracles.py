@@ -1,26 +1,65 @@
 """Test-only oracles: the polarization tree walked one scalar step at a time,
-the linear-domain erasures of a table, and rate-mode classical selection by
-a full lexsort.
+the linear-domain erasures of a table, rate-mode classical selection by a
+full lexsort, and H2 inverted by a scalar bisection loop.
 
-Tests compare the vectorized level tables and constructions against these;
-the package itself never calls them.
+Tests compare the vectorized level tables, constructions and kernels
+against these; the package itself never calls them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from polarbec.erasure import (
-    DEFAULT_MAX_LEVEL,
-    LogErasure,
-    RootChannel,
-    polar_better,
-    polar_worse,
-)
+from polarbec.criterion import binary_entropy
+from polarbec.erasure import DEFAULT_MAX_LEVEL, LN2, RootChannel, complement_log2
 from polarbec.errors import LevelTooLargeError
+
+
+@dataclass(frozen=True)
+class LogErasure:
+    """Erasure probability of one channel, stored as the (l_era, l_rel) pair."""
+
+    l_era: float
+    l_rel: float
+
+    @classmethod
+    def from_prob(cls, z: float) -> "LogErasure":
+        if not 0.0 <= z <= 1.0:
+            raise ValueError(f"erasure probability must lie in [0, 1], got {z!r}")
+        l_era = math.inf if z == 0.0 else -math.log2(z)
+        l_rel = math.inf if z == 1.0 else -math.log1p(-z) / LN2
+        return cls(l_era, l_rel)
+
+    @property
+    def prob(self) -> float:
+        """Linear-domain erasure probability (underflows to 0.0 when tiny)."""
+        return 2.0 ** -self.l_era
+
+
+def polar_worse(z: LogErasure) -> LogErasure:
+    """One polarization step toward the degraded child: Z' = 1 - (1 - Z)**2."""
+    l_rel = 2.0 * z.l_rel
+    return LogErasure(complement_log2(l_rel), l_rel)
+
+
+def polar_better(z: LogErasure) -> LogErasure:
+    """One polarization step toward the upgraded child: Z'' = Z**2."""
+    l_era = 2.0 * z.l_era
+    return LogErasure(l_era, complement_log2(l_era))
+
+
+def polarize_prob(z, bit: int):
+    """One polarization step in the probability domain.
+
+    Pure arithmetic on whatever number type ``z`` is (float, Fraction,
+    Decimal), so exact types stay exact.  Only usable while Z is far from
+    the float extremes; the log-domain pair is the general tool.
+    """
+    return z * z if bit else z + z - z * z
 
 
 @dataclass(frozen=True)
@@ -83,7 +122,7 @@ class ChannelPath:
 
 def channel_erasure(root: RootChannel, channel: ChannelPath) -> LogErasure:
     """Erasure of the synthetic channel reached by following ``channel``."""
-    le = root.erasure()
+    le = LogErasure.from_prob(root.z0)
     for bit in channel.path:
         le = polar_better(le) if bit else polar_worse(le)
     return le
@@ -101,7 +140,9 @@ def level_erasures(
         raise ValueError("n must be nonnegative")
     if n > max_level:
         raise LevelTooLargeError(f"level {n} exceeds the configured maximum {max_level}")
-    stack: list[tuple[int, int, LogErasure]] = [(0, 0, root.erasure())]
+    stack: list[tuple[int, int, LogErasure]] = [
+        (0, 0, LogErasure.from_prob(root.z0))
+    ]
     while stack:
         depth, path_int, le = stack.pop()
         if depth == n:
@@ -125,3 +166,23 @@ def classical_rate_reference(l_era: np.ndarray, count: int) -> np.ndarray:
     """
     order = np.lexsort((np.arange(l_era.size), -l_era))
     return np.sort(order[:count])
+
+
+def binary_entropy_inv_reference(y: float) -> float:
+    """The unique p in [0, 1/2] with H2(p) = y, one scalar halving at a time."""
+    if not 0.0 <= y <= 1.0:
+        raise ValueError(f"binary_entropy_inv domain is [0, 1], got {y!r}")
+    # float H2 plateaus at 1.0 on a ~1e-8 wide interval around 1/2, so the
+    # endpoints are returned exactly instead of bisected
+    if y == 0.0:
+        return 0.0
+    if y == 1.0:
+        return 0.5
+    lo, hi = 0.0, 0.5
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if binary_entropy(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import test_construction
-from oracles import linear_erasures
+from oracles import linear_erasures, polarize_prob
 
 from polarbec import codec, construction as co, criterion as cr, erasure as er
 from polarbec import frontier as fr
@@ -214,7 +214,7 @@ def test_acceptance_7_oracle_equivalence(record):
         genie = _genie_marginals_level4(zq)
         chain = [zq]
         for _ in range(4):
-            chain = [er.polarize_prob(z, b) for z in chain for b in (0, 1)]
+            chain = [polarize_prob(z, b) for z in chain for b in (0, 1)]
         genie_ok = genie == chain
         all_ok = all_ok and in_band and sandwich and genie_ok
         lines.append(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ChannelPath, channel_erasure
+from oracles import ChannelPath, channel_erasure, polarize_prob
 
 from polarbec import codec, construction as co, erasure as er
 from polarbec.errors import DecodingInconsistencyError, LevelTooLargeError
@@ -206,7 +206,7 @@ def _rational_erasures(z0: Fraction, n: int) -> list[Fraction]:
     # expanding children in (worse, better) order per parent keeps index order
     out = [z0]
     for _ in range(n):
-        out = [er.polarize_prob(z, bit) for z in out for bit in (0, 1)]
+        out = [polarize_prob(z, bit) for z in out for bit in (0, 1)]
     return out
 
 

