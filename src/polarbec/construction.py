@@ -9,17 +9,19 @@ multi-pocket construction works in three phases per pocket level m:
     recruit  keep level-m channels with erasure below p_ub * 2**(-D m),
              skipping descendants of channels already recruited by a
              lower pocket;
-    train    expand every recruit to all its level-n descendants, one
-             (recruits, 2**(n - m)) table per pocket;
+    train    expand every recruit to its level-n descendants, a bounded
+             chunk of channels at a time;
     retain   keep descendants squared at least ceil(beta_p * n) times
              during the n - m trained steps, then drop any whose final
-             erasure still exceeds 2**(-2**(beta_p * n)).  The quota mask
-             is one row of 2**(n - m), broadcast over every recruit.
+             erasure still exceeds 2**(-2**(beta_p * n)).
 
-Recruits are disjoint prefix subtrees, so each pocket's survivors come out
-in index order.  The pockets are merged by sorting the recruits' subtree
-starts and copying one slice per run of consecutive recruits from the same
-pocket; no channel-level sort is needed.
+Every pocket recruits before any trains.  Recruits are disjoint prefix
+subtrees, so sorting their subtree starts orders the code: each recruit
+owns one range of slots, as many as its extensions that meet the quota,
+and its survivors are written straight into that range, one copy per run
+of neighbouring recruits from the same pocket.  No channel-level sort and
+no per-pocket column is needed.  The columns shrink only where the
+erasure filter drops a channel; at the default p_ub it never does.
 
 Pocket levels are spread over [n0/D, n0] with n0 = <n mu_star / mu_p>,
 so the survivors inherit both the gap decay of the recruit levels and
@@ -29,6 +31,7 @@ the error decay of the squaring quota.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -36,6 +39,7 @@ import numpy as np
 
 from .erasure import (
     DEFAULT_MAX_LEVEL,
+    _UNDERFLOW_BITS,
     RootChannel,
     _atomic_write,
     _descendant_l_era,
@@ -138,6 +142,9 @@ def union_bound(spec: CodeSpec) -> float:
     if le.size == 0:
         return math.inf
     m0 = float(np.min(le))
+    # exp2(m0 - l) is exactly 0.0 once l - m0 >= _UNDERFLOW_BITS, and fsum
+    # ignores zeros, so only the terms below that bound are summed.
+    le = le[le - m0 < _UNDERFLOW_BITS]
     total = math.fsum(np.exp2(m0 - le).tolist())
     return m0 - math.log2(total)
 
@@ -274,11 +281,8 @@ def construct_multipocket(
 
     table_le, table_lr = level_log_table(root, 0)
     table_level = 0
-
     claimed = np.zeros(1, dtype=bool)  # under a channel an earlier pocket recruited
-    stats: list[PocketStats] = []
-    pockets_out: list[_PocketBlock] = []
-
+    recruits: list[_Recruits] = []
     for m in realized:
         table_le, table_lr = extend_log_table(table_le, table_lr, m - table_level)
         claimed = np.repeat(claimed, 1 << (m - table_level))
@@ -286,19 +290,11 @@ def construct_multipocket(
         threshold_log = d_count * m - math.log2(p_ub)
         members = np.nonzero((table_le > threshold_log) & ~claimed)[0]
         claimed[members] = True
-        block = _train_and_retain(
-            table_le[members], table_lr[members], members, m, n, quota, final_le_min
-        )
-        pockets_out.append(block)
-        stats.append(
-            PocketStats(
-                level=m,
-                recruited_weight=members.size * 2.0 ** -m,
-                retained_weight=int(block.bounds[-1]) * 2.0 ** -n,
-            )
-        )
+        recruits.append(_Recruits(m, members, table_le[members], table_lr[members]))
+    del table_le, table_lr, claimed
 
-    if sum(b.bounds[-1] for b in pockets_out) == 0:
+    columns, retained = _train_and_retain(recruits, n, quota, final_le_min)
+    if not columns["indices"].size:
         raise EmptyCodeError(
             f"no channel survives (n={n}, beta_p={beta_p}, mu_p={mu_p}, "
             f"mu_star={mu_star}, pockets={d_count}, p_ub={p_ub}); "
@@ -307,7 +303,7 @@ def construct_multipocket(
     spec = CodeSpec(
         n=n,
         z0=root.z0,
-        **_merge_by_subtree(pockets_out, n),
+        **columns,
         params={
             "mode": "multipocket",
             "beta_p": beta_p,
@@ -321,93 +317,125 @@ def construct_multipocket(
         capacity=root.capacity,
         rate=spec.rate,
         union_bound_log=union_bound(spec),
-        pocket_stats=tuple(stats),
+        pocket_stats=tuple(
+            PocketStats(
+                level=r.level,
+                recruited_weight=r.members.size * 2.0 ** -r.level,
+                retained_weight=kept * 2.0 ** -n,
+            )
+            for r, kept in zip(recruits, retained)
+        ),
         n0=n0,
         quota=quota,
     )
     return spec, report
 
 
-@dataclass
-class _PocketBlock:
-    """One pocket's survivors in index order, grouped by recruit.
+# Most level-n channels the train phase expands at once.  A recruit whose
+# subtree is larger is expanded in 2**k-channel pieces.
+_CHUNK_CHANNELS = 1 << 20
 
-    The survivors of the recruit in row r are entries bounds[r] to
-    bounds[r + 1] of each column (indices, l_era, squaring_count); its
-    subtree starts at level-n path members[r] << (n - level).
-    """
+
+@dataclass
+class _Recruits:
+    """One pocket's recruits: level-m paths in index order, (l_era, l_rel) pairs."""
 
     level: int
     members: np.ndarray
-    bounds: np.ndarray
-    columns: list[np.ndarray | None]
+    l_era: np.ndarray
+    l_rel: np.ndarray
 
 
 def _train_and_retain(
-    le: np.ndarray,
-    lr: np.ndarray,
-    members: np.ndarray,
-    m: int,
-    n: int,
-    quota: int,
-    final_le_min: float | None,
-) -> _PocketBlock:
-    """Expand each recruit to level n and keep the descendants that pass.
+    recruits: list[_Recruits], n: int, quota: int, final_le_min: float | None
+) -> tuple[dict[str, np.ndarray], list[int]]:
+    """Expand every recruit to level n and write its survivors into the code.
 
-    The extension offsets, their squaring counts and the quota mask are one
-    row of 2**(n - m) shared by every recruit and broadcast over the
-    (recruits, 2**(n - m)) descendant table.
+    Recruits are disjoint prefix subtrees, so laying them out by subtree
+    start lays their survivors out in index order.  Each recruit gets a
+    slot range at the quota bound, #{extensions meeting the quota}, in
+    columns allocated once; each chunk's quota-meeting descendants are
+    written straight into their slots, one contiguous copy per run of
+    recruits that lie next to each other in the code, and then checked
+    against final_le_min.  Only a slot that check fails is dropped at the
+    end.  Returns the columns and each pocket's survivor count.
     """
-    steps = n - m
-    shape = (members.size, 1 << steps)
-    offsets = np.arange(shape[1], dtype=np.uint64)
-    sq = _popcount(offsets)
-    keep = np.broadcast_to(sq >= quota, shape)
-    desc_le = _descendant_l_era(le, lr, steps).reshape(shape)
-    if final_le_min is not None:
-        keep = keep & (desc_le >= final_le_min)
-    bounds = np.zeros(members.size + 1, dtype=np.int64)
-    np.cumsum(keep.sum(axis=1), out=bounds[1:])
-    first = (members.astype(np.uint64) << np.uint64(steps)) + np.uint64(1)
-    indices = np.broadcast_to(first[:, None], shape)[keep]
-    indices += np.broadcast_to(offsets, shape)[keep]
-    return _PocketBlock(
-        m, members, bounds, [indices, desc_le[keep], np.broadcast_to(sq, shape)[keep]]
-    )
+    counts = [r.members.size for r in recruits]
+    bound = np.repeat([_quota_count(n - r.level, quota) for r in recruits], counts)
+    order = np.argsort(np.concatenate([r.members << (n - r.level) for r in recruits]))
+    slots = np.empty_like(bound)
+    slots[order] = np.cumsum(bound[order]) - bound[order]
+    cap = int(bound.sum())
+    indices = np.empty(cap, dtype=np.uint64)
+    l_era = np.empty(cap)
+    squarings = np.empty(cap, dtype=np.int64)
+    source = np.empty(cap, dtype=np.int64)
+    failed = None  # slots whose channel misses final_le_min, once there is one
+    retained = []
+    for r, first_slot in zip(recruits, np.split(slots, np.cumsum(counts)[:-1])):
+        steps = n - r.level
+        # Expand to level n - t first, so that one node's 2**t channels fit
+        # in a chunk; the nodes of a chunk then share one squaring count.
+        t = min(steps, _CHUNK_CHANNELS.bit_length() - 1)
+        spread = steps - t
+        node_le, node_lr = extend_log_table(r.l_era, r.l_rel, spread)
+        above = _popcount(np.arange(1 << spread))
+        widths = np.array([_quota_count(t, quota - h) for h in above.tolist()])
+        node_slot = (first_slot[:, None] + np.cumsum(widths) - widths).ravel()
+        node_first = (
+            (r.members[:, None].astype(np.uint64) << np.uint64(spread))
+            + np.arange(1 << spread, dtype=np.uint64)
+        ).ravel() << np.uint64(t)
+        node_first += np.uint64(1)
+        sq_low = _popcount(np.arange(1 << t))
+        per_chunk = max(1, _CHUNK_CHANNELS >> t)
+        kept = 0
+        for c in range(0, node_le.size, per_chunk):
+            h = int(above[c % (1 << spread)])
+            cols = np.flatnonzero(sq_low + h >= quota)
+            if not cols.size:
+                continue
+            rows = min(per_chunk, node_le.size - c)
+            desc = _descendant_l_era(node_le[c : c + rows], node_lr[c : c + rows], t)
+            desc = desc.reshape(rows, 1 << t)
+            slot = node_slot[c : c + rows]
+            cuts = np.flatnonzero(np.diff(slot) != cols.size) + 1
+            for a, b in zip(np.r_[0, cuts], np.r_[cuts, rows]):
+                dst = slice(slot[a], slot[a] + (b - a) * cols.size)
+                shape = (b - a, cols.size)
+                np.take(
+                    desc[a:b], cols, axis=1, mode="clip", out=l_era[dst].reshape(shape)
+                )
+                np.add(
+                    node_first[c + a : c + b, None], cols.astype(np.uint64),
+                    out=indices[dst].reshape(shape),
+                )
+                squarings[dst].reshape(shape)[...] = sq_low[cols] + h
+                source[dst] = r.level
+                kept += shape[0] * shape[1]
+                if final_le_min is not None:
+                    missed = ~(l_era[dst] >= final_le_min)
+                    if missed.any():
+                        if failed is None:
+                            failed = np.zeros(cap, dtype=bool)
+                        failed[dst] = missed
+                        kept -= int(np.count_nonzero(missed))
+        retained.append(kept)
+    columns = {
+        "indices": indices,
+        "l_era": l_era,
+        "squaring_count": squarings,
+        "source_pocket": source,
+    }
+    if failed is not None:
+        passed = ~failed
+        columns = {name: column[passed] for name, column in columns.items()}
+    return columns, retained
 
 
-def _merge_by_subtree(blocks: list[_PocketBlock], n: int) -> dict[str, np.ndarray]:
-    """Interleave the pockets' columns into one index-ordered code.
-
-    Recruits are disjoint prefix subtrees, so sorting their starts orders
-    their survivors.  Consecutive recruits of one pocket form a run whose
-    survivors are one slice of that pocket's columns; the merge copies one
-    slice per run, one column at a time, and releases each pocket column
-    once it is merged.
-    """
-    starts = np.concatenate([b.members << (n - b.level) for b in blocks])
-    pocket = np.concatenate(
-        [np.full(b.members.size, k) for k, b in enumerate(blocks)]
-    )
-    row = np.concatenate([np.arange(b.members.size) for b in blocks])
-    order = np.argsort(starts)
-    pocket, row = pocket[order], row[order]
-    cuts = np.flatnonzero(pocket[1:] != pocket[:-1]) + 1
-    runs = []
-    for first, last in zip(np.r_[0, cuts], np.r_[cuts, pocket.size] - 1):
-        b = blocks[pocket[first]]
-        runs.append((b, b.bounds[row[first]], b.bounds[row[last] + 1]))
-    merged = {}
-    for c, name in enumerate(("indices", "l_era", "squaring_count")):
-        merged[name] = np.concatenate([b.columns[c][lo:hi] for b, lo, hi in runs])
-        for b in blocks:
-            b.columns[c] = None
-    merged["source_pocket"] = source = np.empty(merged["indices"].size, dtype=np.int64)
-    at = 0
-    for b, lo, hi in runs:
-        source[at : at + hi - lo] = b.level
-        at += hi - lo
-    return merged
+def _quota_count(steps: int, quota: int) -> int:
+    """Extensions of `steps` steps with at least `quota` squarings."""
+    return sum(math.comb(steps, k) for k in range(max(quota, 0), steps + 1))
 
 
 def pocket_weights(
@@ -426,16 +454,32 @@ def pocket_weights(
 # Text format: header lines, then one `j= m= sq= lera=` line per channel.
 
 
+# A channel line exactly as save_codespec writes it; load_codespec parses
+# any other line token by token.
+_CHANNEL_LINE = re.compile(
+    r"j=([0-9]+) m=(-?[0-9]+) sq=(-?[0-9]+) "
+    r"lera=(-?(?:inf|nan|[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?))"
+)
+
+# Channel lines joined per write, so a large code never becomes one string.
+_LINES_PER_WRITE = 1 << 16
+
+
 def save_codespec(spec: CodeSpec, path: str) -> None:
+    params = " ".join(f"{k}={v}" for k, v in spec.params.items())
     with _atomic_write(path) as fh:
-        fh.write(f"n={spec.n}\n")
-        fh.write(f"z0={spec.z0!r}\n")
-        params = " ".join(f"{k}={v}" for k, v in spec.params.items())
-        fh.write(f"params={params}\n")
-        for j, m, sq, lera in zip(
-            spec.indices, spec.source_pocket, spec.squaring_count, spec.l_era
-        ):
-            fh.write(f"j={j} m={m} sq={sq} lera={float(lera)!r}\n")
+        fh.write(f"n={spec.n}\nz0={spec.z0!r}\nparams={params}\n")
+        for lo in range(0, len(spec), _LINES_PER_WRITE):
+            rows = slice(lo, lo + _LINES_PER_WRITE)
+            fh.write("".join(
+                f"j={j} m={m} sq={sq} lera={lera!r}\n"
+                for j, m, sq, lera in zip(
+                    spec.indices[rows].tolist(),
+                    spec.source_pocket[rows].tolist(),
+                    spec.squaring_count[rows].tolist(),
+                    spec.l_era[rows].tolist(),
+                )
+            ))
 
 
 def _parse_param(token: str):
@@ -452,37 +496,44 @@ def _parse_param(token: str):
         return key, raw
 
 
+def _channel_fields(path: str, lineno: int, ln: str) -> tuple[int, int, int, float]:
+    """(j, m, sq, lera) of a channel line in any token order and spacing."""
+    tokens = ln.split()
+    try:
+        fields = dict(tok.split("=", 1) for tok in tokens)
+        if len(tokens) != 4 or fields.keys() != {"j", "m", "sq", "lera"}:
+            raise ValueError("expected the four fields j= m= sq= lera=")
+        j, m, sq = int(fields["j"]), int(fields["m"]), int(fields["sq"])
+        return j, m, sq, float(fields["lera"])
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {lineno}: {exc}") from None
+
+
 def load_codespec(path: str) -> CodeSpec:
     """Read a code file; a malformed channel line raises ValueError naming it."""
     with open(path) as fh:
-        lines = [(k, ln.rstrip("\n")) for k, ln in enumerate(fh, 1) if ln.strip()]
+        lines = [(k, ln) for k, ln in enumerate(fh.read().split("\n"), 1) if ln.strip()]
     header = [ln for _, ln in lines[:3]]
     if len(header) < 3 or not header[0].startswith("n=") or not header[1].startswith("z0="):
         raise ValueError(f"{path}: malformed header")
     n = int(header[0][2:])
     z0 = float(header[1][3:])
     params = dict(_parse_param(tok) for tok in header[2][len("params="):].split())
-    js, ms, sqs, les = [], [], [], []
-    for lineno, ln in lines[3:]:
-        tokens = ln.split()
-        try:
-            fields = dict(tok.split("=", 1) for tok in tokens)
-            if len(tokens) != 4 or fields.keys() != {"j", "m", "sq", "lera"}:
-                raise ValueError("expected the four fields j= m= sq= lera=")
-            js.append(int(fields["j"]))
-            ms.append(int(fields["m"]))
-            sqs.append(int(fields["sq"]))
-            les.append(float(fields["lera"]))
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    rows = [
+        canonical.groups()
+        if (canonical := _CHANNEL_LINE.fullmatch(ln))
+        else _channel_fields(path, lineno, ln)
+        for lineno, ln in lines[3:]
+    ]
+    js, ms, sqs, les = zip(*rows) if rows else ((),) * 4
     try:
         return CodeSpec(
             n=n,
             z0=z0,
-            indices=np.array(js, dtype=np.uint64),
-            l_era=np.array(les, dtype=np.float64),
-            squaring_count=np.array(sqs, dtype=np.int64),
-            source_pocket=np.array(ms, dtype=np.int64),
+            indices=np.array(list(map(int, js)), dtype=np.uint64),
+            l_era=np.array(list(map(float, les)), dtype=np.float64),
+            squaring_count=np.array(list(map(int, sqs)), dtype=np.int64),
+            source_pocket=np.array(list(map(int, ms)), dtype=np.int64),
             params=params,
         )
     except OverflowError as exc:  # an integer column out of its dtype's range

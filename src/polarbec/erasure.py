@@ -34,6 +34,10 @@ LN2 = math.log(2.0)
 # expansion 2**-x / ln 2; the neglected quadratic term is below 2**-80.
 COMPLEMENT_CUTOFF = 40.0
 
+# From here on 2**-x rounds to 0.0 in float64 (2**-1075 is half the
+# smallest subnormal and ties to even), so 1 - 2**-x is exactly 1.
+_UNDERFLOW_BITS = 1075.0
+
 # Full enumeration of level n touches 2**(n+1) nodes; past this the caller
 # should work with pocket prefixes instead.
 DEFAULT_MAX_LEVEL = 26
@@ -45,24 +49,29 @@ CACHE_VERSION = 1
 def complement_log2(x):
     """-log2(1 - 2**-x) for x >= 0, stable at both ends; scalar or array.
 
-    x == 0 maps to inf (the complement event is impossible) and x == inf
-    maps to 0.  Two exact branches: below 1 the expm1 form avoids the
-    1 - 2**-x cancellation; from 1 up the log1p form avoids taking the log
-    of a value crowding 1.  Above COMPLEMENT_CUTOFF the first-order
-    expansion is used; it underflows to 0.0 beyond x ~ 1074, which is the
-    correct float64 limit for a probability indistinguishable from 1.
-    0-d input gives a float.
+    x == 0 maps to inf (the complement event is impossible) and every
+    x >= 1075, inf included, maps to 0.0, the float64 value of a
+    probability indistinguishable from 1; neither calls a transcendental.
+    The live rest goes through two exact branches: below 1 the expm1 form
+    avoids the 1 - 2**-x cancellation; from 1 up the log1p form avoids
+    taking the log of a value crowding 1.  Above COMPLEMENT_CUTOFF the
+    first-order expansion is used.  Negative or NaN input stays live and
+    gives NaN.  0-d input gives a float.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
     zero = x == 0.0
-    mid = (x >= 1.0) & (x <= COMPLEMENT_CUTOFF)
-    big = x > COMPLEMENT_CUTOFF
-    low = ~(zero | mid | big)  # negative or NaN input lands here and gives NaN
-    out[zero] = np.inf
-    out[low] = -np.log(-np.expm1(-x[low] * LN2)) / LN2
-    out[mid] = -np.log1p(-np.exp2(-x[mid])) / LN2
-    out[big] = np.exp2(-x[big]) / LN2
+    out = np.where(zero, np.inf, 0.0)
+    live = np.flatnonzero(~(zero | (x >= _UNDERFLOW_BITS)))
+    if live.size:
+        v = x.reshape(-1)[live]
+        r = np.empty_like(v)
+        mid = (v >= 1.0) & (v <= COMPLEMENT_CUTOFF)
+        big = v > COMPLEMENT_CUTOFF
+        low = ~(mid | big)  # negative or NaN input lands here and gives NaN
+        r[low] = -np.log(-np.expm1(-v[low] * LN2)) / LN2
+        r[mid] = -np.log1p(-np.exp2(-v[mid])) / LN2
+        r[big] = np.exp2(-v[big]) / LN2
+        out.reshape(-1)[live] = r
     return out if out.ndim else float(out)
 
 
@@ -141,6 +150,8 @@ def level_log_table(root: RootChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
 # Optional on-disk cache of level tables, keyed by (z0, m).
 
 _HEADER = struct.Struct("<4sIdI")
+# Records interleaved per write, so a write holds no copy of the table.
+_WRITE_RECORDS = 1 << 16
 
 
 @contextlib.contextmanager
@@ -172,12 +183,15 @@ def write_level_cache(
 ) -> None:
     if l_era.shape != (1 << m,) or l_rel.shape != (1 << m,):
         raise ValueError("table shape does not match level")
-    records = np.empty((1 << m, 2), dtype="<f8")
-    records[:, 0] = l_era
-    records[:, 1] = l_rel
+    size = 1 << m
+    records = np.empty((min(size, _WRITE_RECORDS), 2), dtype="<f8")
     with _atomic_write(path, "xb") as fh:
         fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, z0, m))
-        fh.write(records.tobytes())
+        for lo in range(0, size, _WRITE_RECORDS):
+            part = records[: min(_WRITE_RECORDS, size - lo)]
+            part[:, 0] = l_era[lo : lo + len(part)]
+            part[:, 1] = l_rel[lo : lo + len(part)]
+            fh.write(part)
 
 
 def read_level_cache(path: str) -> tuple[float, int, np.ndarray, np.ndarray]:

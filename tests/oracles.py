@@ -1,6 +1,7 @@
 """Test-only oracles: the polarization tree walked one scalar step at a time,
-the linear-domain erasures of a table, rate-mode classical selection by a
-full lexsort, and H2 inverted by a scalar bisection loop.
+the complement computed through a mask per branch, the linear-domain
+erasures of a table, rate-mode classical selection by a full lexsort, and
+H2 inverted by a scalar bisection loop.
 
 Tests compare the vectorized level tables, constructions and kernels
 against these; the package itself never calls them.
@@ -15,7 +16,13 @@ from typing import Iterator
 import numpy as np
 
 from polarbec.criterion import binary_entropy
-from polarbec.erasure import DEFAULT_MAX_LEVEL, LN2, RootChannel, complement_log2
+from polarbec.erasure import (
+    COMPLEMENT_CUTOFF,
+    DEFAULT_MAX_LEVEL,
+    LN2,
+    RootChannel,
+    complement_log2,
+)
 from polarbec.errors import LevelTooLargeError
 
 
@@ -151,6 +158,26 @@ def level_erasures(
             continue
         stack.append((depth + 1, 2 * path_int + 1, polar_better(le)))
         stack.append((depth + 1, 2 * path_int, polar_worse(le)))
+
+
+def complement_log2_reference(x):
+    """-log2(1 - 2**-x), every entry through the branch mask it falls in.
+
+    x == 0 gives inf.  Everything else, underflowing entries included, runs
+    its branch formula: expm1 below 1, log1p up to COMPLEMENT_CUTOFF and the
+    first-order expansion above it.  Negative or NaN input gives NaN.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    zero = x == 0.0
+    mid = (x >= 1.0) & (x <= COMPLEMENT_CUTOFF)
+    big = x > COMPLEMENT_CUTOFF
+    low = ~(zero | mid | big)
+    out[zero] = np.inf
+    out[low] = -np.log(-np.expm1(-x[low] * LN2)) / LN2
+    out[mid] = -np.log1p(-np.exp2(-x[mid])) / LN2
+    out[big] = np.exp2(-x[big]) / LN2
+    return out if out.ndim else float(out)
 
 
 def linear_erasures(l_era: np.ndarray) -> np.ndarray:

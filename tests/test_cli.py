@@ -198,6 +198,19 @@ def test_mu_estimate_over_memory_budget_exits_2_at_once(capsys):
     assert "MiB" in err["message"] and "half of physical memory" in err["message"]
 
 
+def test_frontier_over_memory_budget_exits_2_at_once(capsys):
+    # about 169 bytes a sample: 10**8 samples need some 16 GB, over half of
+    # physical memory on any host below 32 GB; larger hosts get more samples
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    samples = max(10**8, phys // 100)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "frontier", "--samples", str(samples))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
+    assert f"trace_frontier with {samples} samples" in err["message"]
+    assert "MiB" in err["message"] and "half of physical memory" in err["message"]
+
+
 def test_mu_estimate_degenerate_exits_3(capsys):
     code, _, err = run_cli(capsys, "mu-estimate", "--z0", "1.0")
     assert code == 3 and err["error"] == "DegenerateFitError"

@@ -5,6 +5,7 @@ that never touches the vectorized tables, so the two routes share nothing
 but the scalar polarization step.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -127,6 +128,34 @@ def test_union_bound_examples():
     assert co.union_bound(classical) == pytest.approx(-math.log2(0.6328125), abs=1e-12)
 
 
+def _spec_with_l_era(l_era):
+    return co.CodeSpec(
+        n=4,
+        z0=0.5,
+        indices=np.arange(1, len(l_era) + 1, dtype=np.uint64),
+        l_era=np.array(l_era),
+        squaring_count=np.zeros(len(l_era), dtype=np.int64),
+        source_pocket=np.zeros(len(l_era), dtype=np.int64),
+    )
+
+
+def test_union_bound_equals_fsum_over_every_term():
+    # Exact sum 1 + 2**-53 + 2**-1074 rounds up to 1 + 2**-52; without the
+    # smallest subnormal term it would tie and round down to 1.  The terms at
+    # 1075 bits and beyond are exactly 0.0; inf terms are left out.
+    last = np.nextafter(er._UNDERFLOW_BITS, 0.0)
+    l_era = [3.0, 56.0, 3.0 + last, np.inf, 3.0 + er._UNDERFLOW_BITS, 1e300, np.inf]
+    assert co.union_bound(_spec_with_l_era(l_era)) == 3.0 - math.log2(1.0 + 2.0**-52)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        le = rng.choice([0.0, 1.0, 40.0, 1e3, 2e3, 1e300, np.inf], 12) + rng.random(12) * 3
+        finite = le[np.isfinite(le)]
+        m0 = float(finite.min())
+        want = m0 - math.log2(math.fsum(np.exp2(m0 - finite).tolist()))
+        assert co.union_bound(_spec_with_l_era(le)) == want
+    assert co.union_bound(_spec_with_l_era([np.inf, np.inf])) == math.inf
+
+
 def test_multipocket_structural_guarantee():
     root = er.RootChannel(0.5)
     spec, report = co.construct_multipocket(
@@ -167,14 +196,22 @@ def test_multipocket_equals_brute_force_reference_run():
     | st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=4, unique=True).map(
         sorted
     ),
+    chunk_bits=st.sampled_from([None, 3, 6]),
 )
-def test_multipocket_equals_brute_force_property(z0, n, beta_p, mu_p, p_ub, pockets, levels):
+def test_multipocket_equals_brute_force_property(
+    z0, n, beta_p, mu_p, p_ub, pockets, levels, chunk_bits
+):
+    # chunk_bits shrinks the train phase's chunk, so that recruits split
+    # into many chunks and runs of recruits straddle chunk ends.
     root = er.RootChannel(z0)
     mu_star = 3.8
     try:
-        spec, _ = co.construct_multipocket(
-            root, n, beta_p, mu_p, mu_star, pockets=pockets, p_ub=p_ub, levels=levels
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk_bits is not None:
+                patch.setattr(co, "_CHUNK_CHANNELS", 1 << chunk_bits)
+            spec, _ = co.construct_multipocket(
+                root, n, beta_p, mu_p, mu_star, pockets=pockets, p_ub=p_ub, levels=levels
+            )
         got = {
             int(j): (int(m), int(sq), float(le))
             for j, m, sq, le in zip(
@@ -206,6 +243,45 @@ def test_multipocket_interleaved_pockets_equal_brute_force():
         )
     }
     assert got == want
+
+
+def _quota_bound(spec, report):
+    """Sum over pockets of recruits * #{extensions meeting the quota}."""
+    return sum(
+        round(p.recruited_weight * 2**p.level)
+        * sum(math.comb(spec.n - p.level, k) for k in range(report.quota, spec.n - p.level + 1))
+        for p in report.pocket_stats
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16, 1 << 20])
+@pytest.mark.parametrize(
+    "z0, levels, runs, dropped",
+    [(0.3, [3, 5, 7], 7, 0), (0.3, [2, 5, 8], 5, 2)],
+)
+def test_multipocket_chunks_equal_brute_force(monkeypatch, chunk, z0, levels, runs, dropped):
+    # Runs of recruits cut across chunks; on [2, 5, 8] the erasure filter
+    # drops 2 quota-meeting channels, so the columns end below the bound.
+    monkeypatch.setattr(co, "_CHUNK_CHANNELS", chunk)
+    root = er.RootChannel(z0)
+    spec, report = co.construct_multipocket(root, 10, 0.10, 8.0, 3.8, p_ub=0.9, levels=levels)
+    assert 1 + np.count_nonzero(np.diff(spec.source_pocket)) == runs
+    assert _quota_bound(spec, report) - len(spec) == dropped
+    assert sum(p.retained_weight for p in report.pocket_stats) * 2**10 == len(spec)
+    got = {
+        int(j): (int(m), int(sq), float(le))
+        for j, m, sq, le in zip(
+            spec.indices, spec.source_pocket, spec.squaring_count, spec.l_era
+        )
+    }
+    assert got == _loose_brute_force(z0, tuple(levels))
+
+
+@functools.cache
+def _loose_brute_force(z0, levels):
+    return brute_force_multipocket(
+        er.RootChannel(z0), 10, 0.10, 8.0, 3.8, 3, 0.9, list(levels)
+    )
 
 
 def _check_classical_rate(root, n, table, count, budget=None):
@@ -377,6 +453,32 @@ def test_codespec_file_round_trip(tmp_path):
     assert np.array_equal(loaded.squaring_count, spec.squaring_count)
     assert np.array_equal(loaded.source_pocket, spec.source_pocket)
     assert loaded.params == spec.params
+
+
+def test_codespec_file_lines_and_token_fallback(tmp_path, monkeypatch):
+    monkeypatch.setattr(co, "_LINES_PER_WRITE", 3)  # four channel lines in two writes
+    spec = _spec_with_l_era([np.inf, 1e300, 256.54118673355, 0.5])
+    path = tmp_path / "code.txt"
+    co.save_codespec(spec, str(path))
+    rows = path.read_text().splitlines()[3:]
+    assert rows == [
+        "j=1 m=0 sq=0 lera=inf",
+        "j=2 m=0 sq=0 lera=1e+300",
+        "j=3 m=0 sq=0 lera=256.54118673355",
+        "j=4 m=0 sq=0 lera=0.5",
+    ]
+    # Lines the writer never makes go through the token parse and load the
+    # same values: reordered fields, extra spaces, CRLF, a sign, an
+    # underscore, an upper-case exponent and a blank line.
+    path.write_bytes(
+        b"n=4\nz0=0.5\nparams=\n\n"
+        b"j=1 m=0 sq=0 lera=inf\r\n"
+        b"  lera=1E+300   sq=+0 m=0 j=2\n"
+        b"j=3 m=0 sq=0 lera=256.541_18673355\n"
+        b"j=4 m=-0 sq=0 lera=.5\n"
+    )
+    loaded = co.load_codespec(str(path))
+    assert loaded == spec
 
 
 def test_codespec_validates_indices():

@@ -18,6 +18,7 @@ from oracles import (
     ChannelPath,
     LogErasure,
     channel_erasure,
+    complement_log2_reference,
     level_erasures,
     linear_erasures,
     polar_better,
@@ -180,6 +181,55 @@ def test_complement_log2_array_matches_scalar_bitwise():
     assert np.array_equal(er.complement_log2(xs.reshape(2, 7)), got.reshape(2, 7))
 
 
+COMPLEMENT_EDGES = [
+    0.0, 5e-324, 2.2250738585072014e-308 / 3, 1.0,
+    np.nextafter(er.COMPLEMENT_CUTOFF, 0.0), er.COMPLEMENT_CUTOFF,
+    np.nextafter(er.COMPLEMENT_CUTOFF, np.inf), 1074.0,
+    np.nextafter(er._UNDERFLOW_BITS, 0.0), er._UNDERFLOW_BITS, np.inf, np.nan, -1.0,
+]
+
+
+def _same_bits(got, want) -> bool:
+    return np.array_equal(
+        np.asarray(got, dtype=np.float64).view(np.uint64),
+        np.asarray(want, dtype=np.float64).view(np.uint64),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(COMPLEMENT_EDGES)
+        | st.floats(min_value=0.0, max_value=2000.0)
+        | st.floats(allow_nan=True, allow_infinity=True),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_complement_log2_matches_masked_reference_bitwise(values):
+    # The dead entries (x == 0 and x >= _UNDERFLOW_BITS) skip every formula;
+    # the reference runs them through their branch masks.
+    xs = np.array(values + COMPLEMENT_EDGES)
+    with np.errstate(all="ignore"):
+        got = er.complement_log2(xs)
+        want = complement_log2_reference(xs)
+        assert got.shape == xs.shape and _same_bits(got, want)
+        grid = xs[: 2 * (xs.size // 2)].reshape(2, -1)
+        assert _same_bits(er.complement_log2(grid), complement_log2_reference(grid))
+        for x in values[:5] + COMPLEMENT_EDGES:
+            scalar = er.complement_log2(np.float64(x).reshape(()))
+            assert isinstance(scalar, float)
+            assert _same_bits(scalar, complement_log2_reference(x))
+
+
+def test_complement_log2_underflow_bound_is_exact():
+    # exp2(-x) is the smallest subnormal just below the bound and 0.0 from it on.
+    below = np.nextafter(er._UNDERFLOW_BITS, 0.0)
+    assert np.exp2(-below) == 5e-324 and er.complement_log2(below) == 5e-324
+    assert np.exp2(-er._UNDERFLOW_BITS) == 0.0
+    assert er.complement_log2(er._UNDERFLOW_BITS) == 0.0
+
+
 @given(st.floats(min_value=1e-9, max_value=1.0 - 1e-9))
 def test_log_pair_consistency(z):
     pair = LogErasure.from_prob(z)
@@ -248,6 +298,16 @@ def test_cache_layout_is_documented_format(tmp_path):
     assert magic == b"PLZT" and version == 1 and z0 == 0.25 and m == 3
     records = np.frombuffer(blob, dtype="<f8", offset=struct.calcsize("<4sIdI"))
     assert records.size == 2 * 2**3
+
+
+def test_cache_written_in_slices_is_the_interleaved_table(tmp_path, monkeypatch):
+    # 2**5 records in slices of 3: the last slice is short.
+    monkeypatch.setattr(er, "_WRITE_RECORDS", 3)
+    le, lr = er.level_log_table(er.RootChannel(0.3), 5)
+    path = tmp_path / "table.bin"
+    er.write_level_cache(str(path), 0.3, 5, le, lr)
+    records = np.column_stack([le, lr]).astype("<f8")
+    assert path.read_bytes() == struct.pack("<4sIdI", b"PLZT", 1, 0.3, 5) + records.tobytes()
 
 
 def test_cache_rejects_corrupted_file(tmp_path):
