@@ -9,8 +9,9 @@ bitmasks, known and value, with bit t standing for position t.
 On the BEC the decoder never guesses, so whether a block decodes depends on
 the erasure pattern alone.  simulate() exploits that through a vectorized
 resolution profile, bit-sliced over 64 trials per uint64 word, fed by one
-counter-based Philox stream per batch (its docstring states the stream;
-tallies for a given seed differ from polarbec 0.1.0).  exact_block_error()
+counter-based Philox stream that each chunk of trials opens at its first
+trial, on one thread per CPU (its docstring states the stream; tallies for
+a given seed differ from polarbec 0.1.0).  exact_block_error()
 deliberately does not, running the actual message-passing decoder on every
 pattern so the two stay independent.
 """
@@ -18,6 +19,7 @@ pattern so the two stay independent.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,9 @@ WILSON_Z95 = 1.959963984540054
 
 # exact_block_error enumerates 2**(2**n) patterns
 EXACT_ENUM_MAX_LEVEL = 4
+
+# raw Philox words a simulate chunk draws at most, unless 8 trials need more
+_DRAW_WORDS = 1 << 19
 
 
 def _as_bits(seq, what: str) -> np.ndarray:
@@ -266,6 +271,38 @@ class SimResult:
         return wilson_interval(self.block_errors, self.trials)
 
 
+def _draw_chunk(
+    planes: np.ndarray, seed: int, threshold: np.uint64, first: int, lo: int, rows: int
+) -> None:
+    """Draw trials first .. first + rows - 1 into the batch's byte planes.
+
+    planes[w, b, i] is byte b of the batch's word w at position i; its bit r
+    is trial 8 * (8 * w + b) + r of the batch, and lo is the batch offset of
+    trial first.  Trial t reads the stream simulate() documents, from
+    counter t * B.  The chunk's buffers are private and it writes only its
+    own bytes, so chunks may run on parallel threads.
+    """
+    size = planes.shape[2]
+    blocks = -(-size // 4)
+    bitgen = np.random.Philox(key=seed, counter=first * blocks)
+    raw = bitgen.random_raw(rows * 4 * blocks).reshape(rows, -1)[:, :size]
+    raw >>= np.uint64(11)
+    known = np.empty((-(-rows // 8) * 8, size), dtype=bool)
+    known[rows:] = False
+    np.greater_equal(raw, threshold, out=known[:rows])
+    del raw
+    # eight contiguous rows make one byte row, row r in bit r
+    bits = known.view(np.uint8).reshape(-1, 8, size)
+    packed = bits[:, 0].copy()
+    for r in range(1, 8):
+        packed |= bits[:, r] << r
+    w, b = divmod(lo // 8, 8)
+    full, tail = divmod(len(packed), 8)
+    planes[w : w + full] = packed[: 8 * full].reshape(full, 8, size)
+    if tail:
+        planes[w + full, b : b + tail] = packed[8 * full :]
+
+
 def simulate(
     spec: CodeSpec, root: RootChannel, trials: int, seed: int, *, batch: int = 4096
 ) -> SimResult:
@@ -278,10 +315,12 @@ def simulate(
     Trial t reads the 4*B raw words of np.random.Philox(key=seed,
     counter=t*B), with B = ceil(2**n / 4), and uses the first 2**n of them:
     position i is erased iff (raw[i] >> 11) < ceil(z0 * 2**53), which is
-    Generator.random() < z0 bit for bit.  Each batch opens that stream once
-    at its first trial, so the tally is independent of batching.  Tallies
-    for a given seed differ from polarbec 0.1.0, which keyed one Philox
-    per trial.
+    Generator.random() < z0 bit for bit.  Each batch is cut into chunks of
+    at most about 2**19 raw words, and each chunk opens that stream at its
+    first trial, so the tally is independent of batch, chunk size and
+    worker count.  Chunks are drawn on one thread per CPU in the process's
+    affinity mask.  Tallies for a given seed differ from polarbec 0.1.0,
+    which keyed one Philox per trial.
 
     Failures are detected with the resolution profile, which agrees with
     sc_decode_bec by construction (and by test), run bit-sliced on 64
@@ -294,37 +333,63 @@ def simulate(
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     size = 1 << spec.n
-    batch_words = -(-min(batch, trials) // 64)
-    # the word table, plus the largest of what lives beside it: a 64-trial
-    # block (raw draws shifted in place, known mask and packed bits, 584 bytes
-    # a position), the profile's first-level temporary, or the info gather
-    table = 8 * batch_words * size
-    need = table + max(584 * size, table // 2, 8 * batch_words * len(spec))
-    _check_memory(need, f"simulate at n={spec.n}, {64 * batch_words} trials a batch")
     blocks = -(-size // 4)  # Philox counter steps per trial, four raw words each
+    # A chunk is a power-of-two share of a word or a whole number of words,
+    # so it never straddles a word.
+    per_byte = max(1, _DRAW_WORDS // (32 * blocks))
+    chunk = 64 * (per_byte // 8) or 8 << per_byte.bit_length() - 1
+    first = min(batch, trials)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, -(-first // chunk))
+    batch_words = -(-first // 64)
+    # The word table; three chunks per worker (raw draws and the known mask,
+    # packed bytes and a shift temporary), because a worker's freed buffers
+    # stay in its malloc arena while the profile runs (measured up to about
+    # 2.3 chunks); and the larger of the info gather and the profile's
+    # temporaries, two half tables that overlap from one level to the next.
+    rows = min(chunk, first)
+    table = 8 * batch_words * size
+    chunk_bytes = 32 * rows * blocks + 10 * -(-rows // 8) * size
+    need = table + 3 * workers * chunk_bytes + max(table, 8 * batch_words * len(spec))
+    _check_memory(need, f"simulate at n={spec.n}, {64 * batch_words} trials a batch")
     threshold = np.uint64(math.ceil(root.z0 * 2.0**53))
     info_pos = spec.indices.astype(np.int64) - 1
     total = 0
     batches: list[tuple[int, int]] = []
-    for start in range(0, trials, batch):
-        count = min(batch, trials - start)
-        bitgen = np.random.Philox(key=seed, counter=start * blocks)
-        # bit r of words[w, i] is position i of trial start + 64 * w + r
-        words = np.zeros((-(-count // 64), size), dtype="<u8")
-        word_bytes = words.view(np.uint8).reshape(*words.shape, 8)
-        for w in range(words.shape[0]):
-            rows = min(64, count - 64 * w)
-            raw = bitgen.random_raw(rows * 4 * blocks).reshape(rows, -1)[:, :size]
-            raw >>= np.uint64(11)
-            packed = np.packbits(raw >= threshold, axis=0, bitorder="little")
-            word_bytes[w, :, : packed.shape[0]] = packed.T
-            del raw, packed  # free this block before the next is drawn
-        resolved = _resolution_profile(words)
-        # a trial fails where some info position is unresolved
-        failed = ~np.bitwise_and.reduce(resolved[:, info_pos], axis=1)
-        # bits past the batch's last trial are padding
-        failed[-1] &= np.uint64((1 << (count - 64 * (words.shape[0] - 1))) - 1)
-        failures = int(np.bitwise_count(failed).sum())
-        total += failures
-        batches.append((failures, count))
+    pool = None
+    try:
+        for start in range(0, trials, batch):
+            count = min(batch, trials - start)
+            # bit r of words[w, i] is position i of trial start + 64 * w + r
+            words = np.zeros((-(-count // 64), size), dtype="<u8")
+            planes = words.view(np.uint8).reshape(*words.shape, 8).transpose(0, 2, 1)
+            chunks = [
+                (start + lo, lo, min(chunk, count - lo)) for lo in range(0, count, chunk)
+            ]
+            if len(chunks) > 1 and workers > 1:
+                if pool is None:
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    pool = ThreadPoolExecutor(workers)
+                drawn = [pool.submit(_draw_chunk, planes, seed, threshold, *c) for c in chunks]
+                for future in drawn:
+                    future.result()  # re-raises a chunk's error
+            else:
+                for c in chunks:
+                    _draw_chunk(planes, seed, threshold, *c)
+            resolved = _resolution_profile(words)
+            # a trial fails where some info position is unresolved
+            failed = ~np.bitwise_and.reduce(resolved[:, info_pos], axis=1)
+            # bits past the batch's last trial are padding
+            failed[-1] &= np.uint64((1 << (count - 64 * (words.shape[0] - 1))) - 1)
+            failures = int(np.bitwise_count(failed).sum())
+            total += failures
+            batches.append((failures, count))
+            del words, planes, resolved  # free this table before the next
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return SimResult(trials=trials, block_errors=total, batches=tuple(batches))

@@ -150,7 +150,7 @@ def level_log_table(root: RootChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
 # Optional on-disk cache of level tables, keyed by (z0, m).
 
 _HEADER = struct.Struct("<4sIdI")
-# Records interleaved per write, so a write holds no copy of the table.
+# Records interleaved per write or read, so neither holds a copy of the table.
 _WRITE_RECORDS = 1 << 16
 
 
@@ -204,12 +204,27 @@ def read_level_cache(path: str) -> tuple[float, int, np.ndarray, np.ndarray]:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != CACHE_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        body = fh.read()
-    expected = (1 << m) * 16
-    if len(body) != expected:
-        raise ValueError(f"{path}: expected {expected} record bytes, got {len(body)}")
-    records = np.frombuffer(body, dtype="<f8").reshape(1 << m, 2)
-    return z0, m, records[:, 0].copy(), records[:, 1].copy()
+        if m >= 64:
+            raise ValueError(f"{path}: level {m} cannot fit in a file")
+        # check the size, short or trailing, before allocating, so a corrupt
+        # m fails at once
+        size = 1 << m
+        expected = 16 * size
+        got = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if got != expected:
+            raise ValueError(f"{path}: expected {expected} record bytes, got {got}")
+        l_era = np.empty(size, dtype="<f8")
+        l_rel = np.empty(size, dtype="<f8")
+        records = np.empty((min(size, _WRITE_RECORDS), 2), dtype="<f8")
+        for lo in range(0, size, _WRITE_RECORDS):
+            part = records[: min(_WRITE_RECORDS, size - lo)]
+            read = fh.readinto(part)
+            if read != part.nbytes:
+                got = 16 * lo + read
+                raise ValueError(f"{path}: expected {expected} record bytes, got {got}")
+            l_era[lo : lo + len(part)] = part[:, 0]
+            l_rel[lo : lo + len(part)] = part[:, 1]
+    return z0, m, l_era, l_rel
 
 
 def _cache_filename(z0: float, m: int) -> str:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -332,7 +333,7 @@ def test_simulate_seed_range():
             assert codec.simulate(spec, root, 10, seed=seed).trials == 10
 
 
-@pytest.mark.parametrize("n, z0, trials", [(2, 0.5, 150), (4, 0.2, 300)])
+@pytest.mark.parametrize("n, z0, trials", [(2, 0.5, 150), (4, 0.2, 300), (6, 0.45, 203)])
 def test_simulate_follows_documented_stream(n, z0, trials):
     # Rebuild every trial's pattern from the stream simulate() documents and
     # decode it with the message-passing decoder; trial counts that are not
@@ -358,6 +359,36 @@ def test_simulate_follows_documented_stream(n, z0, trials):
         assert [t for _, t in got.batches] == [
             min(batch, trials - s) for s in range(0, trials, batch)
         ]
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_simulate_independent_of_chunks_and_workers(n, monkeypatch):
+    # Budgets of 1, 2, 3, 8 and 24 bytes of 8 trials give chunks of 8, 16
+    # and 16 trials (within a word), 64 (one word) and 192 (three words).
+    # A trial draws 32 raw words at n = 5, and 4 at n = 1, where it uses 2.
+    # Three workers (more than a 2-CPU host has) with a short switch
+    # interval stress the disjoint writes.
+    raw_per_trial = 4 * -(-(1 << n) // 4)
+    root = er.RootChannel(0.45)
+    spec = co.select_classical(root, n, rate=0.5)
+    want = {
+        batch: codec.simulate(spec, root, 1000, seed=99, batch=batch)
+        for batch in (333, 1000)
+    }
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for per_byte in (1, 2, 3, 8, 24):
+            monkeypatch.setattr(codec, "_DRAW_WORDS", 8 * per_byte * raw_per_trial)
+            for cpus in (1, 3):
+                mask = set(range(cpus))
+                monkeypatch.setattr(codec.os, "sched_getaffinity", lambda pid, m=mask: m)
+                for batch, ref in want.items():
+                    got = codec.simulate(spec, root, 1000, seed=99, batch=batch)
+                    assert (got.block_errors, got.batches) == (ref.block_errors, ref.batches)
+    finally:
+        sys.setswitchinterval(interval)
+    assert 0 < want[1000].block_errors < 1000
 
 
 def test_simulate_tracks_exact_probability():

@@ -310,6 +310,40 @@ def test_cache_written_in_slices_is_the_interleaved_table(tmp_path, monkeypatch)
     assert path.read_bytes() == struct.pack("<4sIdI", b"PLZT", 1, 0.3, 5) + records.tobytes()
 
 
+@pytest.mark.parametrize("m, message", [(40, "record bytes"), (64, "level 64")])
+def test_cache_huge_level_rejected_before_allocating(tmp_path, m, message):
+    # 16 * 2**40 bytes would not fit in memory: the file size check comes
+    # first, and from m = 64 on not even the byte count is computed
+    path = tmp_path / "table.bin"
+    path.write_bytes(struct.pack("<4sIdI", b"PLZT", 1, 0.5, m) + bytes(32))
+    with pytest.raises(ValueError, match=message):
+        er.read_level_cache(str(path))
+
+
+def test_cache_read_in_slices_is_the_table(tmp_path, monkeypatch):
+    le, lr = er.level_log_table(er.RootChannel(0.3), 5)
+    path = tmp_path / "table.bin"
+    er.write_level_cache(str(path), 0.3, 5, le, lr)
+    # 2**5 records in slices of 3: the last slice is short
+    monkeypatch.setattr(er, "_WRITE_RECORDS", 3)
+    z0, m, got_le, got_lr = er.read_level_cache(str(path))
+    assert (z0, m) == (0.3, 5)
+    assert got_le.tobytes() == le.tobytes() and got_lr.tobytes() == lr.tobytes()
+
+
+def test_cache_shrunk_after_size_check_is_rejected(tmp_path, monkeypatch):
+    le, lr = er.level_log_table(er.RootChannel(0.3), 5)
+    path = tmp_path / "table.bin"
+    er.write_level_cache(str(path), 0.3, 5, le, lr)
+    full = os.stat(path)
+    path.write_bytes(path.read_bytes()[:-8])
+    # the size check sees the whole file; the read then comes up short
+    monkeypatch.setattr(er.os, "fstat", lambda fd: full)
+    monkeypatch.setattr(er, "_WRITE_RECORDS", 3)
+    with pytest.raises(ValueError, match="got 504"):
+        er.read_level_cache(str(path))
+
+
 def test_cache_rejects_corrupted_file(tmp_path):
     root = er.RootChannel(0.5)
     er.cached_level_table(root, 3, str(tmp_path))
@@ -327,6 +361,7 @@ def test_cache_rejects_corrupted_file(tmp_path):
         lambda blob: b"JUNK" + blob[4:],  # bad magic
         lambda blob: blob[:4] + struct.pack("<I", 99) + blob[8:],  # bad version
         lambda blob: blob[:16] + struct.pack("<I", 5) + blob[20:],  # size mismatch
+        lambda blob: blob + b"\0",  # trailing byte
     ],
 )
 def test_cache_unreadable_entry_is_a_miss(tmp_path, damage):
