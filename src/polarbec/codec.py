@@ -10,7 +10,7 @@ On the BEC the decoder never guesses, so whether a block decodes depends on
 the erasure pattern alone.  simulate() exploits that through a vectorized
 resolution profile, bit-sliced over 64 trials per uint64 word, fed by one
 counter-based Philox stream that each chunk of trials opens at its first
-trial, on one thread per CPU (its docstring states the stream; tallies for
+trial, on up to two threads (its docstring states the stream; tallies for
 a given seed differ from polarbec 0.1.0).  exact_block_error()
 deliberately does not, running the actual message-passing decoder on every
 pattern so the two stay independent.
@@ -26,7 +26,12 @@ import numpy as np
 
 from .construction import CodeSpec
 from .erasure import RootChannel
-from .errors import DecodingInconsistencyError, LevelTooLargeError, _check_memory
+from .errors import (
+    DecodingInconsistencyError,
+    LevelTooLargeError,
+    _check_memory,
+    _memory_budget,
+)
 
 # two-sided 95% normal quantile
 WILSON_Z95 = 1.959963984540054
@@ -36,6 +41,8 @@ EXACT_ENUM_MAX_LEVEL = 4
 
 # raw Philox words a simulate chunk draws at most, unless 8 trials need more
 _DRAW_WORDS = 1 << 19
+# threads that draw a simulate batch's chunks at most; more were not measured
+_MAX_WORKERS = 2
 
 
 def _as_bits(seq, what: str) -> np.ndarray:
@@ -190,10 +197,11 @@ def _resolution_profile(known: np.ndarray) -> np.ndarray:
     if not known.flags.c_contiguous:
         raise ValueError("profile input must be C-contiguous")
     half = known.shape[-1] // 2
+    scratch = np.empty(known.size // 2, dtype=known.dtype)  # one half table, reused
     while half:
         pairs = known.reshape(-1, 2, half)
         worse, better = pairs[:, 0], pairs[:, 1]
-        both = worse & better
+        both = np.bitwise_and(worse, better, out=scratch.reshape(worse.shape))
         better |= worse
         worse[...] = both
         half //= 2
@@ -319,7 +327,8 @@ def simulate(
     at most about 2**19 raw words, and each chunk opens that stream at its
     first trial, so the tally is independent of batch, chunk size and
     worker count.  Chunks are drawn on one thread per CPU in the process's
-    affinity mask.  Tallies for a given seed differ from polarbec 0.1.0,
+    affinity mask, at most two, and fewer where the memory budget cannot
+    hold their buffers.  Tallies for a given seed differ from polarbec 0.1.0,
     which keyed one Philox per trial.
 
     Failures are detected with the resolution profile, which agrees with
@@ -343,17 +352,20 @@ def simulate(
         cpus = len(os.sched_getaffinity(0))
     else:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
-    workers = min(cpus, -(-first // chunk))
     batch_words = -(-first // 64)
-    # The word table; three chunks per worker (raw draws and the known mask,
-    # packed bytes and a shift temporary), because a worker's freed buffers
-    # stay in its malloc arena while the profile runs (measured up to about
-    # 2.3 chunks); and the larger of the info gather and the profile's
-    # temporaries, two half tables that overlap from one level to the next.
+    # The word table and the larger of the info gather and the profile's half
+    # table; beside them three chunks per worker (raw draws and the known
+    # mask, packed bytes and a shift temporary), because a worker's freed
+    # buffers stay in its malloc arena while the profile runs (measured up
+    # to about 2.3 chunks).  Workers the budget cannot hold are dropped, so
+    # more CPUs never refuse a run that one CPU would take.
     rows = min(chunk, first)
     table = 8 * batch_words * size
-    chunk_bytes = 32 * rows * blocks + 10 * -(-rows // 8) * size
-    need = table + 3 * workers * chunk_bytes + max(table, 8 * batch_words * len(spec))
+    per_worker = 3 * (32 * rows * blocks + 10 * -(-rows // 8) * size)
+    base = table + max(table // 2, 8 * batch_words * len(spec))
+    room = (_memory_budget() - base) // per_worker
+    workers = max(1, min(cpus, _MAX_WORKERS, -(-first // chunk), room))
+    need = base + workers * per_worker
     _check_memory(need, f"simulate at n={spec.n}, {64 * batch_words} trials a batch")
     threshold = np.uint64(math.ceil(root.z0 * 2.0**53))
     info_pos = spec.indices.astype(np.int64) - 1

@@ -31,9 +31,14 @@ class DecodingInconsistencyError(PolarBECError):
     """A resolved message contradicts a known value; indicates a harness bug."""
 
 
+def _memory_budget() -> int:
+    """Bytes a single plan may use: half of physical memory."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+
+
 def _check_memory(need: int, what: str) -> None:
     """Refuse, before allocating, a plan that needs over half of physical memory."""
-    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    budget = _memory_budget()
     if need > budget:
         raise LevelTooLargeError(
             f"{what} would need about {need / 2**20:,.0f} MiB, over the budget of "

@@ -366,8 +366,8 @@ def test_simulate_independent_of_chunks_and_workers(n, monkeypatch):
     # Budgets of 1, 2, 3, 8 and 24 bytes of 8 trials give chunks of 8, 16
     # and 16 trials (within a word), 64 (one word) and 192 (three words).
     # A trial draws 32 raw words at n = 5, and 4 at n = 1, where it uses 2.
-    # Three workers (more than a 2-CPU host has) with a short switch
-    # interval stress the disjoint writes.
+    # Three workers (over the cap, and more than a 2-CPU host has) with a
+    # short switch interval stress the disjoint writes.
     raw_per_trial = 4 * -(-(1 << n) // 4)
     root = er.RootChannel(0.45)
     spec = co.select_classical(root, n, rate=0.5)
@@ -375,6 +375,7 @@ def test_simulate_independent_of_chunks_and_workers(n, monkeypatch):
         batch: codec.simulate(spec, root, 1000, seed=99, batch=batch)
         for batch in (333, 1000)
     }
+    monkeypatch.setattr(codec, "_MAX_WORKERS", 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -382,13 +383,42 @@ def test_simulate_independent_of_chunks_and_workers(n, monkeypatch):
             monkeypatch.setattr(codec, "_DRAW_WORDS", 8 * per_byte * raw_per_trial)
             for cpus in (1, 3):
                 mask = set(range(cpus))
-                monkeypatch.setattr(codec.os, "sched_getaffinity", lambda pid, m=mask: m)
+                monkeypatch.setattr(
+                    codec.os, "sched_getaffinity", lambda pid, m=mask: m, raising=False
+                )
                 for batch, ref in want.items():
                     got = codec.simulate(spec, root, 1000, seed=99, batch=batch)
                     assert (got.block_errors, got.batches) == (ref.block_errors, ref.batches)
     finally:
         sys.setswitchinterval(interval)
     assert 0 < want[1000].block_errors < 1000
+
+
+def test_simulate_more_cpus_never_refuse(monkeypatch):
+    # A budget that holds a run on one CPU holds it on 64: the workers the
+    # budget cannot hold are dropped, and the tally does not change.
+    root = er.RootChannel(0.45)
+    spec = co.select_classical(root, 10, rate=0.5)  # 8 chunks of 512 trials
+    needs = []
+    check = codec._check_memory
+    monkeypatch.setattr(codec, "_check_memory", lambda b, w: (needs.append(b), check(b, w)))
+
+    def run(cpus, budget=None):
+        monkeypatch.setattr(
+            codec.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+        if budget is not None:
+            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * budget}
+            monkeypatch.setattr(codec.os, "sysconf", pages.__getitem__)
+        got = codec.simulate(spec, root, 4096, seed=5)
+        return got.block_errors, got.batches
+
+    ref = run(1)
+    one_cpu = needs[-1]
+    assert run(64, budget=one_cpu) == ref and needs[-1] == one_cpu
+    with pytest.raises(LevelTooLargeError):
+        run(64, budget=one_cpu - 1)
+    assert run(64, budget=4 * one_cpu) == ref and needs[-1] > one_cpu
 
 
 def test_simulate_tracks_exact_probability():
