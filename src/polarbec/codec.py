@@ -13,7 +13,8 @@ counter-based Philox stream that each chunk of trials opens at its first
 trial, on up to two threads (its docstring states the stream; tallies for
 a given seed differ from polarbec 0.1.0).  exact_block_error()
 deliberately does not, running the actual message-passing decoder on every
-pattern so the two stay independent.
+pattern so the two stay independent; it memoizes subtree outcomes for one
+enumeration by (known, value, width, base), never the root's.
 """
 
 from __future__ import annotations
@@ -99,15 +100,16 @@ def _to_mask(bits: np.ndarray) -> int:
 
 
 def _resolve(
-    known: int, value: int, width: int, base: int, frozen: int, forced: int
+    known: int, value: int, width: int, base: int, frozen: int, forced: int, memo: dict
 ) -> tuple[int, int]:
     """Decode the subtree whose inputs are channels base .. base + width - 1.
 
     known, value: bitmasks over the subtree's codeword-domain block, bit t
     for offset t; value bits are zero outside known.  frozen, forced:
     bitmasks over the whole code's input positions, marking the frozen
-    channels and their values.  Returns the re-encoded block and the decided
-    inputs, both as bitmasks over the subtree.
+    channels and their values.  memo: outcomes of the child subtrees, valid
+    for one (frozen, forced) pair; see _subtree.  Returns the re-encoded
+    block and the decided inputs, both as bitmasks over the subtree.
     """
     if width == 1:
         if frozen >> base & 1:
@@ -126,15 +128,37 @@ def _resolve(
     vl, vr = value & low, value >> half
     both = kl & kr
     # check node: parity known only when both halves are
-    cx, cu = _resolve(both, (vl ^ vr) & both, half, base, frozen, forced)
+    cx, cu = _subtree(both, (vl ^ vr) & both, half, base, frozen, forced, memo)
     from_left = (vl ^ cx) & kl
     conflict = both & (from_left ^ vr)
     if conflict:
         t = (conflict & -conflict).bit_length() - 1
         raise DecodingInconsistencyError(f"inconsistent pair at codeword offset {t}")
     # variable node: either side pins the value
-    dx, du = _resolve(kl | kr, vr | (from_left & ~kr), half, base + half, frozen, forced)
+    dx, du = _subtree(kl | kr, vr | (from_left & ~kr), half, base + half, frozen, forced, memo)
     return (cx ^ dx) | (dx << half), cu | (du << half)
+
+
+def _subtree(
+    known: int, value: int, width: int, base: int, frozen: int, forced: int, memo: dict
+) -> tuple[int, int]:
+    """_resolve, looked up in memo by (known, value, width, base) first.
+
+    memo holds the result pair, or the unresolved position as an int, which
+    is raised again on a hit.  Inconsistencies are never stored: they end
+    the whole decode.
+    """
+    key = (known, value, width, base)
+    out = memo.get(key)
+    if out is None:
+        try:
+            out = _resolve(known, value, width, base, frozen, forced, memo)
+        except _Unresolved as stop:
+            out = stop.position
+        memo[key] = out
+    if isinstance(out, int):
+        raise _Unresolved(out)
+    return out
 
 
 def sc_decode_bec(erased, received, spec: CodeSpec, frozen_values) -> DecodeResult:
@@ -176,6 +200,7 @@ def sc_decode_bec(erased, received, spec: CodeSpec, frozen_values) -> DecodeResu
             0,
             _to_mask(is_frozen),
             _to_mask(template),
+            {},
         )
     except _Unresolved as stop:
         return DecodeResult(info_bits=None, first_failure=stop.position + 1)
@@ -214,7 +239,11 @@ def exact_block_error(spec: CodeSpec, root: RootChannel) -> float:
     Runs the real decoder on each of the 2**(2**n) patterns and weights by
     z0**erased * (1-z0)**received, summed with compensation.  Failure is
     pattern-determined, so the per-popcount failure counts are exact
-    integers and the only rounding is in the final weighting.
+    integers and the only rounding is in the final weighting.  Below the
+    root, subtree outcomes are memoized for this one enumeration by
+    (known, value, width, base), so each distinct subtree state is decoded
+    once; the root itself is decoded afresh for every pattern and never
+    stored.  The resolution profile is never read.
     """
     if spec.n > EXACT_ENUM_MAX_LEVEL:
         raise LevelTooLargeError(
@@ -230,9 +259,10 @@ def exact_block_error(spec: CodeSpec, root: RootChannel) -> float:
     is_frozen[spec.indices.astype(np.int64) - 1] = False
     frozen = _to_mask(is_frozen)
     fail_by_received = [0] * (size + 1)
+    memo: dict = {}
     for pattern in range(1 << size):
         try:
-            _resolve(full ^ pattern, 0, size, 0, frozen, 0)
+            _resolve(full ^ pattern, 0, size, 0, frozen, 0, memo)
         except _Unresolved:
             fail_by_received[size - pattern.bit_count()] += 1
     terms = [

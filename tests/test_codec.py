@@ -1,8 +1,10 @@
 """Encoder algebra, SC decoding on erasure patterns, and the two error routes."""
 
+import functools
 import itertools
 import math
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -40,16 +42,22 @@ def _spec_single(n: int, j: int, z0: float = 0.5) -> co.CodeSpec:
     )
 
 
-def _empty_spec(n: int, z0: float = 0.5) -> co.CodeSpec:
+def _bare_spec(n: int, indices, z0: float = 0.5) -> co.CodeSpec:
+    """The channels in indices (1-based) with zeroed per-channel stats."""
+    m = len(indices)
     return co.CodeSpec(
         n=n,
         z0=z0,
-        indices=np.array([], dtype=np.uint64),
-        l_era=np.array([]),
-        squaring_count=np.array([], dtype=np.uint64),
-        source_pocket=np.array([], dtype=np.int64),
+        indices=np.asarray(indices, dtype=np.uint64),
+        l_era=np.zeros(m),
+        squaring_count=np.zeros(m, dtype=np.uint64),
+        source_pocket=np.zeros(m, dtype=np.int64),
         params={},
     )
+
+
+def _empty_spec(n: int, z0: float = 0.5) -> co.CodeSpec:
+    return _bare_spec(n, [], z0)
 
 
 def test_kernel_pairs():
@@ -264,14 +272,59 @@ def test_exact_block_error_sandwich(n, z0):
 
 
 @pytest.mark.parametrize(
-    "z0, want",
+    "rate, z0, want",
     # at z0 = 1/2 every pattern weighs 2**-16, so the value is a count over 2**16
-    [(0.2, 0.03836713034711044), (0.5, 0.6524505615234375)],
+    [
+        pytest.param(0.5, 0.2, 0.03836713034711044, id="0.2-0.03836713034711044"),
+        pytest.param(0.5, 0.5, 0.6524505615234375, id="0.5-0.6524505615234375"),
+        (0.25, 0.2, 5.301558968320005e-05),
+        (0.25, 0.5, 0.0544891357421875),  # 3,571 patterns
+        (0.75, 0.2, 0.3807550512365571),
+        (0.75, 0.5, 0.9794769287109375),  # 64,191 patterns
+    ],
 )
-def test_exact_block_error_pinned_level4(z0, want):
+def test_exact_block_error_pinned_level4(rate, z0, want):
     root = er.RootChannel(z0)
-    spec = co.select_classical(root, 4, rate=0.5)
+    spec = co.select_classical(root, 4, rate=rate)
     assert codec.exact_block_error(spec, root) == want
+
+
+@functools.cache
+def _profiles_of_all_patterns(n: int) -> np.ndarray:
+    """Row p is the resolution profile when bit t of p erases position t."""
+    size = 1 << n
+    known = (np.arange(1 << size)[:, None] >> np.arange(size) & 1) == 0
+    return codec._resolution_profile(known)
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4), data=st.data())
+def test_exact_block_error_counts_profile_failures(n, data):
+    # the two oracles share no code: message passing against the AND/OR profile
+    size = 1 << n
+    profile = _profiles_of_all_patterns(n)
+    info_sets = st.lists(st.integers(0, size - 1), min_size=1, unique=True).map(sorted)
+    first = data.draw(info_sets)
+    second = data.draw(info_sets.filter(lambda info: info != first))
+    # the first set again: no memo may carry over from the calls before it
+    for info in (first, second, first):
+        failures = int((~profile[:, info].all(axis=1)).sum())
+        spec = _bare_spec(n, [i + 1 for i in info])
+        assert codec.exact_block_error(spec, er.RootChannel(0.5)) * 2**size == failures
+
+
+def test_exact_block_error_memory_stays_small():
+    # subtree states number in the hundreds at n = 4; storing the 2**16 root
+    # outcomes as well would hold about 10 MB
+    root = er.RootChannel(0.5)
+    spec = co.select_classical(root, 4, rate=0.5)
+    tracemalloc.start()
+    try:
+        codec.exact_block_error(spec, root)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_wilson_interval_properties():
