@@ -100,7 +100,8 @@ def _to_mask(bits: np.ndarray) -> int:
 
 
 def _resolve(
-    known: int, value: int, width: int, base: int, frozen: int, forced: int, memo: dict
+    known: int, value: int, width: int, base: int, frozen: int, forced: int,
+    memo: dict | None,
 ) -> tuple[int, int]:
     """Decode the subtree whose inputs are channels base .. base + width - 1.
 
@@ -108,8 +109,9 @@ def _resolve(
     for offset t; value bits are zero outside known.  frozen, forced:
     bitmasks over the whole code's input positions, marking the frozen
     channels and their values.  memo: outcomes of the child subtrees, valid
-    for one (frozen, forced) pair; see _subtree.  Returns the re-encoded
-    block and the decided inputs, both as bitmasks over the subtree.
+    for one (frozen, forced) pair (see _subtree), or None to decode every
+    child afresh.  Returns the re-encoded block and the decided inputs,
+    both as bitmasks over the subtree.
     """
     if width == 1:
         if frozen >> base & 1:
@@ -127,15 +129,16 @@ def _resolve(
     kl, kr = known & low, known >> half
     vl, vr = value & low, value >> half
     both = kl & kr
+    child = _resolve if memo is None else _subtree
     # check node: parity known only when both halves are
-    cx, cu = _subtree(both, (vl ^ vr) & both, half, base, frozen, forced, memo)
+    cx, cu = child(both, (vl ^ vr) & both, half, base, frozen, forced, memo)
     from_left = (vl ^ cx) & kl
     conflict = both & (from_left ^ vr)
     if conflict:
         t = (conflict & -conflict).bit_length() - 1
         raise DecodingInconsistencyError(f"inconsistent pair at codeword offset {t}")
     # variable node: either side pins the value
-    dx, du = _subtree(kl | kr, vr | (from_left & ~kr), half, base + half, frozen, forced, memo)
+    dx, du = child(kl | kr, vr | (from_left & ~kr), half, base + half, frozen, forced, memo)
     return (cx ^ dx) | (dx << half), cu | (du << half)
 
 
@@ -200,7 +203,7 @@ def sc_decode_bec(erased, received, spec: CodeSpec, frozen_values) -> DecodeResu
             0,
             _to_mask(is_frozen),
             _to_mask(template),
-            {},
+            None,  # each subtree state occurs once in one decode: no memo
         )
     except _Unresolved as stop:
         return DecodeResult(info_bits=None, first_failure=stop.position + 1)

@@ -38,6 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .erasure import (
+    _CHUNK_CHANNELS,
     DEFAULT_MAX_LEVEL,
     _UNDERFLOW_BITS,
     RootChannel,
@@ -135,18 +136,50 @@ class CodeSpec:
 
 
 def union_bound(spec: CodeSpec) -> float:
-    """-log2 of the summed erasure probabilities, max-shifted and compensated."""
+    """-log2 of the summed erasure probabilities, max-shifted and summed exactly."""
     if len(spec) == 0:
         raise ValueError("union bound of an empty selection")
     le = spec.l_era[np.isfinite(spec.l_era)]
     if le.size == 0:
         return math.inf
     m0 = float(np.min(le))
-    # exp2(m0 - l) is exactly 0.0 once l - m0 >= _UNDERFLOW_BITS, and fsum
-    # ignores zeros, so only the terms below that bound are summed.
-    le = le[le - m0 < _UNDERFLOW_BITS]
-    total = math.fsum(np.exp2(m0 - le).tolist())
-    return m0 - math.log2(total)
+    exponents = np.subtract(m0, le, out=le)
+    del le  # the filter below copies; the unfiltered column is not kept
+    # exp2(m0 - l) is exactly 0.0 once l - m0 >= _UNDERFLOW_BITS, and a zero
+    # adds nothing to the sum, so only the terms below that bound are summed.
+    exponents = exponents[exponents > -_UNDERFLOW_BITS]
+    return m0 - math.log2(_exact_sum(np.exp2(exponents, out=exponents)))
+
+
+# Bits per piece of a 53-bit mantissa in _exact_sum.
+_PIECE_BITS = 18
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """The correctly rounded sum of float64 terms in [0, 1], as math.fsum.
+
+    Each term is a 53-bit integer mantissa times a power of two.  The
+    mantissa is cut into three 18-bit pieces, and bincount adds every piece
+    into the bin of the bit it starts at; a bin then holds an integer below
+    3 * 2**18 * len(terms), exact in float64 for up to 2**33 terms.  Every
+    bin fits a 64-bit word, so the bins 64 apart, read as one little-endian
+    Python int, never overlap.  The total of the 64 shifted ints over a power
+    of two rounds once, in int true division.
+    """
+    mantissa, exponent = np.frexp(terms)
+    ints = np.ldexp(mantissa, 53, out=mantissa).astype(np.int64)
+    del mantissa
+    low = int(exponent.min())
+    shift = np.subtract(exponent, low, out=exponent)
+    # room for the top piece of the top term, in whole rows of 64 bins
+    size = -(-(int(shift.max()) + 2 * _PIECE_BITS + 1) // 64) * 64
+    bins = np.zeros(size)
+    for bits in range(0, 53, _PIECE_BITS):
+        piece = (ints >> bits) & ((1 << _PIECE_BITS) - 1)
+        bins += np.bincount(shift + bits, weights=piece, minlength=size)
+    rows = bins.astype("<u8").reshape(-1, 64)  # row j, column r: bin 64 j + r
+    total = sum(int.from_bytes(rows[:, r].tobytes(), "little") << r for r in range(64))
+    return total / (1 << 53 - low)
 
 
 def select_classical(
@@ -329,11 +362,6 @@ def construct_multipocket(
         quota=quota,
     )
     return spec, report
-
-
-# Most level-n channels the train phase expands at once.  A recruit whose
-# subtree is larger is expanded in 2**k-channel pieces.
-_CHUNK_CHANNELS = 1 << 20
 
 
 @dataclass

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LevelTooLargeError
+from .errors import LevelTooLargeError, _check_memory
 
 LN2 = math.log(2.0)
 
@@ -41,6 +41,11 @@ _UNDERFLOW_BITS = 1075.0
 # Full enumeration of level n touches 2**(n+1) nodes; past this the caller
 # should work with pocket prefixes instead.
 DEFAULT_MAX_LEVEL = 26
+
+# Most level-n channels expanded at once: one prefix subtree of a table
+# build, or one piece of a larger recruit subtree in the multi-pocket train
+# phase.  A power of two, at least 2.
+_CHUNK_CHANNELS = 1 << 20
 
 CACHE_MAGIC = b"PLZT"
 CACHE_VERSION = 1
@@ -115,35 +120,57 @@ def _descendant_l_era(l_era: np.ndarray, l_rel: np.ndarray, steps: int) -> np.nd
 
 
 def _children(
-    le: np.ndarray, lr: np.ndarray, with_rel: bool = True
+    le: np.ndarray,
+    lr: np.ndarray,
+    with_rel: bool = True,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     # Each field doubles exactly on one side; the other side is the
-    # complement of the other field's double.  The doubles are contiguous
-    # temporaries, which complement_log2 reads faster than strided views.
-    two_le = 2.0 * le
-    two_lr = 2.0 * lr
-    nle = np.empty(2 * le.size)
+    # complement of the other field's double.  The doubles are written
+    # straight into the children's columns (out, when given), and the
+    # complements read them there.
+    if out is None:
+        out = np.empty(2 * le.size), np.empty(2 * le.size) if with_rel else None
+    nle, nlr = out
+    two_le = np.multiply(le, 2.0, out=nle[1::2])
+    two_lr = 2.0 * lr if nlr is None else np.multiply(lr, 2.0, out=nlr[0::2])
     nle[0::2] = complement_log2(two_lr)
-    nle[1::2] = two_le
-    if not with_rel:
+    if nlr is None:
         return nle, None
-    nlr = np.empty(2 * le.size)
-    nlr[0::2] = two_lr
     nlr[1::2] = complement_log2(two_le)
     return nle, nlr
 
 
 def level_log_table(root: RootChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize (l_era, l_rel) for all level-n channels in index order."""
+    """Materialize (l_era, l_rel) for all level-n channels in index order.
+
+    Past _CHUNK_CHANNELS channels the table is built one prefix subtree at
+    a time into columns allocated once: each subtree's last doubling writes
+    straight into its slice, so the build holds one chunk's temporaries
+    beside its output.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > DEFAULT_MAX_LEVEL:
         raise LevelTooLargeError(
             f"materializing level {n} exceeds the maximum {DEFAULT_MAX_LEVEL}"
         )
+    # both columns, and at most 32 bytes a channel of one chunk's temporaries
+    _check_memory(16 * (1 << n) + 32 * min(1 << n, _CHUNK_CHANNELS), f"the level-{n} table")
     l_era = math.inf if root.z0 == 0.0 else -math.log2(root.z0)
     l_rel = math.inf if root.z0 == 1.0 else -math.log1p(-root.z0) / LN2
-    return extend_log_table(np.array([l_era]), np.array([l_rel]), n)
+    steps = min(n, _CHUNK_CHANNELS.bit_length() - 1)
+    prefix_le, prefix_lr = extend_log_table(np.array([l_era]), np.array([l_rel]), n - steps)
+    if prefix_le.size == 1:
+        return extend_log_table(prefix_le, prefix_lr, steps)
+    out_le = np.empty(1 << n)
+    out_lr = np.empty(1 << n)
+    span = 1 << steps
+    for k in range(prefix_le.size):
+        le, lr = extend_log_table(prefix_le[k : k + 1], prefix_lr[k : k + 1], steps - 1)
+        part = slice(k * span, (k + 1) * span)
+        _children(le, lr, out=(out_le[part], out_lr[part]))
+    return out_le, out_lr
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +240,11 @@ def read_level_cache(path: str) -> tuple[float, int, np.ndarray, np.ndarray]:
         got = os.fstat(fh.fileno()).st_size - _HEADER.size
         if got != expected:
             raise ValueError(f"{path}: expected {expected} record bytes, got {got}")
+        rows = min(size, _WRITE_RECORDS)
+        _check_memory(expected + 16 * rows, f"reading the level-{m} table {path}")
         l_era = np.empty(size, dtype="<f8")
         l_rel = np.empty(size, dtype="<f8")
-        records = np.empty((min(size, _WRITE_RECORDS), 2), dtype="<f8")
+        records = np.empty((rows, 2), dtype="<f8")
         for lo in range(0, size, _WRITE_RECORDS):
             part = records[: min(_WRITE_RECORDS, size - lo)]
             read = fh.readinto(part)

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from polarbec import errors
 from polarbec.cli import entrypoint
 
 
@@ -436,6 +437,28 @@ def test_construct_heals_truncated_cache(capsys, tmp_path, monkeypatch):
     assert code == 0 and err is None and out == want
     assert [p.name for p in cache.iterdir()] == [entry.name]
     assert entry.stat().st_size == 20 + 16 * 2**10
+
+
+def test_construct_classical_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch):
+    # 16 bytes a channel for the two columns, and 32 for one chunk's
+    # temporaries (3 MiB at n = 16) or 16 for the read buffer (1 MiB at
+    # n = 15), against a budget of 0.5 MiB
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("POLARBEC_CACHE_DIR", str(cache))
+    argv = ["construct", "--mode", "classical", "--rate", "0.5", "--n"]
+    assert run_cli(capsys, *argv, "15")[0] == 0  # a cache entry to read back
+    monkeypatch.setattr(errors, "_memory_budget", lambda: 1 << 19)
+    code, out, err = run_cli(capsys, *argv, "16")
+    assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
+    assert "the level-16 table would need about 3 MiB" in err["message"]
+    assert not any(cache.glob("plzt-m16-*"))
+    code, out, err = run_cli(capsys, *argv, "15")
+    assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
+    assert "reading the level-15 table" in err["message"]
+    assert "would need about 1 MiB" in err["message"]
+    # the level cap is checked first and keeps its message
+    code, _, err = run_cli(capsys, *argv, "30")
+    assert code == 2 and err["message"] == "materializing level 30 exceeds the maximum 26"
 
 
 def test_frontier_report_and_csv(capsys, tmp_path):

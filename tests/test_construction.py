@@ -130,7 +130,7 @@ def test_union_bound_examples():
 
 def _spec_with_l_era(l_era):
     return co.CodeSpec(
-        n=4,
+        n=max(4, (len(l_era) - 1).bit_length()),
         z0=0.5,
         indices=np.arange(1, len(l_era) + 1, dtype=np.uint64),
         l_era=np.array(l_era),
@@ -154,6 +154,44 @@ def test_union_bound_equals_fsum_over_every_term():
         want = m0 - math.log2(math.fsum(np.exp2(m0 - finite).tolist()))
         assert co.union_bound(_spec_with_l_era(le)) == want
     assert co.union_bound(_spec_with_l_era([np.inf, np.inf])) == math.inf
+
+
+def _fsum_union_bound(l_era):
+    finite = l_era[np.isfinite(l_era)]
+    if not finite.size:
+        return math.inf
+    m0 = float(finite.min())
+    return m0 - math.log2(math.fsum(np.exp2(m0 - finite).tolist()))
+
+
+# Gaps to the smallest l_era: around the 53-bit mantissa, the last normal
+# and subnormal terms, the first zero term, and entries left out.
+UNION_GAPS = [0.0, 1.0, 52.0, 53.0, 54.0, 1022.5, 1074.0, 1074.9, 1075.0, 3e3, np.inf, np.nan]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    base=st.floats(min_value=0.0, max_value=3e3),
+    gaps=st.lists(
+        st.sampled_from(UNION_GAPS) | st.floats(min_value=0.0, max_value=1074.9),
+        min_size=1,
+        max_size=40,
+    ),
+    repeat=st.integers(min_value=1, max_value=5000),
+)
+def test_union_bound_is_the_correctly_rounded_sum(base, gaps, repeat):
+    # The first entry repeats `repeat` times: many equal terms, or at
+    # repeat 1 and one gap a single term.
+    l_era = np.array([base + gaps[0]] * repeat + [base + g for g in gaps[1:]])
+    assert co.union_bound(_spec_with_l_era(l_era)) == _fsum_union_bound(l_era)
+
+
+def test_union_bound_over_2_20_terms_is_the_correctly_rounded_sum():
+    # A third of the terms share two exponents, so their 53-bit mantissas
+    # add up to about 2**71 per exponent, far past what float64 holds exactly.
+    rng = np.random.default_rng(11)
+    l_era = 3.0 + rng.random((1 << 20) + 3) * rng.choice([1.0, 60.0, 1074.9], (1 << 20) + 3)
+    assert co.union_bound(_spec_with_l_era(l_era)) == _fsum_union_bound(l_era)
 
 
 def test_multipocket_structural_guarantee():

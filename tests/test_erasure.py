@@ -8,6 +8,7 @@ stated inline.
 import math
 import os
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +104,33 @@ def test_level_erasures_degenerate_levels():
 def test_level_erasures_respects_max_level():
     with pytest.raises(LevelTooLargeError):
         er.level_log_table(er.RootChannel(0.5), er.DEFAULT_MAX_LEVEL + 1)
+
+
+@pytest.mark.parametrize("z0", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_table_by_prefix_subtree_is_the_one_shot_table(monkeypatch, z0, n):
+    # With 2**4-channel chunks, levels 3 and 4 are built in one shot and
+    # levels 5 and 7 in 2 and 8 prefix subtrees; z0 = 0 and 1 put inf in
+    # the root's l_era and l_rel.
+    monkeypatch.setattr(er, "_CHUNK_CHANNELS", 1 << 4)
+    root = er.RootChannel(z0)
+    le, lr = er.level_log_table(root, n)
+    want_le, want_lr = er.extend_log_table(*er.level_log_table(root, 0), n)
+    assert _same_bits(le, want_le) and _same_bits(lr, want_lr)
+
+
+def test_table_build_holds_two_chunks_beside_its_output():
+    # Two levels above the chunk size the build takes 4 prefix subtrees; a
+    # one-shot build peaks at 2.8 times its output.
+    n = er._CHUNK_CHANNELS.bit_length() + 1
+    tracemalloc.start()
+    try:
+        le, lr = er.level_log_table(er.RootChannel(0.5), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert le.size == 1 << n
+    assert peak <= le.nbytes + lr.nbytes + 2 * 16 * er._CHUNK_CHANNELS
 
 
 def test_table_matches_stream_order():
