@@ -21,6 +21,7 @@ import numpy as np
 from . import criterion, frontier
 from .codec import simulate, wilson_interval
 from .construction import (
+    _check_classical,
     _round_nearest,
     construct_multipocket,
     load_codespec,
@@ -199,6 +200,7 @@ def cmd_construct(config: dict) -> dict:
     if config["mode"] == "classical":
         if config["rate"] is None and config["budget"] is None:
             raise ValueError("classical mode needs --rate or --budget")
+        _check_classical(n, config["rate"])
         spec = select_classical(
             root,
             n,
@@ -216,7 +218,9 @@ def cmd_construct(config: dict) -> dict:
         }
     elif config["mode"] == "multipocket":
         levels = config["levels"]
-        if levels is None and config["level_fractions"] is not None:
+        if levels is not None and config["level_fractions"] is not None:
+            raise ValueError("give --levels or --level-fractions, not both")
+        if config["level_fractions"] is not None:
             rounded = [_round_nearest(f * n) for f in config["level_fractions"]]
             levels = sorted(set(rounded))
         try:

@@ -39,7 +39,6 @@ import numpy as np
 
 from .erasure import (
     _CHUNK_CHANNELS,
-    DEFAULT_MAX_LEVEL,
     _UNDERFLOW_BITS,
     RootChannel,
     _atomic_write,
@@ -47,7 +46,7 @@ from .erasure import (
     extend_log_table,
     level_log_table,
 )
-from .errors import EmptyCodeError, InfeasibleTargetError, LevelTooLargeError
+from .errors import EmptyCodeError, InfeasibleTargetError, _check_memory
 from .frontier import _check_exponents
 
 # ceil() guard against float noise like 3.0000000000000004 from beta_p * n
@@ -105,6 +104,8 @@ class CodeSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not 0 <= self.n < 64:
+            raise ValueError(f"n={self.n} is outside [0, 64): channel indices are 64-bit")
         m = self.indices.size
         for name in ("l_era", "squaring_count", "source_pocket"):
             if getattr(self, name).shape != (m,):
@@ -158,25 +159,27 @@ _PIECE_BITS = 18
 def _exact_sum(terms: np.ndarray) -> float:
     """The correctly rounded sum of float64 terms in [0, 1], as math.fsum.
 
-    Each term is a 53-bit integer mantissa times a power of two.  The
-    mantissa is cut into three 18-bit pieces, and bincount adds every piece
-    into the bin of the bit it starts at; a bin then holds an integer below
+    Each term is a 53-bit integer mantissa times 2**(e - 53), with frexp's
+    exponent e in [-1073, 1].  The mantissa is cut into three 18-bit pieces,
+    and bincount adds every piece into the bin of the bit it starts at, one
+    chunk of terms at a time; a bin then holds an integer below
     3 * 2**18 * len(terms), exact in float64 for up to 2**33 terms.  Every
     bin fits a 64-bit word, so the bins 64 apart, read as one little-endian
     Python int, never overlap.  The total of the 64 shifted ints over a power
     of two rounds once, in int true division.
     """
-    mantissa, exponent = np.frexp(terms)
-    ints = np.ldexp(mantissa, 53, out=mantissa).astype(np.int64)
-    del mantissa
-    low = int(exponent.min())
-    shift = np.subtract(exponent, low, out=exponent)
-    # room for the top piece of the top term, in whole rows of 64 bins
-    size = -(-(int(shift.max()) + 2 * _PIECE_BITS + 1) // 64) * 64
+    low = -1073
+    # room for the top piece of a term of 1, in whole rows of 64 bins
+    size = -(-(1 - low + 2 * _PIECE_BITS + 1) // 64) * 64
     bins = np.zeros(size)
-    for bits in range(0, 53, _PIECE_BITS):
-        piece = (ints >> bits) & ((1 << _PIECE_BITS) - 1)
-        bins += np.bincount(shift + bits, weights=piece, minlength=size)
+    for lo in range(0, terms.size, _CHUNK_CHANNELS):
+        mantissa, exponent = np.frexp(terms[lo : lo + _CHUNK_CHANNELS])
+        ints = np.ldexp(mantissa, 53, out=mantissa).astype(np.int64)
+        del mantissa
+        shift = np.subtract(exponent, low, out=exponent)
+        for bits in range(0, 53, _PIECE_BITS):
+            piece = (ints >> bits) & ((1 << _PIECE_BITS) - 1)
+            bins += np.bincount(shift + bits, weights=piece, minlength=size)
     rows = bins.astype("<u8").reshape(-1, 64)  # row j, column r: bin 64 j + r
     total = sum(int.from_bytes(rows[:, r].tobytes(), "little") << r for r in range(64))
     return total / (1 << 53 - low)
@@ -201,6 +204,7 @@ def select_classical(
     if (rate is None) == (max_sum_erasure is None):
         raise ValueError("specify exactly one of rate or max_sum_erasure")
     if table is None:
+        _check_classical(n, rate)
         le, lr = level_log_table(root, n)
     else:
         le, lr = table
@@ -218,6 +222,7 @@ def select_classical(
             )
         running = np.cumsum(np.exp2(-np.sort(le)[::-1]))  # erasure ascending
         count = int(np.searchsorted(running, max_sum_erasure, side="right"))
+        del running  # not held beside the chosen columns
         if count == 0:
             raise InfeasibleTargetError(
                 f"best channel already exceeds the budget {max_sum_erasure!r}"
@@ -233,6 +238,19 @@ def select_classical(
         source_pocket=np.zeros(chosen.size, dtype=np.int64),
         params=params,
     )
+
+
+def _check_classical(n: int, rate: float | None) -> None:
+    """Refuse a classical plan over the memory budget before its table exists."""
+    if not 0 <= n < 64:
+        raise ValueError(f"level {n} is outside [0, 64): channel indices are 64-bit")
+    size = 1 << n
+    count = _round_nearest(rate * size) if rate is not None and 0.0 <= rate <= 1.0 else size
+    # the table (16 bytes a channel) beside the larger of the sort or partition
+    # (16 a channel) and the chosen columns, later the union bound (41 a chosen
+    # one; budget mode may choose all), and one chunk's temporaries
+    need = 16 * size + max(16 * size, 41 * count) + 48 * min(size, _CHUNK_CHANNELS)
+    _check_memory(need, f"the classical code at level {n}")
 
 
 def _best_by_threshold(le: np.ndarray, count: int) -> np.ndarray:
@@ -287,8 +305,8 @@ def construct_multipocket(
         raise ValueError(f"pockets must be at least 1, got {pockets!r}")
     if not 0.0 < p_ub < 1.0:
         raise ValueError(f"p_ub must lie in (0, 1), got {p_ub!r}")
-    if n < 1:
-        raise ValueError("n must be positive")
+    if not 1 <= n < 64:
+        raise ValueError(f"n={n} is outside [1, 64): channel indices are 64-bit")
 
     n0 = _round_nearest(n * mu_star / mu_p)
     if levels is None:
@@ -303,10 +321,8 @@ def construct_multipocket(
             not 1 <= m <= n for m in realized
         ) or any(b <= a for a, b in zip(realized, realized[1:])):
             raise ValueError("levels must be strictly increasing within [1, n]")
-    if max(realized) > DEFAULT_MAX_LEVEL:
-        raise LevelTooLargeError(
-            f"pocket level {max(realized)} exceeds the maximum {DEFAULT_MAX_LEVEL}"
-        )
+    # 16 bytes a channel for the table, 32 for its last doubling, 16 for masks
+    _check_memory(64 << max(realized), f"the level-{max(realized)} recruit table")
 
     d_count = pockets if levels is None else len(realized)
     quota = squaring_quota(beta_p, n)
@@ -389,11 +405,16 @@ def _train_and_retain(
     end.  Returns the columns and each pocket's survivor count.
     """
     counts = [r.members.size for r in recruits]
-    bound = np.repeat([_quota_count(n - r.level, quota) for r in recruits], counts)
+    widest = [_quota_count(n - r.level, quota) for r in recruits]
+    cap = sum(w * c for w, c in zip(widest, counts))
+    # 32 bytes a slot, beside the final filter's 34 (or the union bound's 18);
+    # 80 a recruit; 48 a channel of one chunk's temporaries
+    need = 66 * cap + 80 * sum(counts) + 48 * min(1 << n, _CHUNK_CHANNELS)
+    _check_memory(need, f"the level-{n} code of up to {cap:,} channels")
+    bound = np.repeat(widest, counts)
     order = np.argsort(np.concatenate([r.members << (n - r.level) for r in recruits]))
     slots = np.empty_like(bound)
     slots[order] = np.cumsum(bound[order]) - bound[order]
-    cap = int(bound.sum())
     indices = np.empty(cap, dtype=np.uint64)
     l_era = np.empty(cap)
     squarings = np.empty(cap, dtype=np.int64)
@@ -564,5 +585,5 @@ def load_codespec(path: str) -> CodeSpec:
             source_pocket=np.array(list(map(int, ms)), dtype=np.int64),
             params=params,
         )
-    except OverflowError as exc:  # an integer column out of its dtype's range
+    except (OverflowError, ValueError) as exc:  # out of a column's dtype, or a bad spec
         raise ValueError(f"{path}: {exc}") from None

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LevelTooLargeError, _check_memory
+from .errors import _check_memory
 
 LN2 = math.log(2.0)
 
@@ -37,10 +37,6 @@ COMPLEMENT_CUTOFF = 40.0
 # From here on 2**-x rounds to 0.0 in float64 (2**-1075 is half the
 # smallest subnormal and ties to even), so 1 - 2**-x is exactly 1.
 _UNDERFLOW_BITS = 1075.0
-
-# Full enumeration of level n touches 2**(n+1) nodes; past this the caller
-# should work with pocket prefixes instead.
-DEFAULT_MAX_LEVEL = 26
 
 # Most level-n channels expanded at once: one prefix subtree of a table
 # build, or one piece of a larger recruit subtree in the multi-pocket train
@@ -149,12 +145,8 @@ def level_log_table(root: RootChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
     straight into its slice, so the build holds one chunk's temporaries
     beside its output.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > DEFAULT_MAX_LEVEL:
-        raise LevelTooLargeError(
-            f"materializing level {n} exceeds the maximum {DEFAULT_MAX_LEVEL}"
-        )
+    if not 0 <= n < 64:
+        raise ValueError(f"level {n} is outside [0, 64): channel indices are 64-bit")
     # both columns, and at most 32 bytes a channel of one chunk's temporaries
     _check_memory(16 * (1 << n) + 32 * min(1 << n, _CHUNK_CHANNELS), f"the level-{n} table")
     l_era = math.inf if root.z0 == 0.0 else -math.log2(root.z0)

@@ -8,7 +8,7 @@ class PolarBECError(Exception):
 
 
 class LevelTooLargeError(PolarBECError):
-    """A level enumeration or materialization exceeded the configured budget."""
+    """A level enumeration or materialization exceeded the memory budget."""
 
 
 class InvalidCandidateError(PolarBECError):

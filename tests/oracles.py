@@ -18,12 +18,10 @@ import numpy as np
 from polarbec.criterion import binary_entropy
 from polarbec.erasure import (
     COMPLEMENT_CUTOFF,
-    DEFAULT_MAX_LEVEL,
     LN2,
     RootChannel,
     complement_log2,
 )
-from polarbec.errors import LevelTooLargeError
 
 
 @dataclass(frozen=True)
@@ -135,9 +133,7 @@ def channel_erasure(root: RootChannel, channel: ChannelPath) -> LogErasure:
     return le
 
 
-def level_erasures(
-    root: RootChannel, n: int, *, max_level: int = DEFAULT_MAX_LEVEL
-) -> Iterator[tuple[ChannelPath, LogErasure]]:
+def level_erasures(root: RootChannel, n: int) -> Iterator[tuple[ChannelPath, LogErasure]]:
     """Stream all 2**n level-n channels in index order (j = 1 .. 2**n).
 
     Depth-first with the worse child visited first, so paths appear in
@@ -145,8 +141,6 @@ def level_erasures(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > max_level:
-        raise LevelTooLargeError(f"level {n} exceeds the configured maximum {max_level}")
     stack: list[tuple[int, int, LogErasure]] = [
         (0, 0, LogErasure.from_prob(root.z0))
     ]

@@ -11,6 +11,7 @@ import pytest
 
 from polarbec import errors
 from polarbec.cli import entrypoint
+from polarbec.erasure import RootChannel, cached_level_table
 
 
 def run_cli(capsys, *argv):
@@ -309,6 +310,22 @@ def test_simulate_over_memory_budget_exits_2(capsys, tmp_path):
     assert "n=26" in err["message"]
 
 
+def test_simulate_code_with_n_past_64_bits_exits_2(capsys, tmp_path):
+    # uint64 channel indices cannot reach past 2**64, so n is refused before
+    # any 2**n-sized integer or array is built
+    code_file = tmp_path / "code.txt"
+    code_file.write_text(
+        "n=1000000000000\nz0=0.5\nparams=mode=classical\nj=1 m=0 sq=0 lera=1.0\n"
+    )
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out is None and err["error"] == "ValueError"
+    assert err["message"] == (
+        f"{code_file}: n=1000000000000 is outside [0, 64): channel indices are 64-bit"
+    )
+
+
 def test_simulate_without_code_exits_2(capsys):
     code, _, err = run_cli(capsys, "simulate")
     assert code == 2 and "--code" in err["message"]
@@ -402,6 +419,39 @@ def test_construct_level_fractions(capsys):
     assert [p["level"] for p in out["pockets"]] == [10, 14, 18]
 
 
+def test_construct_levels_and_level_fractions_exit_2(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"level_fractions": [0.7, 0.9]}))
+    for extra in (["--level-fractions", "0.7,0.9"], ["--config", str(config)]):
+        code, out, err = run_cli(capsys, "construct", "--n", "20", "--levels", "14,18", *extra)
+        assert code == 2 and out is None and err["error"] == "ValueError"
+        assert err["message"] == "give --levels or --level-fractions, not both"
+
+
+def test_construct_multipocket_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch):
+    # 66 bytes a slot of the code, 80 a recruit and one chunk's 48 bytes a
+    # channel (3 MiB at n = 16), against a budget of 1 MiB
+    argv = ["construct", "--n", "16", "--code-out"]
+    code, fits, _ = run_cli(capsys, *argv, str(tmp_path / "fits.txt"))
+    assert code == 0
+    monkeypatch.setattr(errors, "_memory_budget", lambda: 1 << 20)
+    target = tmp_path / "refused.txt"
+    code, out, err = run_cli(capsys, *argv, str(target))
+    assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
+    assert f"the level-16 code of up to {fits['size']:,} channels" in err["message"]
+    assert "over the budget of 1 MiB" in err["message"]
+    assert os.listdir(tmp_path) == ["fits.txt"]
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "classical", "--rate", "0.5"]])
+def test_construct_huge_n_exits_2_at_once(capsys, mode):
+    # no 2**n-sized integer is built on the way to the refusal
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", "--n", "1000000000000", *mode)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out is None and "is outside" in err["message"]
+
+
 def test_construct_cache_env_reused(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     cache.mkdir()
@@ -440,9 +490,10 @@ def test_construct_heals_truncated_cache(capsys, tmp_path, monkeypatch):
 
 
 def test_construct_classical_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch):
-    # 16 bytes a channel for the two columns, and 32 for one chunk's
-    # temporaries (3 MiB at n = 16) or 16 for the read buffer (1 MiB at
-    # n = 15), against a budget of 0.5 MiB
+    # The classical plan is checked before its table is built or read: 16
+    # bytes a channel for the table, 41 a chosen channel for the code (1.3
+    # MiB at n = 16, rate 1/2) and 48 a channel of one chunk's temporaries,
+    # against a budget of 0.5 MiB.  The cache read keeps its own check.
     cache = tmp_path / "cache"
     monkeypatch.setenv("POLARBEC_CACHE_DIR", str(cache))
     argv = ["construct", "--mode", "classical", "--rate", "0.5", "--n"]
@@ -450,15 +501,23 @@ def test_construct_classical_over_memory_budget_exits_2(capsys, tmp_path, monkey
     monkeypatch.setattr(errors, "_memory_budget", lambda: 1 << 19)
     code, out, err = run_cli(capsys, *argv, "16")
     assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
-    assert "the level-16 table would need about 3 MiB" in err["message"]
+    assert "the classical code at level 16 would need about 5 MiB" in err["message"]
     assert not any(cache.glob("plzt-m16-*"))
     code, out, err = run_cli(capsys, *argv, "15")
     assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
-    assert "reading the level-15 table" in err["message"]
-    assert "would need about 1 MiB" in err["message"]
-    # the level cap is checked first and keeps its message
+    assert "the classical code at level 15 would need about 3 MiB" in err["message"]
+    with pytest.raises(errors.LevelTooLargeError) as refused:
+        cached_level_table(RootChannel(0.5), 15, str(cache))
+    assert "reading the level-15 table" in str(refused.value)
+    assert "would need about 1 MiB" in str(refused.value)
+    # n = 30 is refused by the same estimate, naming it and the budget
+    monkeypatch.setattr(errors, "_memory_budget", lambda: 1 << 30)
     code, _, err = run_cli(capsys, *argv, "30")
-    assert code == 2 and err["message"] == "materializing level 30 exceeds the maximum 26"
+    assert code == 2 and err["error"] == "LevelTooLargeError"
+    assert err["message"] == (
+        "the classical code at level 30 would need about 37,424 MiB, over the budget "
+        "of 1,024 MiB (half of physical memory)"
+    )
 
 
 def test_frontier_report_and_csv(capsys, tmp_path):

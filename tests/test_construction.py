@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,81 @@ def test_union_bound_over_2_20_terms_is_the_correctly_rounded_sum():
     rng = np.random.default_rng(11)
     l_era = 3.0 + rng.random((1 << 20) + 3) * rng.choice([1.0, 60.0, 1074.9], (1 << 20) + 3)
     assert co.union_bound(_spec_with_l_era(l_era)) == _fsum_union_bound(l_era)
+
+
+def test_union_bound_by_small_chunks_is_the_correctly_rounded_sum(monkeypatch):
+    # The exact sum takes its terms a chunk at a time into shared bins; with
+    # 3-term chunks every kind of gap lands on both sides of a chunk edge.
+    monkeypatch.setattr(co, "_CHUNK_CHANNELS", 3)
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, 4, 7, 40, 301):
+        gaps = rng.choice(UNION_GAPS + [0.0] * 4, size) + rng.random(size) * 60.0
+        l_era = 2.0 + np.where(rng.random(size) < 0.3, 0.0, gaps)
+        assert co.union_bound(_spec_with_l_era(l_era)) == _fsum_union_bound(l_era)
+
+
+def _traced_needs(monkeypatch, build):
+    """Run build under tracemalloc: every _check_memory need, and the peak.
+
+    Chunks of 2**12 channels keep the estimates' chunk allowance (192 KiB)
+    small beside their per-channel terms, which the peak then tests.
+    """
+    needs = []
+    for module in (co, er):
+        monkeypatch.setattr(module, "_check_memory", lambda need, what: needs.append(need))
+        monkeypatch.setattr(module, "_CHUNK_CHANNELS", 1 << 12)
+    tracemalloc.start()
+    try:
+        build()
+        return needs, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: co.select_classical(er.RootChannel(0.5), 18, rate=0.5),
+        lambda: co.select_classical(er.RootChannel(0.5), 18, rate=1.0),
+        lambda: co.select_classical(er.RootChannel(0.3), 18, max_sum_erasure=1e-3),
+        lambda: co.select_classical(er.RootChannel(0.0), 17, max_sum_erasure=1.0),
+        lambda: co.construct_multipocket(er.RootChannel(0.5), 16, 0.25, 8.0, 3.8),
+        lambda: co.construct_multipocket(er.RootChannel(0.5), 18, 0.10, 8.0, 3.8),
+        lambda: co.construct_multipocket(
+            er.RootChannel(0.5), 18, 0.30, 8.0, 3.8, p_ub=0.99, levels=[3]
+        ),
+        lambda: co.construct_multipocket(
+            er.RootChannel(0.5), 18, 0.0, 8.0, 3.8, p_ub=0.99, levels=[6, 17]
+        ),
+    ],
+    ids=["rate-half", "rate-one", "budget", "budget-all-ties", "mp16", "mp18-low-beta",
+         "mp18-filter-drops", "mp18-recruit-level-17"],
+)
+def test_memory_estimates_cover_the_traced_peak(monkeypatch, build):
+    # A plan runs only when every estimate fits the budget, so the largest
+    # one must cover the whole call: the table or recruit scan, the
+    # selection or training, the final filter and the union bound.
+    needs, peak = _traced_needs(monkeypatch, build)
+    assert max(needs) >= peak, (needs, peak)
+
+
+def test_recruit_estimate_covers_the_recruit_scan(monkeypatch):
+    # levels [16] puts 2**16 channels in the recruit table and recruits
+    # about half of them, one slot each; the scan ends where training starts.
+    peaks = []
+    train = co._train_and_retain
+
+    def traced_train(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return train(*args)
+
+    monkeypatch.setattr(co, "_train_and_retain", traced_train)
+    build = functools.partial(
+        co.construct_multipocket, er.RootChannel(0.5), 16, 0.0, 8.0, 3.8, p_ub=0.9, levels=[16]
+    )
+    needs, peak = _traced_needs(monkeypatch, build)
+    assert needs[0] == 64 << 16 and needs[0] >= peaks[0]
+    assert needs[-1] >= peak  # the code's estimate, checked last
 
 
 def test_multipocket_structural_guarantee():

@@ -8,6 +8,7 @@ stated inline.
 import math
 import os
 import struct
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -102,8 +103,14 @@ def test_level_erasures_degenerate_levels():
 
 
 def test_level_erasures_respects_max_level():
-    with pytest.raises(LevelTooLargeError):
-        er.level_log_table(er.RootChannel(0.5), er.DEFAULT_MAX_LEVEL + 1)
+    # refused by its byte estimate: 16 bytes a channel of 2**40 channels is
+    # 16 TiB, over half of physical memory on any host below 32 TiB
+    start = time.perf_counter()
+    with pytest.raises(LevelTooLargeError, match="the level-40 table would need about"):
+        er.level_log_table(er.RootChannel(0.5), 40)
+    with pytest.raises(ValueError, match="level 1000000000000 is outside"):
+        er.level_log_table(er.RootChannel(0.5), 10**12)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("z0", [0.0, 0.3, 0.5, 1.0])
