@@ -10,9 +10,9 @@ On the BEC the decoder never guesses, so whether a block decodes depends on
 the erasure pattern alone.  simulate() exploits that through a vectorized
 resolution profile, bit-sliced over 64 trials per uint64 word, fed by one
 counter-based Philox stream that each chunk of trials opens at its first
-trial, on up to two threads (its docstring states the stream; tallies for
-a given seed differ from polarbec 0.1.0).  exact_block_error()
-deliberately does not, running the actual message-passing decoder on every
+trial, on up to two threads (its docstring states the stream, which
+replaced one Philox keyed per trial).  exact_block_error() deliberately
+does not, running the actual message-passing decoder on every
 pattern so the two stay independent; it memoizes subtree outcomes for one
 enumeration by (known, value, width, base), never the root's.
 """
@@ -361,8 +361,8 @@ def simulate(
     first trial, so the tally is independent of batch, chunk size and
     worker count.  Chunks are drawn on one thread per CPU in the process's
     affinity mask, at most two, and fewer where the memory budget cannot
-    hold their buffers.  Tallies for a given seed differ from polarbec 0.1.0,
-    which keyed one Philox per trial.
+    hold their buffers.  This chunked stream replaced one Philox keyed per
+    trial, so tallies for a given seed differ from that earlier stream's.
 
     Failures are detected with the resolution profile, which agrees with
     sc_decode_bec by construction (and by test), run bit-sliced on 64

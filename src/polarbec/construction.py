@@ -30,8 +30,11 @@ the error decay of the squaring quota.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import re
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -407,9 +410,10 @@ def _train_and_retain(
     counts = [r.members.size for r in recruits]
     widest = [_quota_count(n - r.level, quota) for r in recruits]
     cap = sum(w * c for w, c in zip(widest, counts))
-    # 32 bytes a slot, beside the final filter's 34 (or the union bound's 18);
-    # 80 a recruit; 48 a channel of one chunk's temporaries
-    need = 66 * cap + 80 * sum(counts) + 48 * min(1 << n, _CHUNK_CHANNELS)
+    # 32 bytes a slot for the columns, beside the union bound's 18 (the final
+    # filter copies one column at a time, 10 at most); 80 a recruit; 48 a
+    # channel of one chunk's temporaries
+    need = 50 * cap + 80 * sum(counts) + 48 * min(1 << n, _CHUNK_CHANNELS)
     _check_memory(need, f"the level-{n} code of up to {cap:,} channels")
     bound = np.repeat(widest, counts)
     order = np.argsort(np.concatenate([r.members << (n - r.level) for r in recruits]))
@@ -470,15 +474,12 @@ def _train_and_retain(
                         failed[dst] = missed
                         kept -= int(np.count_nonzero(missed))
         retained.append(kept)
-    columns = {
-        "indices": indices,
-        "l_era": l_era,
-        "squaring_count": squarings,
-        "source_pocket": source,
-    }
+    columns = dict(indices=indices, l_era=l_era, squaring_count=squarings, source_pocket=source)
     if failed is not None:
         passed = ~failed
-        columns = {name: column[passed] for name, column in columns.items()}
+        del indices, l_era, squarings, source, failed  # so each copy frees its original
+        for name, column in columns.items():
+            columns[name] = column[passed]
     return columns, retained
 
 
@@ -559,31 +560,40 @@ def _channel_fields(path: str, lineno: int, ln: str) -> tuple[int, int, int, flo
 
 
 def load_codespec(path: str) -> CodeSpec:
-    """Read a code file; a malformed channel line raises ValueError naming it."""
+    """Read a code file; a malformed channel line raises ValueError naming it.
+
+    One pass parses the lines into typed columns that the spec wraps uncopied.
+    """
     with open(path) as fh:
-        lines = [(k, ln) for k, ln in enumerate(fh.read().split("\n"), 1) if ln.strip()]
-    header = [ln for _, ln in lines[:3]]
-    if len(header) < 3 or not header[0].startswith("n=") or not header[1].startswith("z0="):
-        raise ValueError(f"{path}: malformed header")
-    n = int(header[0][2:])
-    z0 = float(header[1][3:])
-    params = dict(_parse_param(tok) for tok in header[2][len("params="):].split())
-    rows = [
-        canonical.groups()
-        if (canonical := _CHANNEL_LINE.fullmatch(ln))
-        else _channel_fields(path, lineno, ln)
-        for lineno, ln in lines[3:]
-    ]
-    js, ms, sqs, les = zip(*rows) if rows else ((),) * 4
+        # a channel line is at least 20 bytes and becomes 32 bytes of columns
+        _check_memory(32 * (os.fstat(fh.fileno()).st_size // 20 + 1), f"the code file {path}")
+        lines = ((k, ln.rstrip("\n")) for k, ln in enumerate(fh, 1) if not ln.isspace())
+        header = [ln for _, ln in itertools.islice(lines, 3)]
+        if len(header) < 3 or not header[0].startswith("n=") or not header[1].startswith("z0="):
+            raise ValueError(f"{path}: malformed header")
+        n = int(header[0][2:])
+        z0 = float(header[1][3:])
+        params = dict(_parse_param(tok) for tok in header[2][len("params="):].split())
+        js, ms, sqs, les = array("Q"), array("q"), array("q"), array("d")
+        for lineno, ln in lines:
+            canonical = _CHANNEL_LINE.fullmatch(ln)
+            j, m, sq, lera = canonical.groups() if canonical else _channel_fields(path, lineno, ln)
+            try:
+                js.append(int(j))
+                ms.append(int(m))
+                sqs.append(int(sq))
+            except OverflowError as exc:  # out of a column's 64 bits
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            les.append(float(lera))
     try:
         return CodeSpec(
             n=n,
             z0=z0,
-            indices=np.array(list(map(int, js)), dtype=np.uint64),
-            l_era=np.array(list(map(float, les)), dtype=np.float64),
-            squaring_count=np.array(list(map(int, sqs)), dtype=np.int64),
-            source_pocket=np.array(list(map(int, ms)), dtype=np.int64),
+            indices=np.frombuffer(js, dtype=np.uint64),
+            l_era=np.frombuffer(les, dtype=np.float64),
+            squaring_count=np.frombuffer(sqs, dtype=np.int64),
+            source_pocket=np.frombuffer(ms, dtype=np.int64),
             params=params,
         )
-    except (OverflowError, ValueError) as exc:  # out of a column's dtype, or a bad spec
+    except ValueError as exc:  # a bad spec
         raise ValueError(f"{path}: {exc}") from None

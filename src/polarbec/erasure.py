@@ -44,7 +44,7 @@ _UNDERFLOW_BITS = 1075.0
 _CHUNK_CHANNELS = 1 << 20
 
 CACHE_MAGIC = b"PLZT"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def complement_log2(x):
@@ -166,11 +166,10 @@ def level_log_table(root: RootChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Optional on-disk cache of level tables, keyed by (z0, m).
+# Optional on-disk cache of level tables, keyed by (z0, m): the header, then
+# the l_era column and the l_rel column, each 2**m little-endian float64s.
 
 _HEADER = struct.Struct("<4sIdI")
-# Records interleaved per write or read, so neither holds a copy of the table.
-_WRITE_RECORDS = 1 << 16
 
 
 @contextlib.contextmanager
@@ -202,15 +201,10 @@ def write_level_cache(
 ) -> None:
     if l_era.shape != (1 << m,) or l_rel.shape != (1 << m,):
         raise ValueError("table shape does not match level")
-    size = 1 << m
-    records = np.empty((min(size, _WRITE_RECORDS), 2), dtype="<f8")
     with _atomic_write(path, "xb") as fh:
         fh.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, z0, m))
-        for lo in range(0, size, _WRITE_RECORDS):
-            part = records[: min(_WRITE_RECORDS, size - lo)]
-            part[:, 0] = l_era[lo : lo + len(part)]
-            part[:, 1] = l_rel[lo : lo + len(part)]
-            fh.write(part)
+        for column in (l_era, l_rel):
+            fh.write(np.ascontiguousarray(column, dtype="<f8"))
 
 
 def read_level_cache(path: str) -> tuple[float, int, np.ndarray, np.ndarray]:
@@ -232,19 +226,12 @@ def read_level_cache(path: str) -> tuple[float, int, np.ndarray, np.ndarray]:
         got = os.fstat(fh.fileno()).st_size - _HEADER.size
         if got != expected:
             raise ValueError(f"{path}: expected {expected} record bytes, got {got}")
-        rows = min(size, _WRITE_RECORDS)
-        _check_memory(expected + 16 * rows, f"reading the level-{m} table {path}")
+        _check_memory(expected, f"reading the level-{m} table {path}")
         l_era = np.empty(size, dtype="<f8")
         l_rel = np.empty(size, dtype="<f8")
-        records = np.empty((rows, 2), dtype="<f8")
-        for lo in range(0, size, _WRITE_RECORDS):
-            part = records[: min(_WRITE_RECORDS, size - lo)]
-            read = fh.readinto(part)
-            if read != part.nbytes:
-                got = 16 * lo + read
-                raise ValueError(f"{path}: expected {expected} record bytes, got {got}")
-            l_era[lo : lo + len(part)] = part[:, 0]
-            l_rel[lo : lo + len(part)] = part[:, 1]
+        got = fh.readinto(l_era) + fh.readinto(l_rel)
+        if got != expected:
+            raise ValueError(f"{path}: expected {expected} record bytes, got {got}")
     return z0, m, l_era, l_rel
 
 

@@ -291,6 +291,7 @@ def test_simulate_seed_out_of_range_exits_2(capsys, tmp_path):
         "j=1 m=0 sq=0 lera=1.0 x=2",  # extra token
         "j=1 m=0 sq=0 lera=1.0 j=2",  # repeated key
         "j=one m=0 sq=0 lera=1.0",  # non-integer j
+        "j=18446744073709551616 m=0 sq=0 lera=1.0",  # j past 64 bits
     ],
 )
 def test_simulate_bad_code_line_exits_2(capsys, tmp_path, line):
@@ -308,6 +309,18 @@ def test_simulate_over_memory_budget_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
     assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
     assert "n=26" in err["message"]
+
+
+def test_simulate_code_over_memory_budget_exits_2_before_parsing(capsys, tmp_path, monkeypatch):
+    # 32 bytes of columns for each 20 bytes of file, checked before any line
+    # is read: the bad line below is never reached
+    code_file = tmp_path / "code.txt"
+    code_file.write_text("n=4\nz0=0.5\nparams=\n" + "j=1 m=0 sq=0 lera=1.0\n" * 100 + "bad\n")
+    size = code_file.stat().st_size
+    monkeypatch.setattr(errors, "_memory_budget", lambda: 32 * (size // 20 + 1) - 1)
+    code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
+    assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
+    assert f"the code file {code_file} would need about" in err["message"]
 
 
 def test_simulate_code_with_n_past_64_bits_exits_2(capsys, tmp_path):
@@ -429,7 +442,7 @@ def test_construct_levels_and_level_fractions_exit_2(capsys, tmp_path):
 
 
 def test_construct_multipocket_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch):
-    # 66 bytes a slot of the code, 80 a recruit and one chunk's 48 bytes a
+    # 50 bytes a slot of the code, 80 a recruit and one chunk's 48 bytes a
     # channel (3 MiB at n = 16), against a budget of 1 MiB
     argv = ["construct", "--n", "16", "--code-out"]
     code, fits, _ = run_cli(capsys, *argv, str(tmp_path / "fits.txt"))
@@ -493,7 +506,9 @@ def test_construct_classical_over_memory_budget_exits_2(capsys, tmp_path, monkey
     # The classical plan is checked before its table is built or read: 16
     # bytes a channel for the table, 41 a chosen channel for the code (1.3
     # MiB at n = 16, rate 1/2) and 48 a channel of one chunk's temporaries,
-    # against a budget of 0.5 MiB.  The cache read keeps its own check.
+    # against a budget of 0.5 MiB.  The cache read keeps its own check: the
+    # level-15 read needs exactly its two 256 KiB columns, so one byte less
+    # refuses it.
     cache = tmp_path / "cache"
     monkeypatch.setenv("POLARBEC_CACHE_DIR", str(cache))
     argv = ["construct", "--mode", "classical", "--rate", "0.5", "--n"]
@@ -506,10 +521,11 @@ def test_construct_classical_over_memory_budget_exits_2(capsys, tmp_path, monkey
     code, out, err = run_cli(capsys, *argv, "15")
     assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
     assert "the classical code at level 15 would need about 3 MiB" in err["message"]
+    assert cached_level_table(RootChannel(0.5), 15, str(cache))[0].size == 1 << 15
+    monkeypatch.setattr(errors, "_memory_budget", lambda: (1 << 19) - 1)
     with pytest.raises(errors.LevelTooLargeError) as refused:
         cached_level_table(RootChannel(0.5), 15, str(cache))
     assert "reading the level-15 table" in str(refused.value)
-    assert "would need about 1 MiB" in str(refused.value)
     # n = 30 is refused by the same estimate, naming it and the budget
     monkeypatch.setattr(errors, "_memory_budget", lambda: 1 << 30)
     code, _, err = run_cli(capsys, *argv, "30")

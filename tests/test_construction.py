@@ -595,6 +595,25 @@ def test_codespec_file_lines_and_token_fallback(tmp_path, monkeypatch):
     assert loaded == spec
 
 
+def test_codespec_load_peak_is_its_columns(monkeypatch, tmp_path):
+    # 2**16 channel lines parse straight into 32 bytes of columns a line;
+    # the estimate from the file size covers the traced peak
+    spec = co.select_classical(er.RootChannel(0.5), 17, rate=0.5)
+    path = tmp_path / "code.txt"
+    co.save_codespec(spec, str(path))
+    needs = []
+    monkeypatch.setattr(co, "_check_memory", lambda need, what: needs.append(need))
+    tracemalloc.start()
+    try:
+        loaded = co.load_codespec(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == spec and len(spec) == 1 << 16
+    (need,) = needs
+    assert peak < 64 * len(spec) and peak <= need, (peak, need)
+
+
 def test_codespec_validates_indices():
     with pytest.raises(ValueError):
         co.CodeSpec(

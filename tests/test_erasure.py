@@ -324,25 +324,26 @@ def test_cache_round_trip(tmp_path):
     assert np.array_equal(again_le, le) and np.array_equal(again_lr, lr)
 
 
-def test_cache_layout_is_documented_format(tmp_path):
+def test_cache_file_is_header_then_columns(tmp_path):
     root = er.RootChannel(0.25)
-    er.cached_level_table(root, 3, str(tmp_path))
-    path = tmp_path / os.listdir(tmp_path)[0]
-    blob = path.read_bytes()
-    magic, version, z0, m = struct.unpack_from("<4sIdI", blob)
-    assert magic == b"PLZT" and version == 1 and z0 == 0.25 and m == 3
-    records = np.frombuffer(blob, dtype="<f8", offset=struct.calcsize("<4sIdI"))
-    assert records.size == 2 * 2**3
+    le, lr = er.cached_level_table(root, 3, str(tmp_path))
+    (name,) = os.listdir(tmp_path)
+    header = struct.pack("<4sIdI", b"PLZT", 2, 0.25, 3)
+    assert (tmp_path / name).read_bytes() == header + le.tobytes() + lr.tobytes()
 
 
-def test_cache_written_in_slices_is_the_interleaved_table(tmp_path, monkeypatch):
-    # 2**5 records in slices of 3: the last slice is short.
-    monkeypatch.setattr(er, "_WRITE_RECORDS", 3)
-    le, lr = er.level_log_table(er.RootChannel(0.3), 5)
-    path = tmp_path / "table.bin"
-    er.write_level_cache(str(path), 0.3, 5, le, lr)
-    records = np.column_stack([le, lr]).astype("<f8")
-    assert path.read_bytes() == struct.pack("<4sIdI", b"PLZT", 1, 0.3, 5) + records.tobytes()
+def test_cache_version_1_entry_is_recomputed_as_version_2(tmp_path):
+    # version 1 interleaved the (l_era, l_rel) records
+    root = er.RootChannel(0.3)
+    want_le, want_lr = er.level_log_table(root, 5)
+    path = tmp_path / er._cache_filename(0.3, 5)
+    records = np.column_stack([want_le, want_lr]).astype("<f8")
+    path.write_bytes(struct.pack("<4sIdI", b"PLZT", 1, 0.3, 5) + records.tobytes())
+    le, lr = er.cached_level_table(root, 5, str(tmp_path))
+    assert le.tobytes() == want_le.tobytes() and lr.tobytes() == want_lr.tobytes()
+    assert os.listdir(tmp_path) == [path.name]
+    header = struct.pack("<4sIdI", b"PLZT", 2, 0.3, 5)
+    assert path.read_bytes() == header + want_le.tobytes() + want_lr.tobytes()
 
 
 @pytest.mark.parametrize("m, message", [(40, "record bytes"), (64, "level 64")])
@@ -350,20 +351,9 @@ def test_cache_huge_level_rejected_before_allocating(tmp_path, m, message):
     # 16 * 2**40 bytes would not fit in memory: the file size check comes
     # first, and from m = 64 on not even the byte count is computed
     path = tmp_path / "table.bin"
-    path.write_bytes(struct.pack("<4sIdI", b"PLZT", 1, 0.5, m) + bytes(32))
+    path.write_bytes(struct.pack("<4sIdI", b"PLZT", 2, 0.5, m) + bytes(32))
     with pytest.raises(ValueError, match=message):
         er.read_level_cache(str(path))
-
-
-def test_cache_read_in_slices_is_the_table(tmp_path, monkeypatch):
-    le, lr = er.level_log_table(er.RootChannel(0.3), 5)
-    path = tmp_path / "table.bin"
-    er.write_level_cache(str(path), 0.3, 5, le, lr)
-    # 2**5 records in slices of 3: the last slice is short
-    monkeypatch.setattr(er, "_WRITE_RECORDS", 3)
-    z0, m, got_le, got_lr = er.read_level_cache(str(path))
-    assert (z0, m) == (0.3, 5)
-    assert got_le.tobytes() == le.tobytes() and got_lr.tobytes() == lr.tobytes()
 
 
 def test_cache_shrunk_after_size_check_is_rejected(tmp_path, monkeypatch):
@@ -372,9 +362,8 @@ def test_cache_shrunk_after_size_check_is_rejected(tmp_path, monkeypatch):
     er.write_level_cache(str(path), 0.3, 5, le, lr)
     full = os.stat(path)
     path.write_bytes(path.read_bytes()[:-8])
-    # the size check sees the whole file; the read then comes up short
+    # the size check sees the whole file; the l_rel read then comes up short
     monkeypatch.setattr(er.os, "fstat", lambda fd: full)
-    monkeypatch.setattr(er, "_WRITE_RECORDS", 3)
     with pytest.raises(ValueError, match="got 504"):
         er.read_level_cache(str(path))
 
