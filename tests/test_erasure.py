@@ -324,12 +324,15 @@ def test_cache_round_trip(tmp_path):
     assert np.array_equal(again_le, le) and np.array_equal(again_lr, lr)
 
 
-def test_cache_file_is_header_then_columns(tmp_path):
+def test_cache_layout_is_documented_format(tmp_path):
     root = er.RootChannel(0.25)
     le, lr = er.cached_level_table(root, 3, str(tmp_path))
     (name,) = os.listdir(tmp_path)
-    header = struct.pack("<4sIdI", b"PLZT", 2, 0.25, 3)
-    assert (tmp_path / name).read_bytes() == header + le.tobytes() + lr.tobytes()
+    blob = (tmp_path / name).read_bytes()
+    magic, version, z0, m = struct.unpack_from("<4sIdI", blob)
+    assert magic == b"PLZT" and version == 2 and z0 == 0.25 and m == 3
+    # the header, then the whole l_era column, then the whole l_rel column
+    assert blob == blob[: struct.calcsize("<4sIdI")] + le.tobytes() + lr.tobytes()
 
 
 def test_cache_version_1_entry_is_recomputed_as_version_2(tmp_path):
