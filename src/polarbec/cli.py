@@ -270,17 +270,14 @@ def cmd_frontier(config: dict) -> dict:
     points = frontier.trace_frontier(mu_star, samples=config["samples"])
     rows = [(p.beta_p, p.inv_mu_p) for p in points]
     if config["csv"] is not None:
-        detailed = []
-        for beta_p, inv in rows:
-            mu_p = 1.0 / inv if inv > 0.0 else frontier.INFINITE_MU
-            res = frontier.is_achievable(
-                frontier.RegionQuery(beta_p, mu_p, mu_star)
-            )
-            detailed.append((inv, beta_p, res.worst_pi, res.worst_margin))
+        betas, invs = np.array(rows).T
+        mu_p = np.full(invs.size, frontier.INFINITE_MU)
+        np.divide(1.0, invs, out=mu_p, where=invs > 0.0)
+        res = frontier.is_achievable(frontier.RegionQuery(betas, mu_p, mu_star))
         _write_csv(
             config["csv"],
             ["inv_mu_p", "beta_p", "worst_pi", "margin"],
-            detailed,
+            zip(invs.tolist(), betas.tolist(), res.worst_pi.tolist(), res.worst_margin.tolist()),
         )
     return {
         "points": [list(r) for r in rows],

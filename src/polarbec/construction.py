@@ -559,8 +559,18 @@ def _channel_fields(path: str, lineno: int, ln: str) -> tuple[int, int, int, flo
         raise ValueError(f"{path}, line {lineno}: {exc}") from None
 
 
+def _header_value(path: str, line: tuple[int, str], parse):
+    """The value after "=" on a numbered header line, parsed."""
+    lineno, text = line
+    try:
+        return parse(text.partition("=")[2])
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {lineno}: {exc}") from None
+
+
 def load_codespec(path: str) -> CodeSpec:
-    """Read a code file; a malformed channel line raises ValueError naming it.
+    """Read a code file; a malformed header value or channel line raises
+    ValueError naming the file and the line.
 
     One pass parses the lines into typed columns that the spec wraps uncopied.
     """
@@ -568,12 +578,16 @@ def load_codespec(path: str) -> CodeSpec:
         # a channel line is at least 20 bytes and becomes 32 bytes of columns
         _check_memory(32 * (os.fstat(fh.fileno()).st_size // 20 + 1), f"the code file {path}")
         lines = ((k, ln.rstrip("\n")) for k, ln in enumerate(fh, 1) if not ln.isspace())
-        header = [ln for _, ln in itertools.islice(lines, 3)]
-        if len(header) < 3 or not header[0].startswith("n=") or not header[1].startswith("z0="):
+        header = list(itertools.islice(lines, 3))
+        if (
+            len(header) < 3
+            or not header[0][1].startswith("n=")
+            or not header[1][1].startswith("z0=")
+        ):
             raise ValueError(f"{path}: malformed header")
-        n = int(header[0][2:])
-        z0 = float(header[1][3:])
-        params = dict(_parse_param(tok) for tok in header[2][len("params="):].split())
+        n = _header_value(path, header[0], int)
+        z0 = _header_value(path, header[1], float)
+        params = dict(_parse_param(tok) for tok in header[2][1][len("params="):].split())
         js, ms, sqs, les = array("Q"), array("q"), array("q"), array("d")
         for lineno, ln in lines:
             canonical = _CHANNEL_LINE.fullmatch(ln)

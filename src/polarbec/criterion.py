@@ -70,25 +70,58 @@ def binary_entropy_inv(y):
     return out if out.ndim else float(out)
 
 
-def golden_section_max(
-    f: Callable[[float], float], a: float, b: float
-) -> tuple[float, float]:
-    """Maximize a unimodal f on [a, b]; returns (argmax, value)."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-10:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-    x = 0.5 * (a + b)
-    return x, f(x)
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_max(f: Callable, a, b):
+    """Maximize a unimodal f on each bracket [a, b]; returns (argmax, value).
+
+    a and b are scalars or arrays of one shape, and f maps an array of that
+    shape, one point per bracket, to the values there.  Each bracket runs
+    the scalar search's arithmetic on Python floats and stops once its own
+    width is at most 1e-10; every round evaluates f once, at all brackets,
+    so one array call equals a call per bracket bit for bit.  0-d input
+    gives floats.
+    """
+    shape = np.shape(a)
+    lo = np.asarray(a, dtype=np.float64).ravel().tolist()
+    hi = np.asarray(b, dtype=np.float64).ravel().tolist()
+
+    def at(points: list[float]) -> list[float]:
+        return np.asarray(f(np.reshape(points, shape)), dtype=np.float64).ravel().tolist()
+
+    c = [h - _INV_PHI * (h - l) for l, h in zip(lo, hi)]
+    d = [l + _INV_PHI * (h - l) for l, h in zip(lo, hi)]
+    fc, fd = at(c), at(d)
+    live = [i for i, (l, h) in enumerate(zip(lo, hi)) if h - l > 1e-10]
+    while live:
+        probe = c[:]  # a finished bracket re-evaluates a point it had
+        right = [fc[i] < fd[i] for i in live]
+        for i, r in zip(live, right):
+            if r:
+                lo[i], c[i], fc[i] = c[i], d[i], fd[i]
+                probe[i] = d[i] = lo[i] + _INV_PHI * (hi[i] - lo[i])
+            else:
+                hi[i], d[i], fd[i] = d[i], c[i], fc[i]
+                probe[i] = c[i] = hi[i] - _INV_PHI * (hi[i] - lo[i])
+        values = at(probe)
+        for i, r in zip(live, right):
+            if r:
+                fd[i] = values[i]
+            else:
+                fc[i] = values[i]
+        live = [i for i in live if hi[i] - lo[i] > 1e-10]
+    x = [0.5 * (l + h) for l, h in zip(lo, hi)]
+    fx = at(x)
+    if shape:
+        return np.reshape(x, shape), np.reshape(fx, shape)
+    return x[0], fx[0]
+
+
+def _bracket(grid: np.ndarray, x) -> np.ndarray:
+    """np.interp's bracket of each x: the j with grid[j] <= x < grid[j + 1],
+    or the last node for x == grid[-1]."""
+    return np.searchsorted(grid, x, side="right") - 1
 
 
 @dataclass(frozen=True)
@@ -111,7 +144,30 @@ class GridFunction:
         object.__setattr__(self, "values", v)
 
     def __call__(self, x):
-        return np.interp(x, self.grid, self.values)
+        """np.interp(x, grid, values) bit for bit, and NaN for NaN.
+
+        0-d input gives a float.
+        """
+        g, v = self.grid, self.values
+        x = np.clip(x, g[0], g[-1])  # np.interp's end values outside the grid
+        j = _bracket(g, x)
+        k = np.minimum(j + 1, g.size - 1)
+        off = x - g[j]
+        # a query on a node reads its value, as in np.interp, so the 0/0
+        # slope at the last node and inf * 0 after an overflowed slope are
+        # masked out, and like np.interp they raise no warning
+        with np.errstate(all="ignore"):
+            slope = (v[k] - v[j]) / (g[k] - g[j])
+            out = np.where(off == 0.0, v[j], slope * off + v[j])
+        return out if out.ndim else float(out)
+
+
+def _on_checked_grid(grid: np.ndarray, values: np.ndarray) -> GridFunction:
+    # iterate_g's iterates share one grid, checked once by the first of them
+    out = object.__new__(GridFunction)
+    object.__setattr__(out, "grid", grid)
+    object.__setattr__(out, "values", values)
+    return out
 
 
 @dataclass(frozen=True)
@@ -153,13 +209,15 @@ class SupRatio(NamedTuple):
     right_limit: float
 
 
-def _ratio_at(h: CandidateH, xi):
-    return (h(xi * xi) + h(2.0 * xi - xi * xi)) / (2.0 * h(xi))
+def _ratio_at(h: CandidateH, xi, hx=None):
+    # hx is h(xi) when the caller already has it
+    sq = xi * xi
+    return (h(sq) + h(2.0 * xi - sq)) / (2.0 * (h(xi) if hx is None else hx))
 
 
 def ratio_curve(h: CandidateH, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Ratio samples on the open uniform grid xi = k/grid_size, 0 < k < grid_size."""
-    xi = np.arange(1, grid_size) / grid_size
+    xi = np.arange(1.0, grid_size) / grid_size
     hx = np.asarray(h(xi))
     if np.any(hx <= 0.0) or not np.all(np.isfinite(hx)):
         bad = xi[np.argmin(hx)]
@@ -171,7 +229,7 @@ def ratio_curve(h: CandidateH, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
             raise InvalidCandidateError(
                 f"candidate must vanish at xi={endpoint}, got {float(h(endpoint)):.3g}"
             )
-    return xi, _ratio_at(h, xi)
+    return xi, _ratio_at(h, xi, hx)
 
 
 def _quadratic_extrapolate(xs: np.ndarray, ys: np.ndarray, x0: float) -> float:
@@ -199,7 +257,7 @@ def sup_ratio(h: CandidateH, grid_size: int = 4096) -> SupRatio:
     k = int(np.argmax(ratios))
     lo = xi[k - 1] if k > 0 else xi[0] / 2.0
     hi = xi[k + 1] if k + 1 < xi.size else 0.5 * (xi[-1] + 1.0)
-    argmax, refined = golden_section_max(lambda x: float(_ratio_at(h, x)), lo, hi)
+    argmax, refined = golden_section_max(lambda x: _ratio_at(h, x), lo, hi)
     best = max(refined, float(ratios[k]))
     if refined < ratios[k]:
         argmax = float(xi[k])
@@ -222,6 +280,27 @@ def mu_star_from_ratio(r: float) -> float:
     return -1.0 / math.log2(r)
 
 
+# Queries per block of iterate_g's step.  Both query maps have slope at most
+# 2, so one block's brackets span at most 2 * _BLOCK + 1 grid intervals and
+# their offsets from the block's first bracket fit 16 bits.
+_BLOCK = 1 << 14
+
+
+def _block_brackets(
+    grid: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Find the brackets j of the queries x once, for iterate_g's step.
+
+    Returns the offsets x - grid[j], written over x; each block's first
+    bracket; and per query its bracket's 16-bit offset from that first one.
+    """
+    j = _bracket(grid, x)
+    np.subtract(x, grid[j], out=x)
+    first = j[::_BLOCK].tolist()
+    j -= np.repeat(first, _BLOCK)[: j.size]
+    return x, first, j.astype(np.uint16)
+
+
 def iterate_g(
     a: float, b: float, n_steps: int, grid_size: int = 8192
 ) -> list[GridFunction]:
@@ -232,6 +311,15 @@ def iterate_g(
 
     grid_size counts intervals, not nodes, so dyadic query points such as
     z0 = 0.5 fall exactly on grid nodes.
+
+    Each step replays np.interp's arithmetic without its search.  The
+    brackets j of the query points xi^2 and 2 xi - xi^2 and their offsets
+    x - grid[j] are found once per call.  A step computes the slopes
+    (v[j+1] - v[j]) / (grid[j+1] - grid[j]) over the whole grid, then
+    slope[j] * offset + v[j]; a query at the last node reads slope 0 and so
+    v[-1].  Every operation is a separate numpy pass, as in np.interp, so
+    each iterate equals the np.interp iteration bit for bit.  The step works
+    in buffers allocated once per call, a block of queries at a time.
     """
     if not 0.0 < a < b < 1.0:
         raise ValueError("require 0 < a < b < 1")
@@ -239,18 +327,43 @@ def iterate_g(
         raise ValueError("grid_size must be at least 4096")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    need = (n_steps + 1) * (grid_size + 1) * 8  # every iterate is kept
+    # every iterate is kept; the grid, two offsets, the slopes and two
+    # 16-bit brackets add 36 bytes a node
+    need = (8 * (n_steps + 1) + 36) * (grid_size + 1)
     _check_memory(need, f"iterate_g with {n_steps} steps on {grid_size} intervals")
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     sq = grid * grid
     dbl = 2.0 * grid - sq
+    queries = [_block_brackets(grid, x) for x in (sq, dbl)]
     values = ((grid > a) & (grid < b)).astype(np.float64)
     out = [GridFunction(grid, values)]
+    slope = np.zeros(grid_size + 1)  # the last node's entry stays 0
+    width = np.empty(_BLOCK)
+    index = np.empty(_BLOCK, dtype=np.intp)
+    parts = np.empty((2, _BLOCK))
+    gathered = np.empty(_BLOCK)
     for _ in range(n_steps):
-        values = 0.5 * (
-            np.interp(sq, grid, values) + np.interp(dbl, grid, values)
-        )
-        out.append(GridFunction(grid, values))
+        v = values
+        for i in range(0, grid_size, _BLOCK):
+            e = min(i + _BLOCK, grid_size)
+            np.subtract(v[i + 1 : e + 1], v[i:e], out=slope[i:e])
+            np.subtract(grid[i + 1 : e + 1], grid[i:e], out=width[: e - i])
+            np.divide(slope[i:e], width[: e - i], out=slope[i:e])
+        values = np.empty_like(grid)
+        for blk, i in enumerate(range(0, grid_size + 1, _BLOCK)):
+            e = min(i + _BLOCK, grid_size + 1)
+            j, t = index[: e - i], gathered[: e - i]
+            for part, (off, first, local) in zip(parts, queries):
+                r, j0 = part[: e - i], first[blk]
+                np.copyto(j, local[i:e])
+                # every index is in range, and "clip" skips the bounds check
+                np.take(slope[j0:], j, out=r, mode="clip")
+                r *= off[i:e]
+                np.take(v[j0:], j, out=t, mode="clip")
+                r += t
+            np.add(parts[0, : e - i], parts[1, : e - i], out=values[i:e])
+            values[i:e] *= 0.5
+        out.append(_on_checked_grid(grid, values))
     return out
 
 

@@ -36,11 +36,16 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
+def _amount(size: int) -> str:
+    # whole MiB from 1 MiB up; below it, where MiB would round to 0, bytes
+    return f"{size / 2**20:,.0f} MiB" if size >= 2**20 else f"{size:,} bytes"
+
+
 def _check_memory(need: int, what: str) -> None:
     """Refuse, before allocating, a plan that needs over half of physical memory."""
     budget = _memory_budget()
     if need > budget:
         raise LevelTooLargeError(
-            f"{what} would need about {need / 2**20:,.0f} MiB, over the budget of "
-            f"{budget / 2**20:,.0f} MiB (half of physical memory)"
+            f"{what} would need about {_amount(need)}, over the budget of "
+            f"{_amount(budget)} (half of physical memory)"
         )

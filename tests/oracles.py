@@ -1,7 +1,8 @@
 """Test-only oracles: the polarization tree walked one scalar step at a time,
 the complement computed through a mask per branch, the linear-domain
-erasures of a table, rate-mode classical selection by a full lexsort, and
-H2 inverted by a scalar bisection loop.
+erasures of a table, rate-mode classical selection by a full lexsort, H2
+inverted by a scalar bisection loop, and the functional iteration through
+np.interp.
 
 Tests compare the vectorized level tables, constructions and kernels
 against these; the package itself never calls them.
@@ -207,3 +208,17 @@ def binary_entropy_inv_reference(y: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def iterate_g_reference(a: float, b: float, n_steps: int, grid_size: int) -> list[np.ndarray]:
+    """The values of g_0 .. g_n_steps from np.interp, which searches every
+    query point's bracket again on every step."""
+    grid = np.linspace(0.0, 1.0, grid_size + 1)
+    sq = grid * grid
+    dbl = 2.0 * grid - sq
+    values = ((grid > a) & (grid < b)).astype(np.float64)
+    out = [values]
+    for _ in range(n_steps):
+        values = 0.5 * (np.interp(sq, grid, values) + np.interp(dbl, grid, values))
+        out.append(values)
+    return out

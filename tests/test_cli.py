@@ -302,6 +302,21 @@ def test_simulate_bad_code_line_exits_2(capsys, tmp_path, line):
     assert f"{code_file}, line 4" in err["message"]
 
 
+@pytest.mark.parametrize(
+    ("header", "lineno", "detail"),
+    [
+        ("n=abc\nz0=0.5\n", 1, "invalid literal for int() with base 10: 'abc'"),
+        ("\nn=4\nz0=half\n", 3, "could not convert string to float: 'half'"),
+    ],
+)
+def test_simulate_bad_code_header_value_exits_2(capsys, tmp_path, header, lineno, detail):
+    code_file = tmp_path / "code.txt"
+    code_file.write_text(f"{header}params=mode=classical\nj=1 m=0 sq=0 lera=1.0\n")
+    code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
+    assert code == 2 and out is None and err["error"] == "ValueError"
+    assert err["message"] == f"{code_file}, line {lineno}: {detail}"
+
+
 def test_simulate_over_memory_budget_exits_2(capsys, tmp_path):
     # one channel, but simulate would hold 2**26 words per 64 trials
     code_file = tmp_path / "code.txt"
@@ -526,6 +541,11 @@ def test_construct_classical_over_memory_budget_exits_2(capsys, tmp_path, monkey
     with pytest.raises(errors.LevelTooLargeError) as refused:
         cached_level_table(RootChannel(0.5), 15, str(cache))
     assert "reading the level-15 table" in str(refused.value)
+    # below 1 MiB both amounts are exact bytes, not "about 0 MiB"
+    assert str(refused.value).endswith(
+        "would need about 524,288 bytes, over the budget of 524,287 bytes "
+        "(half of physical memory)"
+    )
     # n = 30 is refused by the same estimate, naming it and the budget
     monkeypatch.setattr(errors, "_memory_budget", lambda: 1 << 30)
     code, _, err = run_cli(capsys, *argv, "30")

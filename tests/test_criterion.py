@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import binary_entropy_inv_reference, linear_erasures
+from oracles import binary_entropy_inv_reference, iterate_g_reference, linear_erasures
 
 from polarbec import criterion as cr
 from polarbec import erasure as er
@@ -175,6 +175,93 @@ def test_iterate_g_interior_mass_decays():
     its = cr.iterate_g(0.01, 0.99, 20, 8192)
     at_half = [float(g(0.5)) for g in its]
     assert all(b <= a + 1e-12 for a, b in zip(at_half, at_half[1:]))
+
+
+_ENDS = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    grid_size=st.one_of(
+        st.integers(min_value=4096, max_value=70_000),
+        st.sampled_from([4096, 10_007, 1 << 14, (1 << 14) + 1, 1 << 15, 1 << 16]),
+    ),
+    ends=st.tuples(_ENDS, _ENDS).filter(lambda ab: ab[0] != ab[1]),
+    n_steps=st.integers(min_value=0, max_value=5),
+)
+def test_iterate_g_equals_the_np_interp_iteration(grid_size, ends, n_steps):
+    a, b = sorted(ends)
+    got = cr.iterate_g(a, b, n_steps, grid_size)
+    want = iterate_g_reference(a, b, n_steps, grid_size)
+    assert len(got) == n_steps + 1
+    for g, w in zip(got, want):
+        assert g.values.tobytes() == w.tobytes()
+        assert g.grid is got[0].grid
+
+
+def test_iterate_g_equals_the_np_interp_iteration_at_bench_size():
+    got = cr.iterate_g(0.01, 0.99, 50, 1 << 18)
+    want = iterate_g_reference(0.01, 0.99, 50, 1 << 18)
+    assert all(g.values.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+_NODES = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=30)
+_LOOKUPS = st.lists(
+    st.one_of(st.floats(min_value=-0.5, max_value=1.5), st.sampled_from([0.0, 1.0, math.nan])),
+    min_size=1,
+    max_size=20,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(inner=_NODES, seed=st.integers(0, 2**32 - 1), xs=_LOOKUPS)
+def test_grid_function_equals_np_interp(inner, seed, xs):
+    grid = np.unique(np.array([0.0, 1.0] + inner))
+    values = np.random.default_rng(seed).uniform(-2.0, 2.0, grid.size)
+    g = cr.GridFunction(grid, values)
+    xs = np.array(xs + grid.tolist())  # every node is a lookup too
+    got, want = g(xs), np.interp(xs, grid, values)
+    assert np.array_equal(got, want, equal_nan=True)  # NaN for NaN
+    number = ~np.isnan(xs)
+    assert got[number].tobytes() == want[number].tobytes()
+    for x in xs[number]:
+        one = g(float(x))
+        assert isinstance(one, float)
+        assert np.float64(one).tobytes() == np.interp(x, grid, values).tobytes()
+
+
+def _bumps(peaks):
+    # unimodal in each bracket, IEEE arithmetic only, so array and 0-d
+    # evaluations agree bit for bit
+    def f(x):
+        d = x - peaks
+        return 1.0 - d * d
+
+    return f
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    brackets=st.lists(
+        st.tuples(
+            st.floats(min_value=-3.0, max_value=3.0),
+            st.one_of(st.floats(min_value=0.0, max_value=4.0), st.sampled_from([0.0, 1e-11, 1e-10, 2e-10])),
+            st.floats(min_value=-4.0, max_value=4.0),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_golden_section_max_array_equals_per_bracket_calls(brackets):
+    a, width, peaks = (np.array(column) for column in zip(*brackets))
+    b = a + width
+    x, fx = cr.golden_section_max(_bumps(peaks), a, b)
+    assert x.shape == fx.shape == a.shape
+    for i in range(a.size):
+        one = cr.golden_section_max(_bumps(peaks[i]), float(a[i]), float(b[i]))
+        assert isinstance(one[0], float) and isinstance(one[1], float)
+        assert (x[i], fx[i]) == one
+        assert a[i] <= one[0] <= b[i]
 
 
 def test_iterate_g_validates_inputs():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarbec import errors
 from polarbec import frontier as fr
 from polarbec.criterion import binary_entropy, binary_entropy_inv
 
@@ -261,3 +262,105 @@ def test_achievability_monotone_in_beta(beta_hi, frac, mu_p):
         lo = fr.is_achievable(fr.RegionQuery(beta_hi * frac, mu_p, MU))
         assert lo.achievable
         assert lo.worst_margin >= hi.worst_margin - 1e-12
+
+
+def _per_query(betas, mu_ps, mu_star):
+    return [
+        fr.is_achievable(fr.RegionQuery(float(b), float(m), mu_star))
+        for b, m in zip(betas, mu_ps)
+    ]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    mu_star=st.floats(min_value=2.05, max_value=8.0),
+    queries=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=0.6), st.floats(min_value=1.0 + 1e-6, max_value=1e4)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_is_achievable_array_equals_per_query_calls(mu_star, queries):
+    betas = np.array([b for b, _ in queries])
+    mu_ps = mu_star * np.array([r for _, r in queries])
+    got = fr.is_achievable(fr.RegionQuery(betas, mu_ps, mu_star))
+    for i, one in enumerate(_per_query(betas, mu_ps, mu_star)):
+        assert isinstance(one.achievable, bool) and isinstance(one.worst_margin, float)
+        assert (bool(got.achievable[i]), got.worst_margin[i], got.worst_pi[i]) == one
+
+
+def test_is_achievable_array_spans_scan_blocks_and_broadcasts():
+    # 130 questions cross eight of the scan's row blocks; a scalar beta_p
+    # broadcasts against the mu_p array, and a 2-d shape is kept
+    pts = fr.trace_frontier(MU, samples=130)
+    betas = np.array([p.beta_p for p in pts])
+    invs = np.array([p.inv_mu_p for p in pts])
+    mu_ps = np.full(invs.size, fr.INFINITE_MU)
+    np.divide(1.0, invs, out=mu_ps, where=invs > 0.0)
+    got = fr.is_achievable(fr.RegionQuery(betas, mu_ps, MU))
+    want = _per_query(betas, mu_ps, MU)
+    assert got.worst_margin.tolist() == [w.worst_margin for w in want]
+    assert got.worst_pi.tolist() == [w.worst_pi for w in want]
+    flat = fr.is_achievable(fr.RegionQuery(0.3, mu_ps[:6], MU))
+    square = fr.is_achievable(fr.RegionQuery(0.3, mu_ps[:6].reshape(2, 3), MU))
+    assert square.worst_margin.shape == (2, 3)
+    assert square.worst_margin.ravel().tolist() == flat.worst_margin.tolist()
+    assert flat.worst_margin.tolist() == [w.worst_margin for w in _per_query([0.3] * 6, mu_ps[:6], MU)]
+
+
+def test_region_query_names_a_bad_element():
+    with pytest.raises(ValueError, match="beta_p must be nonnegative, got -0.1"):
+        fr.RegionQuery(np.array([0.2, -0.1]), 8.0, MU)
+    with pytest.raises(ValueError, match="mu_p must exceed mu_star, got 3.0 <= 3.627"):
+        fr.RegionQuery(0.2, np.array([8.0, 3.0]), MU)
+
+
+_GAMMA_FRACTIONS = st.lists(st.floats(min_value=1e-9, max_value=1.0 - 1e-9), max_size=8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(mu_star=st.floats(min_value=2.05, max_value=8.0), fractions=_GAMMA_FRACTIONS)
+def test_gamma_tradeoff_array_equals_per_gamma_calls(mu_star, fractions):
+    low = 1.0 / (1.0 + mu_star)
+    gammas = [g for g in (low + f * (1.0 - low) for f in fractions) if low < g < 1.0]
+    got = fr.gamma_tradeoff(np.array(gammas), mu_star)
+    for i, g in enumerate(gammas):
+        one = fr.gamma_tradeoff(g, mu_star)
+        assert isinstance(one.beta_p, float) and isinstance(one.inv_mu_p, float)
+        assert (got.beta_p[i], got.inv_mu_p[i]) == one
+
+
+def test_gamma_tradeoff_names_a_bad_element():
+    with pytest.raises(ValueError, match=r"got 1\.0$"):
+        fr.gamma_tradeoff(np.array([0.5, 1.0]), MU)
+    with pytest.raises(ValueError, match="got nan"):
+        fr.gamma_tradeoff(np.array([np.nan]), MU)
+
+
+@settings(max_examples=10, deadline=None)
+@given(mu_star=st.floats(min_value=2.05, max_value=8.0), fractions=_GAMMA_FRACTIONS)
+def test_verify_corollaries_equals_a_per_gamma_loop(mu_star, fractions):
+    low = 1.0 / (1.0 + mu_star)
+    gammas = tuple(g for g in (low + f * (1.0 - low) for f in fractions) if low < g < 1.0)
+    rep = fr.verify_corollaries(mu_star, grid=1000, gammas=gammas)
+    want = []
+    for g in gammas:
+        pt = fr.gamma_tradeoff(g, mu_star)
+        res = fr.is_achievable(fr.RegionQuery(pt.beta_p, 1.0 / pt.inv_mu_p, mu_star))
+        want.append((g, res.worst_margin))
+    assert rep.containment_margins == tuple(want)
+    assert all(type(m) is float for _, m in rep.containment_margins)
+
+
+def test_is_achievable_over_memory_budget_refuses_before_scanning(monkeypatch):
+    # 400 bytes a question, checked before the scan allocates anything
+    mu_ps = np.linspace(10.0, 100.0, 1000)
+    monkeypatch.setattr(errors, "_memory_budget", lambda: 399_999)
+    with pytest.raises(errors.LevelTooLargeError) as refused:
+        fr.is_achievable(fr.RegionQuery(0.3, mu_ps, MU))
+    assert str(refused.value) == (
+        "is_achievable with 1,000 questions would need about 400,000 bytes, "
+        "over the budget of 399,999 bytes (half of physical memory)"
+    )
+    monkeypatch.setattr(errors, "_memory_budget", lambda: 400_000)
+    assert fr.is_achievable(fr.RegionQuery(0.3, mu_ps, MU)).worst_margin.shape == (1000,)
