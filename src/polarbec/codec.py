@@ -20,7 +20,6 @@ enumeration by (known, value, width, base), never the root's.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import (
     LevelTooLargeError,
     _check_memory,
     _memory_budget,
+    _worker_count,
 )
 
 # two-sided 95% normal quantile
@@ -42,8 +42,6 @@ EXACT_ENUM_MAX_LEVEL = 4
 
 # raw Philox words a simulate chunk draws at most, unless 8 trials need more
 _DRAW_WORDS = 1 << 19
-# threads that draw a simulate batch's chunks at most; more were not measured
-_MAX_WORKERS = 2
 
 
 def _as_bits(seq, what: str) -> np.ndarray:
@@ -381,10 +379,6 @@ def simulate(
     per_byte = max(1, _DRAW_WORDS // (32 * blocks))
     chunk = 64 * (per_byte // 8) or 8 << per_byte.bit_length() - 1
     first = min(batch, trials)
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
     batch_words = -(-first // 64)
     # The word table and the larger of the info gather and the profile's half
     # table; beside them three chunks per worker (raw draws and the known
@@ -397,7 +391,7 @@ def simulate(
     per_worker = 3 * (32 * rows * blocks + 10 * -(-rows // 8) * size)
     base = table + max(table // 2, 8 * batch_words * len(spec))
     room = (_memory_budget() - base) // per_worker
-    workers = max(1, min(cpus, _MAX_WORKERS, -(-first // chunk), room))
+    workers = max(1, min(_worker_count(), -(-first // chunk), room))
     need = base + workers * per_worker
     _check_memory(need, f"simulate at n={spec.n}, {64 * batch_words} trials a batch")
     threshold = np.uint64(math.ceil(root.z0 * 2.0**53))

@@ -45,7 +45,8 @@ from .erasure import (
     _UNDERFLOW_BITS,
     RootChannel,
     _atomic_write,
-    _descendant_l_era,
+    _chunk_bits,
+    _walk_subtrees,
     extend_log_table,
     level_log_table,
 )
@@ -401,83 +402,82 @@ def _train_and_retain(
     Recruits are disjoint prefix subtrees, so laying them out by subtree
     start lays their survivors out in index order.  Each recruit gets a
     slot range at the quota bound, #{extensions meeting the quota}, in
-    columns allocated once; each chunk's quota-meeting descendants are
-    written straight into their slots, one contiguous copy per run of
-    recruits that lie next to each other in the code, and then checked
-    against final_le_min.  Only a slot that check fails is dropped at the
-    end.  Returns the columns and each pocket's survivor count.
+    columns allocated once.  The chunks of _walk_subtrees, on up to two
+    threads, write each quota-meeting descendant straight into its slot, one
+    contiguous copy per run of recruits that lie next to each other in the
+    code, and check it against final_le_min; a chunk writes only its own
+    slots and returns its survivor count and the slots that failed.  Only
+    those slots are dropped at the end.  Returns the columns and each
+    pocket's survivor count.
     """
     counts = [r.members.size for r in recruits]
     widest = [_quota_count(n - r.level, quota) for r in recruits]
     cap = sum(w * c for w, c in zip(widest, counts))
     # 32 bytes a slot for the columns, beside the union bound's 18 (the final
     # filter copies one column at a time, 10 at most); 80 a recruit; 48 a
-    # channel of one chunk's temporaries
+    # channel of the walk's live chunks, which hold _CHUNK_CHANNELS at most
     need = 50 * cap + 80 * sum(counts) + 48 * min(1 << n, _CHUNK_CHANNELS)
     _check_memory(need, f"the level-{n} code of up to {cap:,} channels")
     bound = np.repeat(widest, counts)
     order = np.argsort(np.concatenate([r.members << (n - r.level) for r in recruits]))
     slots = np.empty_like(bound)
     slots[order] = np.cumsum(bound[order]) - bound[order]
+    del bound, order
     indices = np.empty(cap, dtype=np.uint64)
     l_era = np.empty(cap)
     squarings = np.empty(cap, dtype=np.int64)
     source = np.empty(cap, dtype=np.int64)
-    failed = None  # slots whose channel misses final_le_min, once there is one
-    retained = []
+    # Each recruit's subtree is walked as rows of 2**t channels below the
+    # level n - t; a row's quota-meeting channels fill a slot range that
+    # starts at its recruit's slot plus the widths of the rows before it.
+    bits = _chunk_bits(_CHUNK_CHANNELS)
+    layouts = []
     for r, first_slot in zip(recruits, np.split(slots, np.cumsum(counts)[:-1])):
-        steps = n - r.level
-        # Expand to level n - t first, so that one node's 2**t channels fit
-        # in a chunk; the nodes of a chunk then share one squaring count.
-        t = min(steps, _CHUNK_CHANNELS.bit_length() - 1)
-        spread = steps - t
-        node_le, node_lr = extend_log_table(r.l_era, r.l_rel, spread)
-        above = _popcount(np.arange(1 << spread))
+        t = min(n - r.level, bits)
+        above = _popcount(np.arange(1 << (n - r.level - t)))
         widths = np.array([_quota_count(t, quota - h) for h in above.tolist()])
-        node_slot = (first_slot[:, None] + np.cumsum(widths) - widths).ravel()
-        node_first = (
-            (r.members[:, None].astype(np.uint64) << np.uint64(spread))
-            + np.arange(1 << spread, dtype=np.uint64)
-        ).ravel() << np.uint64(t)
-        node_first += np.uint64(1)
-        sq_low = _popcount(np.arange(1 << t))
-        per_chunk = max(1, _CHUNK_CHANNELS >> t)
-        kept = 0
-        for c in range(0, node_le.size, per_chunk):
-            h = int(above[c % (1 << spread)])
-            cols = np.flatnonzero(sq_low + h >= quota)
-            if not cols.size:
-                continue
-            rows = min(per_chunk, node_le.size - c)
-            desc = _descendant_l_era(node_le[c : c + rows], node_lr[c : c + rows], t)
-            desc = desc.reshape(rows, 1 << t)
-            slot = node_slot[c : c + rows]
-            cuts = np.flatnonzero(np.diff(slot) != cols.size) + 1
-            for a, b in zip(np.r_[0, cuts], np.r_[cuts, rows]):
-                dst = slice(slot[a], slot[a] + (b - a) * cols.size)
-                shape = (b - a, cols.size)
-                np.take(
-                    desc[a:b], cols, axis=1, mode="clip", out=l_era[dst].reshape(shape)
-                )
-                np.add(
-                    node_first[c + a : c + b, None], cols.astype(np.uint64),
-                    out=indices[dst].reshape(shape),
-                )
-                squarings[dst].reshape(shape)[...] = sq_low[cols] + h
-                source[dst] = r.level
-                kept += shape[0] * shape[1]
-                if final_le_min is not None:
-                    missed = ~(l_era[dst] >= final_le_min)
-                    if missed.any():
-                        if failed is None:
-                            failed = np.zeros(cap, dtype=bool)
-                        failed[dst] = missed
-                        kept -= int(np.count_nonzero(missed))
-        retained.append(kept)
+        layouts.append((r, t, above, first_slot, np.cumsum(widths) - widths))
+    sq_low = _popcount(np.arange(1 << max(t for _, t, *_ in layouts)))
+
+    def train(g, a, b, desc):
+        r, t, above, first_slot, row_slot = layouts[g]
+        rows = np.arange(a, b)
+        owner, path = rows >> (n - r.level - t), rows & (above.size - 1)
+        h = int(above[path[0]])  # the rows of a chunk share their path's count
+        cols = np.flatnonzero(sq_low[: 1 << t] + h >= quota)
+        slot = first_slot[owner] + row_slot[path]
+        first = (r.members[owner].astype(np.uint64) << np.uint64(n - r.level)) + (
+            path.astype(np.uint64) << np.uint64(t)
+        )
+        first += np.uint64(1)
+        kept, misses = 0, []
+        cuts = np.flatnonzero(np.diff(slot) != cols.size) + 1
+        for c, d in zip(np.r_[0, cuts], np.r_[cuts, rows.size]):
+            dst = slice(slot[c], slot[c] + (d - c) * cols.size)
+            shape = (d - c, cols.size)
+            np.take(desc[c:d], cols, axis=1, mode="clip", out=l_era[dst].reshape(shape))
+            np.add(first[c:d, None], cols.astype(np.uint64), out=indices[dst].reshape(shape))
+            squarings[dst].reshape(shape)[...] = sq_low[cols] + h
+            source[dst] = r.level
+            kept += shape[0] * shape[1]
+            if final_le_min is not None:
+                missed = np.flatnonzero(~(l_era[dst] >= final_le_min))
+                if missed.size:
+                    misses.append(missed + dst.start)
+                    kept -= missed.size
+        return kept, misses
+
+    groups = [(r.l_era, r.l_rel, n - r.level) for r in recruits]
+    trained = _walk_subtrees(groups, bits, train, quota=quota)
+    retained = [sum(kept for kept, _ in chunks) for chunks in trained]
+    missed = [lost for chunks in trained for _, misses in chunks for lost in misses]
+    del trained
     columns = dict(indices=indices, l_era=l_era, squaring_count=squarings, source_pocket=source)
-    if failed is not None:
-        passed = ~failed
-        del indices, l_era, squarings, source, failed  # so each copy frees its original
+    if missed:
+        passed = np.ones(cap, dtype=bool)
+        for lost in missed:
+            passed[lost] = False
+        del indices, l_era, squarings, source, missed  # so each copy frees its original
         for name, column in columns.items():
             columns[name] = column[passed]
     return columns, retained

@@ -22,11 +22,12 @@ import contextlib
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_memory
+from .errors import _check_memory, _worker_count
 
 LN2 = math.log(2.0)
 
@@ -38,9 +39,10 @@ COMPLEMENT_CUTOFF = 40.0
 # smallest subnormal and ties to even), so 1 - 2**-x is exactly 1.
 _UNDERFLOW_BITS = 1075.0
 
-# Most level-n channels expanded at once: one prefix subtree of a table
-# build, or one piece of a larger recruit subtree in the multi-pocket train
-# phase.  A power of two, at least 2.
+# Most target-level channels that the chunks of one subtree walk hold at
+# once, over all its workers: prefix subtrees of a table build, or pieces of
+# the recruit subtrees in the multi-pocket train phase.  A power of two, at
+# least 2.
 _CHUNK_CHANNELS = 1 << 20
 
 CACHE_MAGIC = b"PLZT"
@@ -107,14 +109,6 @@ def extend_log_table(
     return le, lr
 
 
-def _descendant_l_era(l_era: np.ndarray, l_rel: np.ndarray, steps: int) -> np.ndarray:
-    """The l_era half of extend_log_table, skipping the last step's l_rel."""
-    if steps == 0:
-        return np.asarray(l_era, dtype=np.float64)
-    le, lr = extend_log_table(l_era, l_rel, steps - 1)
-    return _children(le, lr, with_rel=False)[0]
-
-
 def _children(
     le: np.ndarray,
     lr: np.ndarray,
@@ -137,32 +131,117 @@ def _children(
     return nle, nlr
 
 
+def _chunk_bits(chunk: int) -> int:
+    """log2 of the channels a walk chunk holds: the largest power of two in
+    one worker's share of chunk, so that the chunks on every worker together
+    hold at most chunk channels."""
+    return max(1, chunk // _worker_count()).bit_length() - 1
+
+
+def _walk_subtrees(groups, bits: int, visit=None, *, quota: int = 0, out=None) -> list[list]:
+    """Expand groups of nodes to their descendants, a chunk at a time, on
+    up to two threads.
+
+    groups holds (l_era, l_rel, steps) triples.  A group's nodes are first
+    expanded s = steps - t levels at once, t = min(steps, bits); each of
+    those level-s rows then roots a subtree of 2**t channels.  A chunk is a
+    run of rows in index order whose subtrees hold at most 2**bits channels
+    together (one row where s > 0).  A row is skipped where no channel of
+    its subtree can have `quota` better steps below the group's node.
+    Chunks run on _worker_count() threads, the calling thread among them,
+    and each writes only its own channels:
+
+    - out, when given, is two columns holding every group's descendants end
+      to end, and a chunk's last doubling writes straight into its slice;
+    - visit(g, a, b, le), when given, gets rows a..b-1 of group g and their
+      descendants' l_era as a (b - a, 2**t) array (without out, the last
+      step's l_rel is not computed).
+
+    Returns the visit results of each group, in chunk order.  A worker's
+    error is raised here once every thread has stopped.
+    """
+    plans, chunks = [], []
+    offset = 0
+    for g, (le, lr, steps) in enumerate(groups):
+        t = min(steps, bits)
+        le, lr = extend_log_table(le, lr, steps - t)
+        plans.append((le, lr, t, offset))
+        offset += le.size << t
+        rows = 1 << (bits - t)
+        for a in range(0, le.size, rows):
+            # a chunk of many rows lies at s = 0, where every row counts 0
+            if (a & ((1 << (steps - t)) - 1)).bit_count() + t >= quota:
+                chunks.append((g, a, min(a + rows, le.size)))
+
+    def expand(g, a, b):
+        le, lr, t, first = plans[g]
+        le, lr = le[a:b], lr[a:b]
+        dst = None if out is None else [c[first + (a << t) : first + (b << t)] for c in out]
+        if t:
+            le, lr = _children(
+                *extend_log_table(le, lr, t - 1), with_rel=out is not None, out=dst
+            )
+        elif dst is not None:
+            dst[0][...], dst[1][...] = le, lr
+        return None if visit is None else visit(g, a, b, le.reshape(b - a, 1 << t))
+
+    done = [None] * len(chunks)
+    # a helper thread is started only for a full chunk of its own
+    workers = min(_worker_count(), offset >> bits)
+    if workers < 2:
+        for k, chunk in enumerate(chunks):
+            done[k] = expand(*chunk)
+    else:
+        # Each worker takes the next chunk when it is free, so at most one
+        # chunk per worker is live; after an error no worker takes another.
+        from concurrent.futures import ThreadPoolExecutor
+
+        lock = threading.Lock()
+        pending = iter(range(len(chunks)))
+        stop = False
+
+        def work():
+            nonlocal stop
+            try:
+                while not stop:
+                    with lock:
+                        k = next(pending, None)
+                    if k is None:
+                        return
+                    done[k] = expand(*chunks[k])
+            except BaseException:
+                stop = True
+                raise
+
+        with ThreadPoolExecutor(workers - 1) as pool:  # shut down on any exit
+            helpers = [pool.submit(work) for _ in range(workers - 1)]
+            work()
+        for helper in helpers:
+            helper.result()  # re-raises a helper's error
+    results = [[] for _ in plans]
+    for (g, _, _), value in zip(chunks, done):
+        results[g].append(value)
+    return results
+
+
 def level_log_table(root: RootChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Materialize (l_era, l_rel) for all level-n channels in index order.
 
-    Past _CHUNK_CHANNELS channels the table is built one prefix subtree at
-    a time into columns allocated once: each subtree's last doubling writes
-    straight into its slice, so the build holds one chunk's temporaries
-    beside its output.
+    The two columns are allocated once and filled by _walk_subtrees, one
+    prefix subtree a chunk, each chunk's last doubling written straight
+    into its slice; so the build holds the chunks' temporaries beside its
+    output.
     """
     if not 0 <= n < 64:
         raise ValueError(f"level {n} is outside [0, 64): channel indices are 64-bit")
-    # both columns, and at most 32 bytes a channel of one chunk's temporaries
+    # both columns, and at most 32 bytes a channel of the chunks' temporaries
     _check_memory(16 * (1 << n) + 32 * min(1 << n, _CHUNK_CHANNELS), f"the level-{n} table")
     l_era = math.inf if root.z0 == 0.0 else -math.log2(root.z0)
     l_rel = math.inf if root.z0 == 1.0 else -math.log1p(-root.z0) / LN2
-    steps = min(n, _CHUNK_CHANNELS.bit_length() - 1)
-    prefix_le, prefix_lr = extend_log_table(np.array([l_era]), np.array([l_rel]), n - steps)
-    if prefix_le.size == 1:
-        return extend_log_table(prefix_le, prefix_lr, steps)
-    out_le = np.empty(1 << n)
-    out_lr = np.empty(1 << n)
-    span = 1 << steps
-    for k in range(prefix_le.size):
-        le, lr = extend_log_table(prefix_le[k : k + 1], prefix_lr[k : k + 1], steps - 1)
-        part = slice(k * span, (k + 1) * span)
-        _children(le, lr, out=(out_le[part], out_lr[part]))
-    return out_le, out_lr
+    out = np.empty(1 << n), np.empty(1 << n)
+    root_node = (np.array([l_era]), np.array([l_rel]), n)
+    _walk_subtrees([root_node], _chunk_bits(_CHUNK_CHANNELS), out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the memory check behind one."""
+"""Exception types shared across the toolkit, the memory check behind one,
+and the worker-count rule of the threaded steps."""
 
 import os
 
@@ -29,6 +30,20 @@ class EmptyCodeError(PolarBECError):
 
 class DecodingInconsistencyError(PolarBECError):
     """A resolved message contradicts a known value; indicates a harness bug."""
+
+
+# threads that one threaded step runs on at most; more were not measured
+_MAX_WORKERS = 2
+
+
+def _worker_count() -> int:
+    """Threads a threaded step may use: one per CPU in the process's affinity
+    mask, at most _MAX_WORKERS."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
 
 
 def _memory_budget() -> int:

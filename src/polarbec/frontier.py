@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criterion import binary_entropy, binary_entropy_inv, golden_section_max
+from .criterion import _entropy_inside, binary_entropy, binary_entropy_inv, golden_section_max
 from .errors import _check_memory
 
 # Proxy for "no constraint on the gap exponent" when sweeping 1/mu_p to 0.
@@ -107,7 +107,11 @@ class RegionQuery:
 
 def _entropy_term(args):
     # Arguments above 1 leave H2's domain; penalize linearly so the
-    # condition stays total and monotone in beta_p.
+    # condition stays total and monotone in beta_p.  Inside (0, 1) H2 needs
+    # no domain check; an argument of 0 (beta_p = 0) or 1 takes the checked
+    # binary_entropy, which gives it the limit value 0.
+    if np.all((args > 0.0) & (args < 1.0)):
+        return _entropy_inside(args)
     return np.where(args > 1.0, args, binary_entropy(np.minimum(args, 1.0)))
 
 

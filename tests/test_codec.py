@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ChannelPath, channel_erasure, polarize_prob
 
-from polarbec import codec, construction as co, erasure as er
+from polarbec import codec, construction as co, erasure as er, errors
 from polarbec.errors import DecodingInconsistencyError, LevelTooLargeError
 
 LEVEL3_HALF = [
@@ -428,7 +428,7 @@ def test_simulate_independent_of_chunks_and_workers(n, monkeypatch):
         batch: codec.simulate(spec, root, 1000, seed=99, batch=batch)
         for batch in (333, 1000)
     }
-    monkeypatch.setattr(codec, "_MAX_WORKERS", 3)
+    monkeypatch.setattr(errors, "_MAX_WORKERS", 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -437,7 +437,7 @@ def test_simulate_independent_of_chunks_and_workers(n, monkeypatch):
             for cpus in (1, 3):
                 mask = set(range(cpus))
                 monkeypatch.setattr(
-                    codec.os, "sched_getaffinity", lambda pid, m=mask: m, raising=False
+                    errors.os, "sched_getaffinity", lambda pid, m=mask: m, raising=False
                 )
                 for batch, ref in want.items():
                     got = codec.simulate(spec, root, 1000, seed=99, batch=batch)
@@ -458,11 +458,11 @@ def test_simulate_more_cpus_never_refuse(monkeypatch):
 
     def run(cpus, budget=None):
         monkeypatch.setattr(
-            codec.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+            errors.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
         )
         if budget is not None:
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * budget}
-            monkeypatch.setattr(codec.os, "sysconf", pages.__getitem__)
+            monkeypatch.setattr(errors.os, "sysconf", pages.__getitem__)
         got = codec.simulate(spec, root, 4096, seed=5)
         return got.block_errors, got.batches
 

@@ -206,12 +206,14 @@ def test_union_bound_by_small_chunks_is_the_correctly_rounded_sum(monkeypatch):
         assert co.union_bound(_spec_with_l_era(l_era)) == _fsum_union_bound(l_era)
 
 
-def _traced_needs(monkeypatch, build):
+def _traced_needs(monkeypatch, workers, build):
     """Run build under tracemalloc: every _check_memory need, and the peak.
 
     Chunks of 2**12 channels keep the estimates' chunk allowance (192 KiB)
-    small beside their per-channel terms, which the peak then tests.
+    small beside their per-channel terms, which the peak then tests.  Two
+    workers are forced, so the peak holds both workers' chunks on any host.
     """
+    workers(2)
     needs = []
     for module in (co, er):
         monkeypatch.setattr(module, "_check_memory", lambda need, what: needs.append(need))
@@ -243,15 +245,42 @@ def _traced_needs(monkeypatch, build):
     ids=["rate-half", "rate-one", "budget", "budget-all-ties", "mp16", "mp18-low-beta",
          "mp18-filter-drops", "mp18-recruit-level-17"],
 )
-def test_memory_estimates_cover_the_traced_peak(monkeypatch, build):
+def test_memory_estimates_cover_the_traced_peak(monkeypatch, workers, build):
     # A plan runs only when every estimate fits the budget, so the largest
     # one must cover the whole call: the table or recruit scan, the
     # selection or training, the final filter and the union bound.
-    needs, peak = _traced_needs(monkeypatch, build)
+    needs, peak = _traced_needs(monkeypatch, workers, build)
     assert max(needs) >= peak, (needs, peak)
 
 
-def test_recruit_estimate_covers_the_recruit_scan(monkeypatch):
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(n=16, beta_p=0.25),
+        dict(n=18, beta_p=0.10),
+        dict(n=18, beta_p=0.30, p_ub=0.99, levels=[3]),
+        dict(n=18, beta_p=0.0, p_ub=0.99, levels=[6, 17]),
+        dict(n=12, beta_p=0.10, p_ub=0.9, levels=[3, 5, 7]),
+    ],
+    ids=["mp16", "mp18-low-beta", "mp18-filter-drops", "mp18-recruit-level-17",
+         "mp12-three-pockets"],
+)
+def test_multipocket_is_the_same_for_any_worker_count(monkeypatch, workers, short_switch, config):
+    # With 2**10-channel chunks every pocket splits into many chunks, which
+    # 1, 2 or 3 workers take in whatever order their threads run; the final
+    # filter drops channels in mp18-filter-drops.
+    monkeypatch.setattr(co, "_CHUNK_CHANNELS", 1 << 10)
+    build = functools.partial(co.construct_multipocket, er.RootChannel(0.5), mu_p=8.0, mu_star=3.8)
+    workers(1)
+    want, want_report = build(**config)
+    for count in (2, 3):
+        workers(count)
+        spec, report = build(**config)
+        assert spec == want and report == want_report
+        assert np.array_equal(spec.l_era.view(np.uint64), want.l_era.view(np.uint64))
+
+
+def test_recruit_estimate_covers_the_recruit_scan(monkeypatch, workers):
     # levels [16] puts 2**16 channels in the recruit table and recruits
     # about half of them, one slot each; the scan ends where training starts.
     peaks = []
@@ -265,7 +294,7 @@ def test_recruit_estimate_covers_the_recruit_scan(monkeypatch):
     build = functools.partial(
         co.construct_multipocket, er.RootChannel(0.5), 16, 0.0, 8.0, 3.8, p_ub=0.9, levels=[16]
     )
-    needs, peak = _traced_needs(monkeypatch, build)
+    needs, peak = _traced_needs(monkeypatch, workers, build)
     assert needs[0] == 64 << 16 and needs[0] >= peaks[0]
     assert needs[-1] >= peak  # the code's estimate, checked last
 

@@ -8,6 +8,7 @@ stated inline.
 import math
 import os
 import struct
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -126,9 +127,51 @@ def test_table_by_prefix_subtree_is_the_one_shot_table(monkeypatch, z0, n):
     assert _same_bits(le, want_le) and _same_bits(lr, want_lr)
 
 
-def test_table_build_holds_two_chunks_beside_its_output():
-    # Two levels above the chunk size the build takes 4 prefix subtrees; a
-    # one-shot build peaks at 2.8 times its output.
+@pytest.mark.parametrize("z0", [0.0, 0.3, 0.5, 1.0])
+def test_table_is_the_same_for_any_worker_count(monkeypatch, workers, short_switch, z0):
+    # With 2**4-channel chunks, level 9 is built from 32, 64 or 128 prefix
+    # subtrees by 1, 2 or 3 workers, in whatever order their threads run.
+    monkeypatch.setattr(er, "_CHUNK_CHANNELS", 1 << 4)
+    root = er.RootChannel(z0)
+    want_le, want_lr = er.extend_log_table(*er.level_log_table(root, 0), 9)
+    for count in (1, 2, 3):
+        workers(count)
+        le, lr = er.level_log_table(root, 9)
+        assert _same_bits(le, want_le) and _same_bits(lr, want_lr)
+
+
+@pytest.mark.parametrize("failing", ["calling thread", "helper thread"])
+def test_walk_raises_a_worker_error_and_leaves_no_thread(workers, failing):
+    # Each worker waits at its first chunk until the other holds one too;
+    # then the failing one raises, while the other sleeps a millisecond a
+    # chunk.  The other takes no chunk after the error, and the error
+    # reaches the caller only after every helper thread has ended.
+    workers(2)
+    both_hold_a_chunk = threading.Barrier(2, timeout=60)
+    visited = []
+
+    def visit(g, a, b, le):
+        me = threading.current_thread()
+        if me not in visited:
+            both_hold_a_chunk.wait()
+        visited.append(me)
+        if (me is threading.main_thread()) == (failing == "calling thread"):
+            raise LevelTooLargeError("a chunk is over the budget")
+        time.sleep(1e-3)
+
+    nodes = (np.ones(64), np.ones(64), 4)  # 128 chunks of 8 channels
+    threads = threading.active_count()
+    with pytest.raises(LevelTooLargeError, match="a chunk is over the budget"):
+        er._walk_subtrees([nodes], 3, visit)
+    assert threading.active_count() == threads
+    assert len(visited) < 10
+
+
+def test_table_build_holds_two_chunks_beside_its_output(workers):
+    # Two levels above the chunk size the build takes 8 prefix subtrees on
+    # two workers, each half a chunk; a one-shot build peaks at 2.8 times
+    # its output.
+    workers(2)
     n = er._CHUNK_CHANNELS.bit_length() + 1
     tracemalloc.start()
     try:
