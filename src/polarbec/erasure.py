@@ -149,7 +149,8 @@ def _walk_subtrees(groups, bits: int, visit=None, *, quota: int = 0, out=None) -
     together (one row where s > 0).  A row is skipped where no channel of
     its subtree can have `quota` better steps below the group's node.
     Chunks run on _worker_count() threads, the calling thread among them,
-    and each writes only its own channels:
+    but on no more threads than the walk holds full chunks; each writes
+    only its own channels:
 
     - out, when given, is two columns holding every group's descendants end
       to end, and a chunk's last doubling writes straight into its slice;
@@ -186,7 +187,8 @@ def _walk_subtrees(groups, bits: int, visit=None, *, quota: int = 0, out=None) -
         return None if visit is None else visit(g, a, b, le.reshape(b - a, 1 << t))
 
     done = [None] * len(chunks)
-    # a helper thread is started only for a full chunk of its own
+    # A helper thread is started only for a full chunk of its own: its
+    # start and the interpreter lock cost more than it saves on less.
     workers = min(_worker_count(), offset >> bits)
     if workers < 2:
         for k, chunk in enumerate(chunks):
