@@ -3,7 +3,6 @@
 import functools
 import itertools
 import math
-import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -415,12 +414,12 @@ def test_simulate_follows_documented_stream(n, z0, trials):
 
 
 @pytest.mark.parametrize("n", [1, 5])
-def test_simulate_independent_of_chunks_and_workers(n, monkeypatch):
+def test_simulate_independent_of_chunks_and_workers(n, monkeypatch, workers, short_switch):
     # Budgets of 1, 2, 3, 8 and 24 bytes of 8 trials give chunks of 8, 16
     # and 16 trials (within a word), 64 (one word) and 192 (three words).
     # A trial draws 32 raw words at n = 5, and 4 at n = 1, where it uses 2.
-    # Three workers (over the cap, and more than a 2-CPU host has) with a
-    # short switch interval stress the disjoint writes.
+    # Three workers (over the default cap, and more than a 2-CPU host has)
+    # with a short switch interval stress the disjoint writes.
     raw_per_trial = 4 * -(-(1 << n) // 4)
     root = er.RootChannel(0.45)
     spec = co.select_classical(root, n, rate=0.5)
@@ -428,22 +427,13 @@ def test_simulate_independent_of_chunks_and_workers(n, monkeypatch):
         batch: codec.simulate(spec, root, 1000, seed=99, batch=batch)
         for batch in (333, 1000)
     }
-    monkeypatch.setattr(errors, "_MAX_WORKERS", 3)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for per_byte in (1, 2, 3, 8, 24):
-            monkeypatch.setattr(codec, "_DRAW_WORDS", 8 * per_byte * raw_per_trial)
-            for cpus in (1, 3):
-                mask = set(range(cpus))
-                monkeypatch.setattr(
-                    errors.os, "sched_getaffinity", lambda pid, m=mask: m, raising=False
-                )
-                for batch, ref in want.items():
-                    got = codec.simulate(spec, root, 1000, seed=99, batch=batch)
-                    assert (got.block_errors, got.batches) == (ref.block_errors, ref.batches)
-    finally:
-        sys.setswitchinterval(interval)
+    for per_byte in (1, 2, 3, 8, 24):
+        monkeypatch.setattr(codec, "_DRAW_WORDS", 8 * per_byte * raw_per_trial)
+        for count in (1, 3):
+            workers(count)
+            for batch, ref in want.items():
+                got = codec.simulate(spec, root, 1000, seed=99, batch=batch)
+                assert (got.block_errors, got.batches) == (ref.block_errors, ref.batches)
     assert 0 < want[1000].block_errors < 1000
 
 
