@@ -87,10 +87,11 @@ def resolve_config(sub: str, args: argparse.Namespace) -> dict:
     """Merge the table's defaults, the optional config file, and explicit flags.
 
     Flag text and config-file values pass through the same per-option type;
-    null is accepted only where the default is None.
+    null is accepted only where the default is None.  An option tagged with
+    modes may be given only when the mode option names one of them.
     """
     _, _, options = SUBCOMMANDS[sub]
-    merged = {key: default for key, default, _, _ in options}
+    merged = {key: default for key, default, *_ in options}
     given = {}
     if args.config is not None:
         with open(args.config) as fh:
@@ -101,13 +102,20 @@ def resolve_config(sub: str, args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys for {sub}: {', '.join(unknown)}")
     given.update({key: v for key in merged if (v := getattr(args, key)) is not None})
-    for key, default, kind, _ in options:
+    for key, default, kind, _, *_ in options:
         if key not in given or (given[key] is None and default is None):
             continue
         try:
             merged[key] = kind(given[key])
         except (ValueError, OverflowError) as exc:  # float() of a huge JSON int
             raise ValueError(f"{sub} option {key}: {exc}") from None
+    # only an option given explicitly, never a default, can be one too many
+    for key, _, _, _, *modes in options:
+        if modes and given.get(key) is not None and merged["mode"] not in modes[0]:
+            raise ValueError(
+                f"{sub} option {key} is read only in {' or '.join(modes[0])} mode,"
+                f" not in {merged['mode']} mode"
+            )
     return merged
 
 
@@ -331,8 +339,11 @@ def cmd_corollaries(config: dict) -> dict:
     return report.as_dict()
 
 
-# Per subcommand: handler, help line, and (key, default, type, help) rows.
+# Per subcommand: handler, help line, and (key, default, type, help) rows,
+# with the modes that read the option appended where only some modes do.
 # Each key is also the flag --key (with _ written as -) and the config key.
+MULTIPOCKET, CLASSICAL = ("multipocket",), ("classical",)
+
 SUBCOMMANDS = {
     "criterion": (cmd_criterion, "sup-ratio check for a candidate h and the implied mu*", (
         ("alpha", 0.64, _real, "power-family exponent"),
@@ -353,15 +364,16 @@ SUBCOMMANDS = {
         ("mode", "multipocket", _text, "multipocket or classical"),
         ("n", 16, _integer, "level, block length 2**n"),
         ("z0", 0.5, _real, "channel erasure rate"),
-        ("beta_p", 0.30, _real, "target error exponent"),
-        ("mu_p", 8.0, _real, "target gap exponent"),
-        ("mu_star", 3.8, _real, "criterion exponent"),
-        ("pockets", 8, _integer, "pocket count D"),
-        ("p_ub", 2.0 ** -10, _real, "recruit tail budget"),
-        ("levels", None, _int_list, "explicit pocket levels, e.g. 2,4,6,8"),
-        ("level_fractions", None, _float_list, "pocket levels as fractions of n, e.g. 0.7,0.9"),
-        ("rate", None, _real, "classical mode: target rate"),
-        ("budget", None, _real, "classical mode: union-bound budget"),
+        ("beta_p", 0.30, _real, "target error exponent", MULTIPOCKET),
+        ("mu_p", 8.0, _real, "target gap exponent", MULTIPOCKET),
+        ("mu_star", 3.8, _real, "criterion exponent", MULTIPOCKET),
+        ("pockets", 8, _integer, "pocket count D", MULTIPOCKET),
+        ("p_ub", 2.0 ** -10, _real, "recruit tail budget", MULTIPOCKET),
+        ("levels", None, _int_list, "explicit pocket levels, e.g. 2,4,6,8", MULTIPOCKET),
+        ("level_fractions", None, _float_list, "pocket levels as fractions of n, e.g. 0.7,0.9",
+         MULTIPOCKET),
+        ("rate", None, _real, "classical mode: target rate", CLASSICAL),
+        ("budget", None, _real, "classical mode: union-bound budget", CLASSICAL),
         ("code_out", None, _text, "write the selected channel file here"),
     )),
     "frontier": (cmd_frontier, "trace the achievable (beta', 1/mu') boundary", (
@@ -396,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = subs.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON file with defaults for this subcommand")
         sp.add_argument("--output", help="write the JSON report here instead of stdout")
-        for key, default, _, text in options:
+        for key, default, _, text, *_ in options:
             suffix = "" if default is None else f" (default {default})"
             sp.add_argument("--" + key.replace("_", "-"), dest=key, help=text + suffix)
     return parser

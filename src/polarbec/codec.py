@@ -11,7 +11,10 @@ the erasure pattern alone.  simulate() exploits that through a vectorized
 resolution profile, bit-sliced over 64 trials per uint64 word, fed by one
 counter-based Philox stream that each chunk of trials opens at its first
 trial, on up to two threads (its docstring states the stream, which
-replaced one Philox keyed per trial).  exact_block_error() deliberately
+replaced one Philox keyed per trial).  Each batch is profiled in slabs of
+whole 64-trial word rows, about 2**19 words or one row, and a chunk reads
+its stream in pieces of about 2**16 raw words, so the memory a run holds
+depends on n alone, not on the batch.  exact_block_error() deliberately
 does not, running the actual message-passing decoder on every
 pattern so the two stay independent; it memoizes subtree outcomes for one
 enumeration by (known, value, width, base), never the root's.
@@ -40,8 +43,12 @@ WILSON_Z95 = 1.959963984540054
 # exact_block_error enumerates 2**(2**n) patterns
 EXACT_ENUM_MAX_LEVEL = 4
 
-# raw Philox words a simulate chunk draws at most, unless 8 trials need more
+# raw Philox words one simulate chunk reads at most, unless 8 trials need more
 _DRAW_WORDS = 1 << 19
+# words of the bit-sliced table profiled at once, unless one row needs more
+_SLAB_WORDS = 1 << 19
+# raw Philox words drawn and compared at once
+_PIECE_WORDS = 1 << 16
 
 
 def _as_bits(seq, what: str) -> np.ndarray:
@@ -291,7 +298,8 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z95) -> tuple[fl
 
 @dataclass(frozen=True)
 class SimResult:
-    """Monte-Carlo tally; batches holds (errors, trials) per processed chunk."""
+    """Monte-Carlo tally; batches holds (errors, trials) per batch of trials,
+    in trial order: the rows of simulate's CSV."""
 
     trials: int
     block_errors: int
@@ -310,31 +318,53 @@ class SimResult:
         return wilson_interval(self.block_errors, self.trials)
 
 
-def _draw_chunk(
-    planes: np.ndarray, seed: int, threshold: np.uint64, first: int, lo: int, rows: int
-) -> None:
-    """Draw trials first .. first + rows - 1 into the batch's byte planes.
+def _piece_shape(stride: int) -> tuple[int, int]:
+    """Trials one draw piece holds, and raw words it reads of each, for
+    trials of stride raw words.
 
-    planes[w, b, i] is byte b of the batch's word w at position i; its bit r
-    is trial 8 * (8 * w + b) + r of the batch, and lo is the batch offset of
+    Whole trials where they fit: a multiple of 8, or a power of two below 8,
+    so that a piece's trials fill whole byte rows or share one.  Else one
+    trial, read _PIECE_WORDS words (one 4-word Philox block at least) at a
+    time.
+    """
+    per_piece = max(1, _PIECE_WORDS // stride)
+    return per_piece & -8 or 1 << per_piece.bit_length() - 1, min(stride, max(_PIECE_WORDS, 4))
+
+
+def _draw_chunk(
+    planes: np.ndarray, seed: int, limit: np.uint64 | None, first: int, lo: int, rows: int
+) -> None:
+    """Draw trials first .. first + rows - 1 into the slab's byte planes.
+
+    planes[w, b, i] is byte b of the slab's word w at position i; its bit r
+    is trial 8 * (8 * w + b) + r of the slab, and lo is the slab offset of
     trial first.  Trial t reads the stream simulate() documents, from
-    counter t * B.  The chunk's buffers are private and it writes only its
-    own bytes, so chunks may run on parallel threads.
+    counter t * B, in the pieces that _piece_shape() sets.  Position i is known
+    where its raw word is at least limit; limit None (z0 = 1) erases every
+    position, so nothing is drawn.  The chunk's buffers are private and it
+    writes only its own bytes, so chunks may run on parallel threads.
     """
     size = planes.shape[2]
-    blocks = -(-size // 4)
-    bitgen = np.random.Philox(key=seed, counter=first * blocks)
-    raw = bitgen.random_raw(rows * 4 * blocks).reshape(rows, -1)[:, :size]
-    raw >>= np.uint64(11)
-    known = np.empty((-(-rows // 8) * 8, size), dtype=bool)
-    known[rows:] = False
-    np.greater_equal(raw, threshold, out=known[:rows])
-    del raw
-    # eight contiguous rows make one byte row, row r in bit r
-    bits = known.view(np.uint8).reshape(-1, 8, size)
-    packed = bits[:, 0].copy()
-    for r in range(1, 8):
-        packed |= bits[:, r] << r
+    stride = 4 * -(-size // 4)  # raw words a trial reads
+    # byte row k holds trials 8k .. 8k + 7 of the chunk, trial 8k + r in bit r
+    packed = np.zeros((-(-rows // 8), size), dtype=np.uint8)
+    if limit is not None:
+        bitgen = np.random.Philox(key=seed, counter=first * stride // 4)
+        per_piece, width = _piece_shape(stride)
+        group = min(per_piece, 8)  # trials of a piece that share a byte row
+        for t in range(0, rows, per_piece):
+            count = min(per_piece, rows - t)
+            shifts = np.arange(t % 8, t % 8 + group, dtype=np.uint8)[:, None]
+            for i in range(0, stride, width):
+                raw = bitgen.random_raw(count * min(width, stride - i)).reshape(count, -1)
+                used = min(raw.shape[1], size - i)  # n <= 1 uses part of a block
+                known = np.zeros((-(-count // group) * group, used), dtype=bool)
+                np.greater_equal(raw[:, :used], limit, out=known[:count])
+                del raw
+                bits = known.view(np.uint8).reshape(-1, group, used)
+                bits <<= shifts
+                k = t // 8
+                packed[k : k + len(bits), i : i + used] |= np.bitwise_or.reduce(bits, axis=1)
     w, b = divmod(lo // 8, 8)
     full, tail = divmod(len(packed), 8)
     planes[w : w + full] = packed[: 8 * full].reshape(full, 8, size)
@@ -354,13 +384,17 @@ def simulate(
     Trial t reads the 4*B raw words of np.random.Philox(key=seed,
     counter=t*B), with B = ceil(2**n / 4), and uses the first 2**n of them:
     position i is erased iff (raw[i] >> 11) < ceil(z0 * 2**53), which is
-    Generator.random() < z0 bit for bit.  Each batch is cut into chunks of
-    at most about 2**19 raw words, and each chunk opens that stream at its
-    first trial, so the tally is independent of batch, chunk size and
-    worker count.  Chunks are drawn on one thread per CPU in the process's
-    affinity mask, at most two, and fewer where the memory budget cannot
-    hold their buffers.  This chunked stream replaced one Philox keyed per
-    trial, so tallies for a given seed differ from that earlier stream's.
+    Generator.random() < z0 bit for bit.  Each batch is profiled in slabs
+    of whole 64-trial word rows, at most about 2**19 words or one row.  A
+    slab is cut into chunks of at most about 2**19 raw words, and each
+    chunk opens that stream at its first trial and reads it in pieces of at
+    most about 2**16 raw words, so the tally is independent of batch, slab,
+    chunk and piece size and worker count, and the memory held is
+    independent of batch.  Chunks are drawn on one thread per CPU in the
+    process's affinity mask, at most two, and fewer where the memory budget
+    cannot hold their buffers.  This chunked stream replaced one Philox
+    keyed per trial, so tallies for a given seed differ from that earlier
+    stream's.
 
     Failures are detected with the resolution profile, which agrees with
     sc_decode_bec by construction (and by test), run bit-sliced on 64
@@ -373,61 +407,77 @@ def simulate(
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     size = 1 << spec.n
-    blocks = -(-size // 4)  # Philox counter steps per trial, four raw words each
+    stride = 4 * -(-size // 4)  # raw words a trial reads, four per Philox counter step
     # A chunk is a power-of-two share of a word or a whole number of words,
-    # so it never straddles a word.
-    per_byte = max(1, _DRAW_WORDS // (32 * blocks))
+    # so it never straddles a word; slabs are whole words, and their chunks
+    # are cut from each slab's start, so no chunk straddles a slab either.
+    per_byte = max(1, _DRAW_WORDS // (8 * stride))
     chunk = 64 * (per_byte // 8) or 8 << per_byte.bit_length() - 1
     first = min(batch, trials)
-    batch_words = -(-first // 64)
-    # The word table and the larger of the info gather and the profile's half
-    # table; beside them three chunks per worker (raw draws and the known
-    # mask, packed bytes and a shift temporary), because a worker's freed
-    # buffers stay in its malloc arena while the profile runs (measured up
-    # to about 2.3 chunks).  Workers the budget cannot hold are dropped, so
-    # more CPUs never refuse a run that one CPU would take.
-    rows = min(chunk, first)
-    table = 8 * batch_words * size
-    per_worker = 3 * (32 * rows * blocks + 10 * -(-rows // 8) * size)
-    base = table + max(table // 2, 8 * batch_words * len(spec))
+    slab = min(-(-first // 64), max(1, _SLAB_WORDS // size))  # word rows profiled at once
+    span = min(first, 64 * slab)
+    rows = min(chunk, span)
+    # info positions whose rows are gathered at once by the failure reduction
+    cols = max(1, _PIECE_WORDS // slab)
+    # The slab's word table and the larger of the profile's half table and
+    # the failure reduction (its gather, one index piece and two tally
+    # rows); beside them, per worker, three times its chunk's packed byte
+    # rows and one piece (raw words, their compare and its packed rows),
+    # because a worker's freed buffers stay in its malloc arena while the
+    # profile runs.  Workers the budget cannot hold are dropped, so more
+    # CPUs never refuse a run that one CPU would take.
+    table = 8 * slab * size
+    reduction = 8 * ((slab + 2) * min(cols, len(spec)) + 2 * slab)
+    per_piece, width = _piece_shape(stride)
+    piece = min(rows, per_piece) * width
+    per_worker = 3 * (-(-rows // 8) * size + 10 * piece)
+    base = table + max(table // 2, reduction)
     room = (_memory_budget() - base) // per_worker
-    workers = max(1, min(_worker_count(), -(-first // chunk), room))
+    workers = max(1, min(_worker_count(), -(-span // chunk), room))
     need = base + workers * per_worker
-    _check_memory(need, f"simulate at n={spec.n}, {64 * batch_words} trials a batch")
-    threshold = np.uint64(math.ceil(root.z0 * 2.0**53))
-    info_pos = spec.indices.astype(np.int64) - 1
+    _check_memory(need, f"simulate at n={spec.n}, {64 * slab} trials a slab")
+    # raw >> 11 >= T iff raw >= T << 11, which fits 64 bits unless T = 2**53
+    threshold = math.ceil(root.z0 * 2.0**53)
+    limit = np.uint64(threshold << 11) if threshold < 1 << 53 else None
     total = 0
     batches: list[tuple[int, int]] = []
     pool = None
     try:
         for start in range(0, trials, batch):
             count = min(batch, trials - start)
-            # bit r of words[w, i] is position i of trial start + 64 * w + r
-            words = np.zeros((-(-count // 64), size), dtype="<u8")
-            planes = words.view(np.uint8).reshape(*words.shape, 8).transpose(0, 2, 1)
-            chunks = [
-                (start + lo, lo, min(chunk, count - lo)) for lo in range(0, count, chunk)
-            ]
-            if len(chunks) > 1 and workers > 1:
-                if pool is None:
-                    from concurrent.futures import ThreadPoolExecutor
+            failures = 0
+            for lo in range(start, start + count, 64 * slab):
+                part = min(64 * slab, start + count - lo)
+                # bit r of words[w, i] is position i of trial lo + 64 * w + r
+                words = np.zeros((-(-part // 64), size), dtype="<u8")
+                planes = words.view(np.uint8).reshape(*words.shape, 8).transpose(0, 2, 1)
+                chunks = [
+                    (lo + c, c, min(chunk, part - c)) for c in range(0, part, chunk)
+                ]
+                if len(chunks) > 1 and workers > 1:
+                    if pool is None:
+                        from concurrent.futures import ThreadPoolExecutor
 
-                    pool = ThreadPoolExecutor(workers)
-                drawn = [pool.submit(_draw_chunk, planes, seed, threshold, *c) for c in chunks]
-                for future in drawn:
-                    future.result()  # re-raises a chunk's error
-            else:
-                for c in chunks:
-                    _draw_chunk(planes, seed, threshold, *c)
-            resolved = _resolution_profile(words)
-            # a trial fails where some info position is unresolved
-            failed = ~np.bitwise_and.reduce(resolved[:, info_pos], axis=1)
-            # bits past the batch's last trial are padding
-            failed[-1] &= np.uint64((1 << (count - 64 * (words.shape[0] - 1))) - 1)
-            failures = int(np.bitwise_count(failed).sum())
+                        pool = ThreadPoolExecutor(workers)
+                    drawn = [pool.submit(_draw_chunk, planes, seed, limit, *c) for c in chunks]
+                    for future in drawn:
+                        future.result()  # re-raises a chunk's error
+                else:
+                    for c in chunks:
+                        _draw_chunk(planes, seed, limit, *c)
+                resolved = _resolution_profile(words)
+                # a trial fails where some info position is unresolved
+                ok = np.full(len(words), np.iinfo(np.uint64).max, dtype=np.uint64)
+                for k in range(0, len(spec), cols):
+                    info_pos = spec.indices[k : k + cols].astype(np.int64) - 1
+                    ok &= np.bitwise_and.reduce(resolved[:, info_pos], axis=1)
+                failed = ~ok
+                # bits past the slab's last trial are padding
+                failed[-1] &= np.uint64((1 << (part - 64 * (len(words) - 1))) - 1)
+                failures += int(np.bitwise_count(failed).sum())
+                del words, planes, resolved  # free this slab before the next
             total += failures
             batches.append((failures, count))
-            del words, planes, resolved  # free this table before the next
     finally:
         if pool is not None:
             pool.shutdown()

@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from polarbec import errors
-from polarbec.cli import entrypoint
+from polarbec import codec, errors
+from polarbec.cli import SUBCOMMANDS, entrypoint
 from polarbec.erasure import RootChannel, cached_level_table
 
 
@@ -138,24 +138,30 @@ def _every_key_args(tmp_path):
     table = tmp_path / "h.csv"
     table.write_text("".join(f"{k / 64},{(k / 64) * (1 - k / 64)}\n" for k in range(65)))
     out = str(tmp_path / "side.csv")
-    return {
-        "criterion": {"alpha": 0.5, "h_table": str(table), "grid": 1000, "ratio_csv": out},
-        "mu-estimate": {"a": 0.02, "b": 0.98, "steps": 10, "grid": 4096, "z0": 0.5,
-                        "fit_fraction": 0.5, "iterates_csv": out},
-        "construct": {"mode": "classical", "n": 3, "z0": 0.4, "beta_p": 0.3, "mu_p": 8,
-                      "mu_star": 3.8, "pockets": 4, "p_ub": 0.001, "levels": [1, 2],
-                      "level_fractions": [0.5, 0.9], "rate": 0.5, "budget": None,
-                      "code_out": str(tmp_path / "c3.txt")},
-        "frontier": {"mu_star": 3.627, "samples": 3, "csv": out},
-        "simulate": {"code": str(code_file), "z0": 0.3, "trials": 64, "seed": 5,
-                     "batch": 32, "csv": out},
-        "corollaries": {"mu_star": 3.627, "beta_star": 0.4469, "grid": 1000,
-                        "gammas": "0.5,0.9"},
-    }
+    code_out = str(tmp_path / "c.txt")
+    # each construct mode reads some of its keys; the three runs give them all
+    return [
+        ("criterion", {"alpha": 0.5, "h_table": str(table), "grid": 1000, "ratio_csv": out}),
+        ("mu-estimate", {"a": 0.02, "b": 0.98, "steps": 10, "grid": 4096, "z0": 0.5,
+                         "fit_fraction": 0.5, "iterates_csv": out}),
+        ("construct", {"mode": "classical", "n": 3, "z0": 0.4, "rate": 0.5, "budget": None,
+                       "code_out": code_out}),
+        ("construct", {"mode": "multipocket", "n": 6, "z0": 0.4, "beta_p": 0.01, "mu_p": 8,
+                       "mu_star": 3.8, "pockets": 4, "p_ub": 0.5, "levels": [2, 4],
+                       "code_out": code_out}),
+        ("construct", {"n": 6, "level_fractions": [0.5, 0.9], "p_ub": 0.5, "beta_p": 0.01}),
+        ("frontier", {"mu_star": 3.627, "samples": 3, "csv": out}),
+        ("simulate", {"code": str(code_file), "z0": 0.3, "trials": 64, "seed": 5,
+                      "batch": 32, "csv": out}),
+        ("corollaries", {"mu_star": 3.627, "beta_star": 0.4469, "grid": 1000,
+                         "gammas": "0.5,0.9"}),
+    ]
 
 
 def test_config_with_every_key_echoes_like_flags(capsys, tmp_path):
-    for sub, values in _every_key_args(tmp_path).items():
+    given = {}
+    for sub, values in _every_key_args(tmp_path):
+        given.setdefault(sub, set()).update(values)
         cfg = tmp_path / f"{sub}.json"
         cfg.write_text(json.dumps(values))
         code, from_file, err = run_cli(capsys, sub, "--config", str(cfg))
@@ -169,7 +175,51 @@ def test_config_with_every_key_echoes_like_flags(capsys, tmp_path):
         assert code == 0, err
         # compared as JSON text, so an unconverted 8 differs from 8.0
         assert json.dumps(from_file["config"]) == json.dumps(from_flags["config"])
-        assert set(from_file["config"]) == {"subcommand", *values}
+        keys = {row[0] for row in SUBCOMMANDS[sub][2]}
+        assert set(from_file["config"]) == {"subcommand", *keys}
+    # every key of every subcommand was given in some run
+    assert given == {sub: {row[0] for row in rows} for sub, (_, _, rows) in SUBCOMMANDS.items()}
+
+
+# per construct mode, a value for each option that only the other mode reads
+UNREAD = {
+    "classical": {"beta_p": 0.3, "mu_p": 8, "mu_star": 3.8, "pockets": 3, "p_ub": 0.5,
+                  "levels": [2, 4], "level_fractions": [0.5, 0.9]},
+    "multipocket": {"rate": 0.5, "budget": 0.1},
+}
+
+
+@pytest.mark.parametrize(
+    "mode, key", [(mode, key) for mode, values in UNREAD.items() for key in values]
+)
+def test_construct_option_the_mode_does_not_read_exits_2(capsys, tmp_path, mode, key):
+    # named whether it comes as a flag or as a config key; the run stops
+    # before any table is built, so n = 40 returns at once
+    value = UNREAD[mode][key]
+    other = "multipocket" if mode == "classical" else "classical"
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: value}))
+    base = ["construct", "--mode", mode, "--n", "40"]
+    for extra in (["--" + key.replace("_", "-"), text], ["--config", str(cfg)]):
+        code, out, err = run_cli(capsys, *base, *extra)
+        assert code == 2 and out is None and err["error"] == "ValueError"
+        assert err["message"] == (
+            f"construct option {key} is read only in {other} mode, not in {mode} mode"
+        )
+
+
+def test_construct_defaults_and_nulls_of_unread_options_pass(capsys, tmp_path):
+    # a default is never refused, nor a null for an option whose default is
+    # null; the second run is the default multi-pocket build
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"levels": None, "level_fractions": None}))
+    argv = ["construct", "--mode", "classical", "--n", "4", "--rate", "0.5"]
+    code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 0 and out["config"]["pockets"] == 8 and out["config"]["levels"] is None
+    cfg.write_text(json.dumps({"rate": None, "budget": None}))
+    code, out, _ = run_cli(capsys, "construct", "--config", str(cfg))
+    assert code == 0 and out["config"]["rate"] is None
 
 
 def test_mu_estimate_run_and_csv(capsys, tmp_path):
@@ -317,13 +367,32 @@ def test_simulate_bad_code_header_value_exits_2(capsys, tmp_path, header, lineno
     assert err["message"] == f"{code_file}, line {lineno}: {detail}"
 
 
-def test_simulate_over_memory_budget_exits_2(capsys, tmp_path):
-    # one channel, but simulate would hold 2**26 words per 64 trials
+def test_simulate_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch, workers):
+    # one channel, but simulate would hold 2**40 words per 64 trials
     code_file = tmp_path / "code.txt"
-    code_file.write_text("n=26\nz0=0.5\nparams=mode=classical\nj=1 m=0 sq=0 lera=1.0\n")
+    code_file.write_text("n=40\nz0=0.5\nparams=mode=classical\nj=1 m=0 sq=0 lera=1.0\n")
     code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
     assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
-    assert "n=26" in err["message"]
+    assert "n=40" in err["message"]
+    # On one worker, n = 26 needs its 512 MiB slab of one word row, the
+    # 256 MiB half table, and three times a 64 MiB packed byte row and one
+    # 2**16-word piece.  One byte less is refused; the estimate itself is
+    # admitted, and the first draw stops the run, as it would stop a run
+    # that an estimate too small let through.
+    def stop(*args):
+        raise RuntimeError("admitted")
+
+    monkeypatch.setattr(codec, "_draw_chunk", stop)
+    workers(1)
+    need = 3 * 2**28 + 3 * (2**26 + 10 * 2**16)
+    code_file.write_text("n=26\nz0=0.5\nparams=mode=classical\nj=1 m=0 sq=0 lera=1.0\n")
+    monkeypatch.setattr(errors, "_memory_budget", lambda: need - 1)
+    code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
+    assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
+    assert err["message"].startswith("simulate at n=26, 64 trials a slab would need about 962 MiB")
+    monkeypatch.setattr(errors, "_memory_budget", lambda: need)
+    code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
+    assert code == 4 and out is None and err["message"] == "admitted"
 
 
 def test_simulate_code_over_memory_budget_exits_2_before_parsing(capsys, tmp_path, monkeypatch):

@@ -418,6 +418,12 @@ def test_simulate_independent_of_chunks_and_workers(n, monkeypatch, workers, sho
     # Budgets of 1, 2, 3, 8 and 24 bytes of 8 trials give chunks of 8, 16
     # and 16 trials (within a word), 64 (one word) and 192 (three words).
     # A trial draws 32 raw words at n = 5, and 4 at n = 1, where it uses 2.
+    # The last four rows also shrink the draw pieces and the slabs: pieces
+    # of one trial; of 8 and 24 words, which split a trial at n = 5 (into
+    # four, and into 24 + 8) and hold 2 and 4 trials at n = 1; and of 64
+    # words, 2 and 16 trials.  Pieces of fewer than 8 trials share byte
+    # rows.  Slabs of 1 and 3 word rows cut the 1000-trial batch into 16
+    # and 6 slabs, and chunks of two words are cut at the slab edges.
     # Three workers (over the default cap, and more than a 2-CPU host has)
     # with a short switch interval stress the disjoint writes.
     raw_per_trial = 4 * -(-(1 << n) // 4)
@@ -427,14 +433,55 @@ def test_simulate_independent_of_chunks_and_workers(n, monkeypatch, workers, sho
         batch: codec.simulate(spec, root, 1000, seed=99, batch=batch)
         for batch in (333, 1000)
     }
-    for per_byte in (1, 2, 3, 8, 24):
+    default = (codec._PIECE_WORDS, codec._SLAB_WORDS)
+    sizes = [(per_byte, *default) for per_byte in (1, 2, 3, 8, 24)]
+    sizes += [(2, raw_per_trial, 1), (16, 8, 3 << n), (16, 24, 1 << n), (2, 64, 3 << n)]
+    for per_byte, piece, slab in sizes:
         monkeypatch.setattr(codec, "_DRAW_WORDS", 8 * per_byte * raw_per_trial)
-        for count in (1, 3):
+        monkeypatch.setattr(codec, "_PIECE_WORDS", piece)
+        monkeypatch.setattr(codec, "_SLAB_WORDS", slab)
+        for count in (1, 2, 3):
             workers(count)
             for batch, ref in want.items():
                 got = codec.simulate(spec, root, 1000, seed=99, batch=batch)
                 assert (got.block_errors, got.batches) == (ref.block_errors, ref.batches)
     assert 0 < want[1000].block_errors < 1000
+
+
+@pytest.mark.parametrize("n, trials", [(4, 10_000), (10, 5_000), (16, 600)])
+@pytest.mark.parametrize("count", [1, 2])
+def test_simulate_estimate_covers_the_traced_peak(n, trials, count, monkeypatch, workers):
+    # n = 16 profiles two slabs of 8 word rows, n = 10 two batches of one
+    # slab each, n = 4 three batches of one slab
+    workers(count)
+    root = er.RootChannel(0.45)
+    spec = co.select_classical(root, n, rate=0.5)
+    needs = []
+    check = codec._check_memory
+    monkeypatch.setattr(codec, "_check_memory", lambda b, w: (needs.append(b), check(b, w)))
+    tracemalloc.start()
+    try:
+        codec.simulate(spec, root, trials, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert needs[-1] >= peak, (needs, peak)
+
+
+def test_simulate_memory_is_independent_of_batch():
+    # A 64-trial row of 2**20 words is 8 MiB.  Profiling the whole batch
+    # held a 16 MiB table, and drawing 8 trials at once held 64 MiB of raw
+    # words on each worker.
+    root = er.RootChannel(0.5)
+    spec = co.select_classical(root, 20, rate=0.5)
+    tracemalloc.start()
+    try:
+        got = codec.simulate(spec, root, 128, seed=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.batches == ((got.block_errors, 128),)
+    assert peak < 64 << 20
 
 
 def test_simulate_more_cpus_never_refuse(monkeypatch):
