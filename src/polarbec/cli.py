@@ -102,7 +102,7 @@ def resolve_config(sub: str, args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys for {sub}: {', '.join(unknown)}")
     given.update({key: v for key in merged if (v := getattr(args, key)) is not None})
-    for key, default, kind, _, *_ in options:
+    for key, default, kind, *_ in options:
         if key not in given or (given[key] is None and default is None):
             continue
         try:
