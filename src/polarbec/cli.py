@@ -88,7 +88,8 @@ def resolve_config(sub: str, args: argparse.Namespace) -> dict:
 
     Flag text and config-file values pass through the same per-option type;
     null is accepted only where the default is None.  An option tagged with
-    modes may be given only when the mode option names one of them.
+    modes may be given only when the mode option names one of them, and at
+    most one of the subcommand's EXCLUSIVE options may be given.
     """
     _, _, options = SUBCOMMANDS[sub]
     merged = {key: default for key, default, *_ in options}
@@ -116,6 +117,9 @@ def resolve_config(sub: str, args: argparse.Namespace) -> dict:
                 f"{sub} option {key} is read only in {' or '.join(modes[0])} mode,"
                 f" not in {merged['mode']} mode"
             )
+    clash = [key.replace("_", "-") for key in EXCLUSIVE.get(sub, ()) if given.get(key) is not None]
+    if len(clash) > 1:
+        raise ValueError(f"give --{clash[0]} or --{clash[1]}, not both")
     return merged
 
 
@@ -226,8 +230,6 @@ def cmd_construct(config: dict) -> dict:
         }
     elif config["mode"] == "multipocket":
         levels = config["levels"]
-        if levels is not None and config["level_fractions"] is not None:
-            raise ValueError("give --levels or --level-fractions, not both")
         if config["level_fractions"] is not None:
             rounded = [_round_nearest(f * n) for f in config["level_fractions"]]
             levels = sorted(set(rounded))
@@ -338,6 +340,10 @@ def cmd_corollaries(config: dict) -> dict:
     )
     return report.as_dict()
 
+
+# Per subcommand, options of which at most one may be given: an explicit
+# level list sets the pockets and their count.
+EXCLUSIVE = {"construct": ("levels", "level_fractions", "pockets")}
 
 # Per subcommand: handler, help line, and (key, default, type, help) rows,
 # with the modes that read the option appended where only some modes do.

@@ -27,13 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .construction import CodeSpec
 from .erasure import RootChannel
 from .errors import (
     DecodingInconsistencyError,
     LevelTooLargeError,
     _check_memory,
-    _memory_budget,
+    _run_chunks,
     _worker_count,
 )
 
@@ -390,9 +391,10 @@ def simulate(
     chunk opens that stream at its first trial and reads it in pieces of at
     most about 2**16 raw words, so the tally is independent of batch, slab,
     chunk and piece size and worker count, and the memory held is
-    independent of batch.  Chunks are drawn on one thread per CPU in the
-    process's affinity mask, at most two, and fewer where the memory budget
-    cannot hold their buffers.  This chunked stream replaced one Philox
+    independent of batch.  A slab's chunks are drawn through _run_chunks,
+    on one thread per CPU in the process's affinity mask, at most two, the
+    calling thread among them, and fewer where the memory budget cannot
+    hold their buffers.  This chunked stream replaced one Philox
     keyed per trial, so tallies for a given seed differ from that earlier
     stream's.
 
@@ -432,7 +434,7 @@ def simulate(
     piece = min(rows, per_piece) * width
     per_worker = 3 * (-(-rows // 8) * size + 10 * piece)
     base = table + max(table // 2, reduction)
-    room = (_memory_budget() - base) // per_worker
+    room = (errors._memory_budget() - base) // per_worker
     workers = max(1, min(_worker_count(), -(-span // chunk), room))
     need = base + workers * per_worker
     _check_memory(need, f"simulate at n={spec.n}, {64 * slab} trials a slab")
@@ -441,44 +443,27 @@ def simulate(
     limit = np.uint64(threshold << 11) if threshold < 1 << 53 else None
     total = 0
     batches: list[tuple[int, int]] = []
-    pool = None
-    try:
-        for start in range(0, trials, batch):
-            count = min(batch, trials - start)
-            failures = 0
-            for lo in range(start, start + count, 64 * slab):
-                part = min(64 * slab, start + count - lo)
-                # bit r of words[w, i] is position i of trial lo + 64 * w + r
-                words = np.zeros((-(-part // 64), size), dtype="<u8")
-                planes = words.view(np.uint8).reshape(*words.shape, 8).transpose(0, 2, 1)
-                chunks = [
-                    (lo + c, c, min(chunk, part - c)) for c in range(0, part, chunk)
-                ]
-                if len(chunks) > 1 and workers > 1:
-                    if pool is None:
-                        from concurrent.futures import ThreadPoolExecutor
-
-                        pool = ThreadPoolExecutor(workers)
-                    drawn = [pool.submit(_draw_chunk, planes, seed, limit, *c) for c in chunks]
-                    for future in drawn:
-                        future.result()  # re-raises a chunk's error
-                else:
-                    for c in chunks:
-                        _draw_chunk(planes, seed, limit, *c)
-                resolved = _resolution_profile(words)
-                # a trial fails where some info position is unresolved
-                ok = np.full(len(words), np.iinfo(np.uint64).max, dtype=np.uint64)
-                for k in range(0, len(spec), cols):
-                    info_pos = spec.indices[k : k + cols].astype(np.int64) - 1
-                    ok &= np.bitwise_and.reduce(resolved[:, info_pos], axis=1)
-                failed = ~ok
-                # bits past the slab's last trial are padding
-                failed[-1] &= np.uint64((1 << (part - 64 * (len(words) - 1))) - 1)
-                failures += int(np.bitwise_count(failed).sum())
-                del words, planes, resolved  # free this slab before the next
-            total += failures
-            batches.append((failures, count))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for start in range(0, trials, batch):
+        count = min(batch, trials - start)
+        failures = 0
+        for lo in range(start, start + count, 64 * slab):
+            part = min(64 * slab, start + count - lo)
+            # bit r of words[w, i] is position i of trial lo + 64 * w + r
+            words = np.zeros((-(-part // 64), size), dtype="<u8")
+            planes = words.view(np.uint8).reshape(*words.shape, 8).transpose(0, 2, 1)
+            chunks = [(lo + c, c, min(chunk, part - c)) for c in range(0, part, chunk)]
+            _run_chunks(lambda *c: _draw_chunk(planes, seed, limit, *c), chunks, workers)
+            resolved = _resolution_profile(words)
+            # a trial fails where some info position is unresolved
+            ok = np.full(len(words), np.iinfo(np.uint64).max, dtype=np.uint64)
+            for k in range(0, len(spec), cols):
+                info_pos = spec.indices[k : k + cols].astype(np.int64) - 1
+                ok &= np.bitwise_and.reduce(resolved[:, info_pos], axis=1)
+            failed = ~ok
+            # bits past the slab's last trial are padding
+            failed[-1] &= np.uint64((1 << (part - 64 * (len(words) - 1))) - 1)
+            failures += int(np.bitwise_count(failed).sum())
+            del words, planes, resolved  # free this slab before the next
+        total += failures
+        batches.append((failures, count))
     return SimResult(trials=trials, block_errors=total, batches=tuple(batches))

@@ -22,12 +22,11 @@ import contextlib
 import math
 import os
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_memory, _worker_count
+from .errors import _check_memory, _run_chunks, _worker_count
 
 LN2 = math.log(2.0)
 
@@ -148,9 +147,9 @@ def _walk_subtrees(groups, bits: int, visit=None, *, quota: int = 0, out=None) -
     run of rows in index order whose subtrees hold at most 2**bits channels
     together (one row where s > 0).  A row is skipped where no channel of
     its subtree can have `quota` better steps below the group's node.
-    Chunks run on _worker_count() threads, the calling thread among them,
-    but on no more threads than the walk holds full chunks; each writes
-    only its own channels:
+    Chunks run through _run_chunks on _worker_count() threads, but on no
+    more threads than the walk holds full chunks; each writes only its own
+    channels:
 
     - out, when given, is two columns holding every group's descendants end
       to end, and a chunk's last doubling writes straight into its slice;
@@ -158,8 +157,7 @@ def _walk_subtrees(groups, bits: int, visit=None, *, quota: int = 0, out=None) -
       descendants' l_era as a (b - a, 2**t) array (without out, the last
       step's l_rel is not computed).
 
-    Returns the visit results of each group, in chunk order.  A worker's
-    error is raised here once every thread has stopped.
+    Returns the visit results of each group, in chunk order.
     """
     plans, chunks = [], []
     offset = 0
@@ -186,40 +184,9 @@ def _walk_subtrees(groups, bits: int, visit=None, *, quota: int = 0, out=None) -
             dst[0][...], dst[1][...] = le, lr
         return None if visit is None else visit(g, a, b, le.reshape(b - a, 1 << t))
 
-    done = [None] * len(chunks)
     # A helper thread is started only for a full chunk of its own: its
     # start and the interpreter lock cost more than it saves on less.
-    workers = min(_worker_count(), offset >> bits)
-    if workers < 2:
-        for k, chunk in enumerate(chunks):
-            done[k] = expand(*chunk)
-    else:
-        # Each worker takes the next chunk when it is free, so at most one
-        # chunk per worker is live; after an error no worker takes another.
-        from concurrent.futures import ThreadPoolExecutor
-
-        lock = threading.Lock()
-        pending = iter(range(len(chunks)))
-        stop = False
-
-        def work():
-            nonlocal stop
-            try:
-                while not stop:
-                    with lock:
-                        k = next(pending, None)
-                    if k is None:
-                        return
-                    done[k] = expand(*chunks[k])
-            except BaseException:
-                stop = True
-                raise
-
-        with ThreadPoolExecutor(workers - 1) as pool:  # shut down on any exit
-            helpers = [pool.submit(work) for _ in range(workers - 1)]
-            work()
-        for helper in helpers:
-            helper.result()  # re-raises a helper's error
+    done = _run_chunks(expand, chunks, min(_worker_count(), offset >> bits))
     results = [[] for _ in plans]
     for (g, _, _), value in zip(chunks, done):
         results[g].append(value)

@@ -1,7 +1,9 @@
 """Exception types shared across the toolkit, the memory check behind one,
-and the worker-count rule of the threaded steps."""
+and the thread rule of the threaded steps: how many workers they use, and
+how those workers share a step's chunks."""
 
 import os
+import threading
 
 
 class PolarBECError(Exception):
@@ -44,6 +46,45 @@ def _worker_count() -> int:
     else:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
     return min(cpus, _MAX_WORKERS)
+
+
+def _run_chunks(work, chunks, workers: int) -> list:
+    """[work(*c) for c in chunks], on at most workers threads, the calling
+    thread among them; a helper is started only for a second chunk.
+
+    Each worker takes the next chunk when it is free, so at most one chunk
+    per worker is live; after an error no worker takes another, and the
+    error is raised here once every helper has ended.
+    """
+    workers = min(workers, len(chunks))
+    if workers < 2:
+        return [work(*c) for c in chunks]
+    from concurrent.futures import ThreadPoolExecutor
+
+    done = [None] * len(chunks)
+    lock = threading.Lock()
+    pending = iter(range(len(chunks)))
+    stop = False
+
+    def run():
+        nonlocal stop
+        try:
+            while not stop:
+                with lock:
+                    k = next(pending, None)
+                if k is None:
+                    return
+                done[k] = work(*chunks[k])
+        except BaseException:
+            stop = True
+            raise
+
+    with ThreadPoolExecutor(workers - 1) as pool:  # shut down on any exit
+        helpers = [pool.submit(run) for _ in range(workers - 1)]
+        run()
+    for helper in helpers:
+        helper.result()  # re-raises a helper's error
+    return done
 
 
 def _memory_budget() -> int:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: configs, reports, side files, exit codes."""
 
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -139,16 +140,17 @@ def _every_key_args(tmp_path):
     table.write_text("".join(f"{k / 64},{(k / 64) * (1 - k / 64)}\n" for k in range(65)))
     out = str(tmp_path / "side.csv")
     code_out = str(tmp_path / "c.txt")
-    # each construct mode reads some of its keys; the three runs give them all
+    # each construct mode reads some of its keys, and pockets, levels and
+    # level_fractions exclude each other; the four runs give them all
     return [
         ("criterion", {"alpha": 0.5, "h_table": str(table), "grid": 1000, "ratio_csv": out}),
         ("mu-estimate", {"a": 0.02, "b": 0.98, "steps": 10, "grid": 4096, "z0": 0.5,
                          "fit_fraction": 0.5, "iterates_csv": out}),
         ("construct", {"mode": "classical", "n": 3, "z0": 0.4, "rate": 0.5, "budget": None,
                        "code_out": code_out}),
-        ("construct", {"mode": "multipocket", "n": 6, "z0": 0.4, "beta_p": 0.01, "mu_p": 8,
-                       "mu_star": 3.8, "pockets": 4, "p_ub": 0.5, "levels": [2, 4],
-                       "code_out": code_out}),
+        ("construct", {"mode": "multipocket", "n": 9, "z0": 0.4, "beta_p": 0.01, "mu_p": 8,
+                       "mu_star": 3.8, "pockets": 4, "p_ub": 0.5, "code_out": code_out}),
+        ("construct", {"n": 6, "levels": [2, 4], "p_ub": 0.5, "beta_p": 0.01}),
         ("construct", {"n": 6, "level_fractions": [0.5, 0.9], "p_ub": 0.5, "beta_p": 0.01}),
         ("frontier", {"mu_star": 3.627, "samples": 3, "csv": out}),
         ("simulate", {"code": str(code_file), "z0": 0.3, "trials": 64, "seed": 5,
@@ -391,8 +393,11 @@ def test_simulate_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch, work
     assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
     assert err["message"].startswith("simulate at n=26, 64 trials a slab would need about 962 MiB")
     monkeypatch.setattr(errors, "_memory_budget", lambda: need)
-    code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
-    assert code == 4 and out is None and err["message"] == "admitted"
+    for count in (1, 2):
+        # on two CPUs the worker the budget cannot hold is dropped
+        workers(count)
+        code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
+        assert code == 4 and out is None and err["message"] == "admitted"
 
 
 def test_simulate_code_over_memory_budget_exits_2_before_parsing(capsys, tmp_path, monkeypatch):
@@ -517,12 +522,18 @@ def test_construct_level_fractions(capsys):
 
 
 def test_construct_levels_and_level_fractions_exit_2(capsys, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"level_fractions": [0.7, 0.9]}))
-    for extra in (["--level-fractions", "0.7,0.9"], ["--config", str(config)]):
-        code, out, err = run_cli(capsys, "construct", "--n", "20", "--levels", "14,18", *extra)
-        assert code == 2 and out is None and err["error"] == "ValueError"
-        assert err["message"] == "give --levels or --level-fractions, not both"
+    # An explicit level list sets the pockets, so a second of these options,
+    # by flag or by file, is refused rather than ignored.
+    values = {"levels": "14,18", "level_fractions": "0.7,0.9", "pockets": "3"}
+    for first, second in itertools.combinations(values, 2):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({second: values[second]}))
+        flags = ["--" + key.replace("_", "-") for key in (first, second)]
+        for extra in ([flags[1], values[second]], ["--config", str(config)]):
+            argv = ["construct", "--n", "20", flags[0], values[first], *extra]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out is None and err["error"] == "ValueError"
+            assert err["message"] == f"give {flags[0]} or {flags[1]}, not both"
 
 
 def test_construct_multipocket_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch):

@@ -29,7 +29,7 @@ from oracles import (
     polarize_prob,
 )
 
-from polarbec import erasure as er
+from polarbec import codec, construction as co, erasure as er
 from polarbec.errors import LevelTooLargeError
 
 # Level-3 erasures for z0 = 1/2 in index order j = 1..8, exact dyadics.
@@ -140,31 +140,49 @@ def test_table_is_the_same_for_any_worker_count(monkeypatch, workers, short_swit
         assert _same_bits(le, want_le) and _same_bits(lr, want_lr)
 
 
-@pytest.mark.parametrize("failing", ["calling thread", "helper thread"])
-def test_walk_raises_a_worker_error_and_leaves_no_thread(workers, failing):
-    # Each worker waits at its first chunk until the other holds one too;
-    # then the failing one raises, while the other sleeps a millisecond a
-    # chunk.  The other takes no chunk after the error, and the error
-    # reaches the caller only after every helper thread has ended.
+@pytest.mark.parametrize(
+    "caller, failing",
+    [
+        pytest.param("walk", "calling thread", id="calling thread"),
+        pytest.param("walk", "helper thread", id="helper thread"),
+        pytest.param("simulate", "calling thread", id="simulate, calling thread"),
+        pytest.param("simulate", "helper thread", id="simulate, helper thread"),
+    ],
+)
+def test_walk_raises_a_worker_error_and_leaves_no_thread(monkeypatch, workers, caller, failing):
+    # Both threaded steps share one chunk runner.  Each worker waits at its
+    # first chunk until the other holds one too; then the failing one
+    # raises, while the other sleeps a millisecond a chunk.  The other
+    # takes no chunk after the error, and the error reaches the caller only
+    # after every helper thread has ended.
     workers(2)
     both_hold_a_chunk = threading.Barrier(2, timeout=60)
-    visited = []
+    visited, raised, late = [], [], []
 
-    def visit(g, a, b, le):
+    def take(*args):
         me = threading.current_thread()
+        if raised:
+            late.append(me)  # a chunk taken after the error
         if me not in visited:
             both_hold_a_chunk.wait()
         visited.append(me)
         if (me is threading.main_thread()) == (failing == "calling thread"):
+            raised.append(me)
             raise LevelTooLargeError("a chunk is over the budget")
         time.sleep(1e-3)
 
-    nodes = (np.ones(64), np.ones(64), 4)  # 128 chunks of 8 channels
     threads = threading.active_count()
     with pytest.raises(LevelTooLargeError, match="a chunk is over the budget"):
-        er._walk_subtrees([nodes], 3, visit)
+        if caller == "walk":
+            nodes = (np.ones(64), np.ones(64), 4)  # 128 chunks of 8 channels
+            er._walk_subtrees([nodes], 3, take)
+        else:
+            monkeypatch.setattr(codec, "_draw_chunk", take)
+            one = np.ones(1, dtype=np.uint64)
+            spec = co.CodeSpec(16, 0.5, one, np.ones(1), one, np.zeros(1, dtype=np.int64))
+            codec.simulate(spec, er.RootChannel(0.5), 512, seed=0)  # 64 chunks of 8 trials
     assert threading.active_count() == threads
-    assert len(visited) < 10
+    assert len(set(visited)) == 2 and len(raised) == 1 and late == []
 
 
 def test_table_build_holds_two_chunks_beside_its_output(workers):
