@@ -144,9 +144,7 @@ def cmd_criterion(config: dict) -> dict:
         table = np.loadtxt(config["h_table"], delimiter=",", ndmin=2)
         if table.shape[1] != 2:
             raise ValueError("h table must have two columns: xi,value")
-        h = criterion.CandidateH.tabulated(
-            criterion.GridFunction(table[:, 0], table[:, 1])
-        )
+        h = criterion.GridFunction(table[:, 0], table[:, 1])
     else:
         h = criterion.CandidateH.power(config["alpha"])
     result = criterion.sup_ratio(h, grid_size=config["grid"])
@@ -334,7 +332,6 @@ def cmd_simulate(config: dict) -> dict:
 def cmd_corollaries(config: dict) -> dict:
     report = frontier.verify_corollaries(
         mu_star=config["mu_star"],
-        grid=config["grid"],
         beta_star=config["beta_star"],
         gammas=tuple(_float_list(config["gammas"])),
     )
@@ -398,7 +395,6 @@ SUBCOMMANDS = {
     "corollaries": (cmd_corollaries, "numeric checks tying the region to its reference points", (
         ("mu_star", 3.627, _real, "criterion exponent"),
         ("beta_star", 0.4469, _real, "straight-segment error exponent"),
-        ("grid", 10_000, _integer, "xi grid size"),
         ("gammas", "0.30,0.50,0.70,0.90,0.99", _text, "comma-separated sweep"),
     )),
 }

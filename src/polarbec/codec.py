@@ -10,14 +10,14 @@ On the BEC the decoder never guesses, so whether a block decodes depends on
 the erasure pattern alone.  simulate() exploits that through a vectorized
 resolution profile, bit-sliced over 64 trials per uint64 word, fed by one
 counter-based Philox stream that each chunk of trials opens at its first
-trial, on up to two threads (its docstring states the stream, which
-replaced one Philox keyed per trial).  Each batch is profiled in slabs of
-whole 64-trial word rows, about 2**19 words or one row, and a chunk reads
-its stream in pieces of about 2**16 raw words, so the memory a run holds
-depends on n alone, not on the batch.  exact_block_error() deliberately
-does not, running the actual message-passing decoder on every
-pattern so the two stay independent; it memoizes subtree outcomes for one
-enumeration by (known, value, width, base), never the root's.
+trial, on up to two threads (its docstring states the stream).  Each batch
+is profiled in slabs of whole 64-trial word rows, about 2**19 words or one
+row, and a chunk reads its stream in pieces of about 2**16 raw words, so
+the memory a run holds depends on n alone, not on the batch.
+exact_block_error() deliberately does not, running the actual
+message-passing decoder on every pattern so the two stay independent; it
+memoizes subtree outcomes for one enumeration by (known, value, width,
+base), never the root's.
 """
 
 from __future__ import annotations
@@ -394,9 +394,7 @@ def simulate(
     independent of batch.  A slab's chunks are drawn through _run_chunks,
     on one thread per CPU in the process's affinity mask, at most two, the
     calling thread among them, and fewer where the memory budget cannot
-    hold their buffers.  This chunked stream replaced one Philox
-    keyed per trial, so tallies for a given seed differ from that earlier
-    stream's.
+    hold their buffers.
 
     Failures are detected with the resolution profile, which agrees with
     sc_decode_bec by construction (and by test), run bit-sliced on 64

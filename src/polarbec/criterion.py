@@ -118,15 +118,13 @@ def golden_section_max(f: Callable, a, b):
     return x[0], fx[0]
 
 
-def _bracket(grid: np.ndarray, x) -> np.ndarray:
-    """np.interp's bracket of each x: the j with grid[j] <= x < grid[j + 1],
-    or the last node for x == grid[-1]."""
-    return np.searchsorted(grid, x, side="right") - 1
-
-
 @dataclass(frozen=True)
 class GridFunction:
-    """Piecewise-linear function on [0, 1] given by samples at grid nodes."""
+    """Piecewise-linear function on [0, 1] given by samples at grid nodes.
+
+    A call is np.interp(x, grid, values); a GridFunction with positive
+    values inside and zeros at the ends serves as a candidate h.
+    """
 
     grid: np.ndarray
     values: np.ndarray
@@ -144,21 +142,8 @@ class GridFunction:
         object.__setattr__(self, "values", v)
 
     def __call__(self, x):
-        """np.interp(x, grid, values) bit for bit, and NaN for NaN.
-
-        0-d input gives a float.
-        """
-        g, v = self.grid, self.values
-        x = np.clip(x, g[0], g[-1])  # np.interp's end values outside the grid
-        j = _bracket(g, x)
-        k = np.minimum(j + 1, g.size - 1)
-        off = x - g[j]
-        # a query on a node reads its value, as in np.interp, so the 0/0
-        # slope at the last node and inf * 0 after an overflowed slope are
-        # masked out, and like np.interp they raise no warning
-        with np.errstate(all="ignore"):
-            slope = (v[k] - v[j]) / (g[k] - g[j])
-            out = np.where(off == 0.0, v[j], slope * off + v[j])
+        """np.interp(x, grid, values); 0-d input gives a float."""
+        out = np.interp(x, self.grid, self.values)
         return out if out.ndim else float(out)
 
 
@@ -172,34 +157,25 @@ def _on_checked_grid(grid: np.ndarray, values: np.ndarray) -> GridFunction:
 
 @dataclass(frozen=True)
 class CandidateH:
-    """Candidate decay function: built-in power family or a tabulated curve.
+    """The power-family candidate h(xi) = (xi (1 - xi))**alpha, 0 < alpha < 1.
 
-    The power family is h(xi) = (xi (1 - xi))**alpha with 0 < alpha < 1.
+    A tabulated candidate is a GridFunction, passed as h directly.
     """
 
-    alpha: float | None = None
-    table: GridFunction | None = None
+    alpha: float
 
     def __post_init__(self) -> None:
-        if (self.alpha is None) == (self.table is None):
-            raise ValueError("specify exactly one of alpha or table")
-        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
+        if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
     @classmethod
     def power(cls, alpha: float) -> "CandidateH":
         return cls(alpha=alpha)
 
-    @classmethod
-    def tabulated(cls, table: GridFunction) -> "CandidateH":
-        return cls(table=table)
-
     def __call__(self, xi):
-        if self.alpha is not None:
-            x = np.asarray(xi, dtype=np.float64)
-            out = (x * (1.0 - x)) ** self.alpha
-            return out if out.ndim else float(out)
-        return self.table(xi)
+        x = np.asarray(xi, dtype=np.float64)
+        out = (x * (1.0 - x)) ** self.alpha
+        return out if out.ndim else float(out)
 
 
 class SupRatio(NamedTuple):
@@ -209,13 +185,13 @@ class SupRatio(NamedTuple):
     right_limit: float
 
 
-def _ratio_at(h: CandidateH, xi, hx=None):
+def _ratio_at(h: CandidateH | GridFunction, xi, hx=None):
     # hx is h(xi) when the caller already has it
     sq = xi * xi
     return (h(sq) + h(2.0 * xi - sq)) / (2.0 * (h(xi) if hx is None else hx))
 
 
-def ratio_curve(h: CandidateH, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+def ratio_curve(h: CandidateH | GridFunction, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Ratio samples on the open uniform grid xi = k/grid_size, 0 < k < grid_size."""
     xi = np.arange(1.0, grid_size) / grid_size
     hx = np.asarray(h(xi))
@@ -244,7 +220,7 @@ def _quadratic_extrapolate(xs: np.ndarray, ys: np.ndarray, x0: float) -> float:
     return total
 
 
-def sup_ratio(h: CandidateH, grid_size: int = 4096) -> SupRatio:
+def sup_ratio(h: CandidateH | GridFunction, grid_size: int = 4096) -> SupRatio:
     """Supremum of the one-step ratio over the open unit interval.
 
     Grid scan plus golden-section refinement around the grid argmax.  The
@@ -294,7 +270,8 @@ def _block_brackets(
     Returns the offsets x - grid[j], written over x; each block's first
     bracket; and per query its bracket's 16-bit offset from that first one.
     """
-    j = _bracket(grid, x)
+    # np.interp's bracket: grid[j] <= x < grid[j + 1], or the last node
+    j = np.searchsorted(grid, x, side="right") - 1
     np.subtract(x, grid[j], out=x)
     first = j[::_BLOCK].tolist()
     j -= np.repeat(first, _BLOCK)[: j.size]

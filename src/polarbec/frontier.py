@@ -300,29 +300,36 @@ DEFAULT_CONTAINMENT_GAMMAS = (0.30, 0.50, 0.70, 0.90, 0.99)
 
 def verify_corollaries(
     mu_star: float = 3.627,
-    grid: int = 10_000,
     beta_star: float = 0.4469,
     gammas: tuple[float, ...] = DEFAULT_CONTAINMENT_GAMMAS,
 ) -> CorollaryReport:
     """Run the two numeric checks that reduce the region to known regimes.
 
     (a) the straight-segment inequality (1 - xi)/mu_star + H2(beta_star xi) < 1
-        on a uniform xi grid over [0, 1];
+        for every xi in [0, 1], at the left side's exact maximum.  The left
+        side is concave, and its slope -1/mu_star + beta_star *
+        log2((1 - beta_star xi)/(beta_star xi)) vanishes where
+        beta_star xi = 1/(1 + 2**t), t = 1/(mu_star beta_star).  That xi is
+        clamped to 1; it is 0 when beta_star = 0 or 2**-t underflows;
     (b) the interpolation curve's points all lie inside the region.
     """
-    if grid < 1000:
-        raise ValueError("grid must be at least 1000")
-    xis = np.linspace(0.0, 1.0, grid)
-    lhs = (1.0 - xis) / mu_star + binary_entropy(beta_star * xis)
-    k = int(np.argmax(lhs))
-    margins = 1.0 - lhs
+    if not 0.0 <= beta_star <= 1.0:  # False for NaN
+        raise ValueError(f"beta_star must lie in [0, 1], got {beta_star!r}")
+    # gamma_tradeoff refuses mu_star <= 2 before the segment divides by it
     pts = gamma_tradeoff(np.array(gammas, dtype=np.float64), mu_star)
     res = is_achievable(RegionQuery(pts.beta_p, 1.0 / pts.inv_mu_p, mu_star))
+    xi = 0.0
+    if beta_star > 0.0:
+        # 1/(1 + 2**t) as u/(1 + u) with u = 2**-t, which underflows to 0
+        # where 2**t would overflow
+        u = 2.0 ** (-1.0 / (mu_star * beta_star))
+        xi = min(u / (1.0 + u) / beta_star, 1.0)
+    lhs = (1.0 - xi) / mu_star + binary_entropy(beta_star * xi)
     return CorollaryReport(
         mu_star=mu_star,
         beta_star=beta_star,
-        segment_min_margin=float(margins[k]),
-        segment_argmin_xi=float(xis[k]),
+        segment_min_margin=1.0 - lhs,
+        segment_argmin_xi=xi,
         containment_margins=tuple(zip(gammas, res.worst_margin.tolist())),
     )
 

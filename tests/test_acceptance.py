@@ -156,7 +156,7 @@ def test_acceptance_4b_gamma_endpoint_mu(record):
 
 
 def test_acceptance_5_corollaries(record):
-    rep = fr.verify_corollaries(3.627, grid=10_000)
+    rep = fr.verify_corollaries(3.627)
     ok = rep.passed
     record(
         f"[acceptance 5] {'PASS' if ok else 'FAIL'}: segment min margin "

@@ -155,8 +155,7 @@ def _every_key_args(tmp_path):
         ("frontier", {"mu_star": 3.627, "samples": 3, "csv": out}),
         ("simulate", {"code": str(code_file), "z0": 0.3, "trials": 64, "seed": 5,
                       "batch": 32, "csv": out}),
-        ("corollaries", {"mu_star": 3.627, "beta_star": 0.4469, "grid": 1000,
-                         "gammas": "0.5,0.9"}),
+        ("corollaries", {"mu_star": 3.627, "beta_star": 0.4469, "gammas": "0.5,0.9"}),
     ]
 
 
@@ -655,19 +654,38 @@ def test_frontier_report_and_csv(capsys, tmp_path):
 
 
 def test_corollaries_pass(capsys):
-    code, out, _ = run_cli(capsys, "corollaries", "--grid", "2000")
+    code, out, _ = run_cli(capsys, "corollaries")
     assert code == 0
     assert out["passed"] is True
     assert out["segment_check"]["ok"] is True
     assert out["containment_check"]["ok"] is True
     assert len(out["containment_check"]["per_gamma"]) == 5
-    code, out, _ = run_cli(capsys, "corollaries", "--grid", "2000", "--gammas", "0.4,0.8")
+    code, out, _ = run_cli(capsys, "corollaries", "--gammas", "0.4,0.8")
     assert code == 0 and len(out["containment_check"]["per_gamma"]) == 2
+
+
+def test_corollaries_grid_option_is_gone(capsys, tmp_path):
+    # the segment check takes the exact maximum, so there is no grid to size
+    with pytest.raises(SystemExit) as exc:
+        entrypoint(["corollaries", "--grid", "2000"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"grid": 2000}))
+    code, out, err = run_cli(capsys, "corollaries", "--config", str(cfg))
+    assert code == 2 and out is None and "grid" in err["message"]
+
+
+@pytest.mark.parametrize("beta_star", ["-0.1", "1.5", "nan"])
+def test_corollaries_beta_star_outside_unit_interval_exits_2(capsys, beta_star):
+    code, out, err = run_cli(capsys, "corollaries", "--beta-star", beta_star)
+    assert code == 2 and out is None
+    assert err["error"] == "ValueError" and "beta_star" in err["message"]
 
 
 def test_output_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
-    rc = entrypoint(["corollaries", "--grid", "2000", "--output", str(target)])
+    rc = entrypoint(["corollaries", "--output", str(target)])
     assert rc == 0
     assert capsys.readouterr().out == ""
     report = json.loads(target.read_text())
@@ -706,7 +724,7 @@ def test_write_through_symlink_keeps_the_link(capsys, tmp_path):
     real = tmp_path / "real.json"
     real.write_text("old")
     (tmp_path / "link.json").symlink_to(real)
-    rc = entrypoint(["corollaries", "--grid", "2000", "--output", str(tmp_path / "link.json")])
+    rc = entrypoint(["corollaries", "--output", str(tmp_path / "link.json")])
     assert rc == 0
     assert (tmp_path / "link.json").is_symlink()
     assert json.loads(real.read_text())["passed"] is True
@@ -740,11 +758,11 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_module_invocation_round_trip(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "polarbec.cli", "corollaries", "--grid", "2000"],
+        [sys.executable, "-m", "polarbec.cli", "corollaries", "--beta-star", "0.44"],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["passed"] is True and report["config"]["grid"] == 2000
+    assert report["passed"] is True and report["config"]["beta_star"] == 0.44

@@ -120,13 +120,13 @@ def test_invalid_candidate_rejected():
     grid = np.linspace(0.0, 1.0, 2001)
     values = np.maximum(0.0, 0.25 - np.abs(grid - 0.3))  # zero on a subinterval
     with pytest.raises(InvalidCandidateError):
-        cr.sup_ratio(cr.CandidateH.tabulated(cr.GridFunction(grid, values)), 4096)
+        cr.sup_ratio(cr.GridFunction(grid, values), 4096)
 
 
 def test_tabulated_matches_power_family():
     grid = np.linspace(0.0, 1.0, 1 << 15)
     values = (grid * (1.0 - grid)) ** 0.64
-    tab = cr.sup_ratio(cr.CandidateH.tabulated(cr.GridFunction(grid, values)), 8192)
+    tab = cr.sup_ratio(cr.GridFunction(grid, values), 8192)
     direct = cr.sup_ratio(cr.CandidateH.power(0.64), 8192)
     assert tab.ratio == pytest.approx(direct.ratio, abs=2e-4)
 
@@ -213,11 +213,17 @@ _LOOKUPS = st.lists(
 )
 
 
+# infinite table values, each written over a random node
+_INFINITIES = st.lists(st.sampled_from([math.inf, -math.inf]), min_size=0, max_size=3)
+
+
 @settings(max_examples=50, deadline=None)
-@given(inner=_NODES, seed=st.integers(0, 2**32 - 1), xs=_LOOKUPS)
-def test_grid_function_equals_np_interp(inner, seed, xs):
+@given(inner=_NODES, seed=st.integers(0, 2**32 - 1), xs=_LOOKUPS, infinities=_INFINITIES)
+def test_grid_function_equals_np_interp(inner, seed, xs, infinities):
     grid = np.unique(np.array([0.0, 1.0] + inner))
-    values = np.random.default_rng(seed).uniform(-2.0, 2.0, grid.size)
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-2.0, 2.0, grid.size)
+    values[rng.integers(0, grid.size, len(infinities))] = infinities
     g = cr.GridFunction(grid, values)
     xs = np.array(xs + grid.tolist())  # every node is a lookup too
     got, want = g(xs), np.interp(xs, grid, values)

@@ -1,5 +1,7 @@
 """Achievable-region membership, frontier tracing, and the corollary checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from polarbec import errors
 from polarbec import frontier as fr
-from polarbec.criterion import binary_entropy, binary_entropy_inv
+from polarbec.criterion import binary_entropy, binary_entropy_inv, golden_section_max
 
 MU = 3.627
 
@@ -224,10 +226,11 @@ def test_conjectured_intercept():
 
 
 def test_verify_corollaries_pass_and_margins():
-    rep = fr.verify_corollaries(MU, grid=10_000)
+    rep = fr.verify_corollaries(MU)
     assert rep.passed and rep.segment_ok and rep.containment_ok
-    assert rep.segment_min_margin == pytest.approx(3.0054872855123094e-05, rel=1e-6)
-    assert rep.segment_argmin_xi == pytest.approx(0.8831883188318832, abs=1e-12)
+    # 50-digit values of the left side's maximum and its argmax
+    assert rep.segment_min_margin == pytest.approx(3.00548168276747e-05, rel=1e-6)
+    assert rep.segment_argmin_xi == pytest.approx(0.883178679748944, abs=1e-12)
     want = {
         0.30: 0.6415324579793428,
         0.50: 0.2757099531299071,
@@ -240,14 +243,45 @@ def test_verify_corollaries_pass_and_margins():
 
 
 def test_verify_corollaries_dict_shape():
-    rep = fr.verify_corollaries(MU, grid=2000)
+    rep = fr.verify_corollaries(MU)
     d = rep.as_dict()
     assert d["passed"] is True
     assert d["segment_check"]["ok"] is True
     assert len(d["containment_check"]["per_gamma"]) == 5
     assert d["containment_check"]["per_gamma"][0]["gamma"] == 0.30
-    with pytest.raises(ValueError):
-        fr.verify_corollaries(MU, grid=500)
+
+
+def test_segment_check_catches_a_violation_between_grid_points():
+    # the maximum exceeds 1 by 1.5511750799e-10 (50 digits); a 10,000-point
+    # xi grid misses it and reads a margin of +5.7e-10
+    rep = fr.verify_corollaries(3.82668, 0.4500232138683318)
+    assert rep.segment_min_margin == pytest.approx(-1.5511750799168333e-10, rel=1e-6)
+    assert not rep.segment_ok and not rep.passed
+
+
+@pytest.mark.parametrize("mu_star", [2.5, MU, 8.0, 100.0])
+@pytest.mark.parametrize("beta_star", [0.0, 1e-6, 0.1, 0.4469, 0.5, 1.0])
+def test_segment_maximum_matches_golden_section(mu_star, beta_star):
+    # the argmax lands on xi = 0 (beta_star = 0, or 2**-t underflows), on
+    # the clamp xi = 1, or inside; golden_section_max returns a bracket
+    # midpoint up to 5e-11 from an end, so the ends are evaluated as well
+    def f(xi):
+        return (1.0 - xi) / mu_star + binary_entropy(beta_star * xi)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = fr.verify_corollaries(mu_star, beta_star)
+    _, inner = golden_section_max(f, 0.0, 1.0)
+    best = max(inner, f(0.0), f(1.0))
+    assert abs((1.0 - rep.segment_min_margin) - best) <= 1e-12
+    assert rep.segment_min_margin == 1.0 - f(rep.segment_argmin_xi)
+    assert 0.0 <= rep.segment_argmin_xi <= 1.0
+
+
+@pytest.mark.parametrize("beta_star", [-1e-9, 1.0 + 1e-9, np.nan])
+def test_verify_corollaries_rejects_beta_star_outside_unit_interval(beta_star):
+    with pytest.raises(ValueError, match="beta_star"):
+        fr.verify_corollaries(MU, beta_star)
 
 
 @settings(max_examples=25, deadline=None)
@@ -342,7 +376,7 @@ def test_gamma_tradeoff_names_a_bad_element():
 def test_verify_corollaries_equals_a_per_gamma_loop(mu_star, fractions):
     low = 1.0 / (1.0 + mu_star)
     gammas = tuple(g for g in (low + f * (1.0 - low) for f in fractions) if low < g < 1.0)
-    rep = fr.verify_corollaries(mu_star, grid=1000, gammas=gammas)
+    rep = fr.verify_corollaries(mu_star, gammas=gammas)
     want = []
     for g in gammas:
         pt = fr.gamma_tradeoff(g, mu_star)
