@@ -25,7 +25,6 @@ from .construction import (
     _round_nearest,
     construct_multipocket,
     load_codespec,
-    pocket_weights,
     save_codespec,
     select_classical,
     union_bound,
@@ -229,6 +228,8 @@ def cmd_construct(config: dict) -> dict:
     elif config["mode"] == "multipocket":
         levels = config["levels"]
         if config["level_fractions"] is not None:
+            if not np.all(np.isfinite(config["level_fractions"])):
+                raise ValueError(f"level_fractions must be finite, got {config['level_fractions']}")
             rounded = [_round_nearest(f * n) for f in config["level_fractions"]]
             levels = sorted(set(rounded))
         try:
@@ -257,12 +258,12 @@ def cmd_construct(config: dict) -> dict:
             "quota": cons.quota,
             "pockets": [
                 {
-                    "level": level,
-                    "recruited": recruited,
-                    "retained": retained,
-                    "lost_fraction": lost,
+                    "level": s.level,
+                    "recruited": s.recruited_weight,
+                    "retained": s.retained_weight,
+                    "lost_fraction": s.lost_fraction,
                 }
-                for level, recruited, retained, lost in pocket_weights(cons)
+                for s in cons.pocket_stats
             ],
         }
     else:
@@ -281,7 +282,7 @@ def cmd_frontier(config: dict) -> dict:
         betas, invs = np.array(rows).T
         mu_p = np.full(invs.size, frontier.INFINITE_MU)
         np.divide(1.0, invs, out=mu_p, where=invs > 0.0)
-        res = frontier.is_achievable(frontier.RegionQuery(betas, mu_p, mu_star))
+        res = frontier.is_achievable(betas, mu_p, mu_star)
         _write_csv(
             config["csv"],
             ["inv_mu_p", "beta_p", "worst_pi", "margin"],

@@ -74,6 +74,12 @@ class PocketStats:
     recruited_weight: float
     retained_weight: float
 
+    @property
+    def lost_fraction(self) -> float:
+        """Share of the recruited weight the erasure filter dropped."""
+        recruited = self.recruited_weight
+        return (recruited - self.retained_weight) / recruited if recruited > 0 else 0.0
+
 
 @dataclass(frozen=True)
 class ConstructionReport:
@@ -220,6 +226,8 @@ def select_classical(
         count = _round_nearest(rate * (1 << n))
         params = {"mode": "classical", "rate": rate}
     else:
+        if math.isnan(max_sum_erasure):
+            raise ValueError(f"erasure budget must be a number, got {max_sum_erasure!r}")
         if max_sum_erasure <= 0.0:
             raise InfeasibleTargetError(
                 f"erasure budget must be positive, got {max_sum_erasure!r}"
@@ -302,7 +310,7 @@ def construct_multipocket(
     `levels` overrides the derived pocket levels; thresholds then use the
     pocket count D = len(levels).
     """
-    _check_exponents(mu_p, mu_star)
+    _check_exponents(mu_star, mu_p)
     if not 0.0 <= beta_p <= 0.5:
         raise ValueError(f"beta_p must lie in [0, 1/2], got {beta_p!r}")
     if pockets < 1:
@@ -486,18 +494,6 @@ def _train_and_retain(
 def _quota_count(steps: int, quota: int) -> int:
     """Extensions of `steps` steps with at least `quota` squarings."""
     return sum(math.comb(steps, k) for k in range(max(quota, 0), steps + 1))
-
-
-def pocket_weights(
-    report: ConstructionReport,
-) -> list[tuple[int, float, float, float]]:
-    """Per-pocket accounting rows (level, recruited, retained, lost_fraction)."""
-    rows = []
-    for s in report.pocket_stats:
-        recruited, retained = s.recruited_weight, s.retained_weight
-        lost = (recruited - retained) / recruited if recruited > 0 else 0.0
-        rows.append((s.level, recruited, retained, lost))
-    return rows
 
 
 # --------------------------------------------------------------------------

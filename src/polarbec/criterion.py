@@ -350,19 +350,29 @@ def estimate_mu(
     """Decay exponent mu from a least-squares fit of -log2 g_n(z0) vs n.
 
     Only the trailing fit_fraction of the iterates enters the fit, skipping
-    the transient where g_n still remembers the indicator shape.
+    the transient where g_n still remembers the indicator shape.  z0 must lie
+    in [0, 1], fit_fraction in (0, 1], and the window must hold at least 2
+    iterates; otherwise ValueError.
     """
     if len(iterates) < 10:
         raise ValueError("need at least 10 iterates for a stable fit")
-    ys = np.array([float(g(z0)) for g in iterates])
-    start = int(len(ys) * (1.0 - fit_fraction))
-    window = ys[start:]
-    if np.any(window <= 0.0):
+    if not 0.0 <= z0 <= 1.0:  # False for NaN
+        raise ValueError(f"z0 must lie in [0, 1], got {z0!r}")
+    if not 0.0 < fit_fraction <= 1.0:  # False for NaN
+        raise ValueError(f"fit_fraction must lie in (0, 1], got {fit_fraction!r}")
+    start = int(len(iterates) * (1.0 - fit_fraction))
+    if len(iterates) - start < 2:
+        raise ValueError(
+            f"fit_fraction {fit_fraction!r} of {len(iterates)} iterates leaves"
+            f" {len(iterates) - start} in the fit window; need at least 2"
+        )
+    ys = np.array([float(g(z0)) for g in iterates[start:]])
+    if np.any(ys <= 0.0):
         raise DegenerateFitError(
             "interior mass underflowed to 0 inside the fit window"
         )
-    ns = np.arange(start, len(ys), dtype=np.float64)
-    neglog = -np.log2(window)
+    ns = np.arange(start, len(iterates), dtype=np.float64)
+    neglog = -np.log2(ys)
     slope = np.polyfit(ns, neglog, 1)[0]
     if slope <= 1e-12:
         raise DegenerateFitError(f"no usable decay, slope {slope:.3g}")

@@ -74,35 +74,15 @@ class AchievabilityResult(NamedTuple):
     worst_pi: float
 
 
-def _check_exponents(mu_p, mu_star: float) -> None:
-    if mu_star <= 2.0:
-        raise ValueError(f"mu_star must exceed 2, got {mu_star!r}")
-    mu = np.asarray(mu_p, dtype=np.float64)  # a scalar or an array
-    low = mu <= mu_star
+def _check_exponents(mu_star: float, mu_p=()) -> None:
+    # mu_star finite and above 2; each element of mu_p above it, not NaN
+    if mu_star <= 2.0 or not math.isfinite(mu_star):  # NaN fails isfinite
+        raise ValueError(f"mu_star must exceed 2 and be finite, got {mu_star!r}")
+    mu = np.asarray(mu_p, dtype=np.float64)
+    low = ~(mu > mu_star)  # True for NaN
     if np.any(low):
         bad = float(mu[low].flat[0])
         raise ValueError(f"mu_p must exceed mu_star, got {bad!r} <= {mu_star!r}")
-
-
-@dataclass(frozen=True)
-class RegionQuery:
-    """Membership questions about the achievable region.
-
-    beta_p and mu_p are scalars or arrays that broadcast together, one
-    question per element; mu_star is a scalar.
-    """
-
-    beta_p: float | np.ndarray
-    mu_p: float | np.ndarray
-    mu_star: float
-
-    def __post_init__(self) -> None:
-        _check_exponents(self.mu_p, self.mu_star)
-        beta = np.asarray(self.beta_p, dtype=np.float64)
-        low = beta < 0.0
-        if np.any(low):
-            bad = float(beta[low].flat[0])
-            raise ValueError(f"beta_p must be nonnegative, got {bad!r}")
 
 
 def _entropy_term(args):
@@ -120,18 +100,30 @@ def _region_lhs(beta_p: float, mu_p: float, mu_star: float, pi):
     return (1.0 - pi) / denom + _entropy_term(beta_p * mu_p / denom)
 
 
-def is_achievable(q: RegionQuery) -> AchievabilityResult:
+def is_achievable(beta_p, mu_p, mu_star: float) -> AchievabilityResult:
     """Check the region condition over a pi grid plus local refinement.
+
+    beta_p and mu_p are scalars or arrays that broadcast together, one
+    question per element; mu_star is a scalar.  mu_star must be finite and
+    above 2, mu_p finite and above mu_star (the left side is 0/0 at
+    mu_p = inf; INFINITE_MU stands in for an unconstrained gap), and beta_p
+    nonnegative; anything else raises ValueError.
 
     Every question scans the same pi grid and refines around its largest
     sample with golden_section_max; all of them go through one array call,
     which gives each question's per-query result bit for bit.  Scalar
-    fields give floats and a bool; array fields give arrays of their
-    broadcast shape.
+    arguments give floats and a bool; arrays give arrays of their broadcast
+    shape.
     """
+    _check_exponents(mu_star, mu_p)
     beta_p, mu_p = np.broadcast_arrays(
-        np.asarray(q.beta_p, dtype=np.float64), np.asarray(q.mu_p, dtype=np.float64)
+        np.asarray(beta_p, dtype=np.float64), np.asarray(mu_p, dtype=np.float64)
     )
+    low = ~(beta_p >= 0.0)  # True for NaN
+    if np.any(low):
+        raise ValueError(f"beta_p must be nonnegative, got {float(beta_p[low].flat[0])!r}")
+    if np.any(mu_p == np.inf):
+        raise ValueError("mu_p must be finite, got inf: the region's left side is 0/0 there")
     size = beta_p.size
     _check_memory(_BYTES_PER_QUESTION * size, f"is_achievable with {size:,} questions")
     pis = np.linspace(0.0, 1.0, _PI_GRID)
@@ -140,13 +132,13 @@ def is_achievable(q: RegionQuery) -> AchievabilityResult:
     peak = np.empty(size)
     for i in range(0, size, _SCAN_ROWS):
         rows = slice(i, i + _SCAN_ROWS)
-        lhs = _region_lhs(flat_b[rows, None], flat_m[rows, None], q.mu_star, pis)
+        lhs = _region_lhs(flat_b[rows, None], flat_m[rows, None], mu_star, pis)
         k[rows], peak[rows] = np.argmax(lhs, axis=1), np.max(lhs, axis=1)
     k, peak = k.reshape(beta_p.shape), peak.reshape(beta_p.shape)
     lo = pis[np.maximum(k - 1, 0)]
     hi = pis[np.minimum(k + 1, _PI_GRID - 1)]
     worst_pi, worst = golden_section_max(
-        lambda p: _region_lhs(beta_p, mu_p, q.mu_star, p), lo, hi
+        lambda p: _region_lhs(beta_p, mu_p, mu_star, p), lo, hi
     )
     on_grid = peak > worst
     worst_pi = np.where(on_grid, pis[k], worst_pi)
@@ -174,7 +166,7 @@ def max_beta(mu_p, mu_star: float):
 
     mu_p is a scalar or an array; 0-d input gives a float.
     """
-    _check_exponents(mu_p, mu_star)
+    _check_exponents(mu_star, mu_p)
     mu_p = np.asarray(mu_p, dtype=np.float64)
     c = 1.0 / mu_star + ACHIEVABILITY_SLACK
     s_star = 1.0 - 2.0 ** (c - 1.0)
@@ -197,7 +189,7 @@ def trace_frontier(mu_star: float, samples: int = 53) -> list[FrontierPoint]:
     if samples < 2:
         raise ValueError("need at least 2 samples")
     _check_memory(_BYTES_PER_SAMPLE * samples, f"trace_frontier with {samples} samples")
-    _check_exponents(INFINITE_MU, mu_star)  # the sweep's last point, before 1/mu_star
+    _check_exponents(mu_star, INFINITE_MU)  # the sweep's last point, before 1/mu_star
     top = 1.0 / (mu_star * (1.0 + 1e-9))
     invs = top * np.arange(samples - 1, -1, -1) / (samples - 1)
     finite = invs > 0.0
@@ -225,8 +217,7 @@ def gamma_tradeoff(gamma, mu_star: float) -> FrontierPoint:
     gamma is a scalar or an array; 0-d input gives a point of floats, an
     array one of arrays, each element equal to its own scalar call.
     """
-    if mu_star <= 2.0:
-        raise ValueError(f"mu_star must exceed 2, got {mu_star!r}")
+    _check_exponents(mu_star)
     g = np.asarray(gamma, dtype=np.float64)
     outside = ~((1.0 / (1.0 + mu_star) < g) & (g < 1.0))  # True for NaN
     if np.any(outside):
@@ -249,8 +240,8 @@ def conjectured_intercept(mu_star: float) -> float:
     power-of-log behavior of the eigenfunction near 0; for mu_star = 3.627
     this evaluates to about 0.44696.
     """
-    if mu_star <= 1.0:
-        raise ValueError("mu_star must exceed 1")
+    if mu_star <= 1.0 or not math.isfinite(mu_star):  # NaN fails isfinite
+        raise ValueError(f"mu_star must exceed 1 and be finite, got {mu_star!r}")
     return 1.0 / (mu_star * _theta(1.0 / mu_star))
 
 
@@ -315,9 +306,10 @@ def verify_corollaries(
     """
     if not 0.0 <= beta_star <= 1.0:  # False for NaN
         raise ValueError(f"beta_star must lie in [0, 1], got {beta_star!r}")
-    # gamma_tradeoff refuses mu_star <= 2 before the segment divides by it
+    # gamma_tradeoff refuses a bad mu_star, with no gammas too, before the
+    # segment divides by it
     pts = gamma_tradeoff(np.array(gammas, dtype=np.float64), mu_star)
-    res = is_achievable(RegionQuery(pts.beta_p, 1.0 / pts.inv_mu_p, mu_star))
+    res = is_achievable(pts.beta_p, 1.0 / pts.inv_mu_p, mu_star)
     xi = 0.0
     if beta_star > 0.0:
         # 1/(1 + 2**t) as u/(1 + u) with u = 2**-t, which underflows to 0

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from polarbec import codec, errors
-from polarbec.cli import SUBCOMMANDS, entrypoint
+from polarbec.cli import SUBCOMMANDS, _float_list, _real, entrypoint
 from polarbec.erasure import RootChannel, cached_level_table
 
 
@@ -75,7 +75,7 @@ def test_criterion_ratio_csv(capsys, tmp_path):
     target = tmp_path / "curve.csv"
     code, _, _ = run_cli(capsys, "criterion", "--ratio-csv", str(target))
     assert code == 0
-    rows = list(csv.reader(target.open()))
+    rows = list(csv.reader(target.read_text().splitlines()))
     assert rows[0] == ["xi", "ratio"]
     assert len(rows) > 1000
     assert max(float(r[1]) for r in rows[1:]) <= 0.8326048558320692 + 1e-9
@@ -231,7 +231,7 @@ def test_mu_estimate_run_and_csv(capsys, tmp_path):
     assert code == 0
     assert out["mu"] == pytest.approx(3.63, abs=0.05)
     assert out["steps"] == 20
-    rows = list(csv.reader(target.open()))
+    rows = list(csv.reader(target.read_text().splitlines()))
     assert rows[0] == ["step", "g_z0"]
     assert len(rows) == 22  # header + initial indicator + 20 iterates
     vals = [float(r[1]) for r in rows[1:]]
@@ -267,6 +267,23 @@ def test_frontier_over_memory_budget_exits_2_at_once(capsys):
 def test_mu_estimate_degenerate_exits_3(capsys):
     code, _, err = run_cli(capsys, "mu-estimate", "--z0", "1.0")
     assert code == 3 and err["error"] == "DegenerateFitError"
+
+
+@pytest.mark.parametrize(
+    "flag, name",
+    [
+        ("--z0=nan", "z0"),
+        ("--z0=1.5", "z0"),
+        ("--fit-fraction=0", "fit_fraction"),
+        ("--fit-fraction=1.5", "fit_fraction"),
+        ("--fit-fraction=nan", "fit_fraction"),
+        ("--fit-fraction=0.05", "fit window"),  # 1 of 12 iterates
+    ],
+)
+def test_mu_estimate_bad_z0_or_fit_fraction_exits_2(capsys, flag, name):
+    code, out, err = run_cli(capsys, "mu-estimate", "--steps", "11", "--grid", "4096", flag)
+    assert code == 2 and out is None
+    assert err["error"] == "ValueError" and name in err["message"]
 
 
 def test_construct_multipocket_report(capsys):
@@ -315,7 +332,7 @@ def test_construct_writes_and_simulate_reads(capsys, tmp_path):
     assert out["trials"] == 3000 and out["code_n"] == 4 and out["code_size"] == 8
     lo, hi = out["wilson_ci95"]
     assert lo <= out["estimate"] <= hi
-    rows = list(csv.reader(tally.open()))
+    rows = list(csv.reader(tally.read_text().splitlines()))
     assert rows[0] == ["trial_block", "errors", "trials", "estimate", "ci_lo", "ci_hi"]
     assert len(rows) == 4  # header + 3 batches
     assert sum(int(r[1]) for r in rows[1:]) == out["block_errors"]
@@ -493,6 +510,21 @@ def test_construct_tight_budget_exits_3(capsys):
     assert code == 3 and err["error"] == "InfeasibleTargetError"
 
 
+@pytest.mark.parametrize(
+    "budget, code, error",
+    [("nan", 2, "ValueError"), ("0", 3, "InfeasibleTargetError"), ("-inf", 3, "InfeasibleTargetError")],
+)
+def test_construct_nan_budget_exits_2_and_a_budget_of_0_or_below_exits_3(capsys, budget, code, error):
+    got, out, err = run_cli(capsys, "construct", "--mode", "classical", "--n", "8", f"--budget={budget}")
+    assert got == code and out is None
+    assert err["error"] == error and "budget" in err["message"]
+
+
+def test_construct_infinite_budget_takes_every_channel(capsys):
+    code, out, _ = run_cli(capsys, "construct", "--mode", "classical", "--n", "8", "--budget", "inf")
+    assert code == 0 and out["size"] == 256 and out["rate"] == 1.0
+
+
 def test_construct_level_fractions(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -644,7 +676,7 @@ def test_frontier_report_and_csv(capsys, tmp_path):
     assert len(out["points"]) == 5
     assert out["top_inv_mu"] == pytest.approx(0.2757099528, abs=1e-6)
     assert out["intercept_estimate"] == pytest.approx(0.4999991673976183, abs=1e-6)
-    rows = list(csv.reader(target.open()))
+    rows = list(csv.reader(target.read_text().splitlines()))
     assert rows[0] == ["inv_mu_p", "beta_p", "worst_pi", "margin"]
     assert len(rows) == 6
     for row in rows[1:]:
@@ -766,3 +798,61 @@ def test_module_invocation_round_trip(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["passed"] is True and report["config"]["beta_star"] == 0.44
+
+
+# (fixed arguments of a small run, float options swept); a list option gets
+# the swept value as its second entry.
+_MULTIPOCKET = ["construct", "--n", "8", "--beta-p", "0.01", "--p-ub", "0.5"]
+_NON_FINITE_RUNS = [
+    (["criterion"], ["alpha"]),
+    (["mu-estimate", "--steps", "11", "--grid", "4096"], ["a", "b", "z0", "fit_fraction"]),
+    (_MULTIPOCKET + ["--levels", "2,4"], ["z0", "beta_p", "mu_p", "mu_star", "p_ub"]),
+    (_MULTIPOCKET, ["level_fractions"]),
+    (["construct", "--mode", "classical", "--n", "8"], ["rate", "budget"]),
+    (["frontier", "--samples", "5"], ["mu_star"]),
+    (["simulate", "--trials", "64"], ["z0"]),
+    (["corollaries"], ["mu_star", "beta_star", "gammas"]),
+]
+
+
+def test_non_finite_sweep_covers_every_float_option():
+    floats = {
+        (sub, key)
+        for sub, (_, _, options) in SUBCOMMANDS.items()
+        for key, _, kind, *_ in options
+        if kind in (_real, _float_list)
+    }
+    floats.add(("corollaries", "gammas"))  # text, read as a list of floats
+    assert {(argv[0], key) for argv, keys in _NON_FINITE_RUNS for key in keys} == floats
+
+
+def _no_nan(constant):
+    if constant == "NaN":
+        raise ValueError("NaN is not valid JSON")
+    return float(constant)  # Infinity: union_bound_log is infinite at z0 = 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv, key",
+    [(argv, key) for argv, keys in _NON_FINITE_RUNS for key in keys],
+    ids=lambda p: p[0] if isinstance(p, list) else p,
+)
+def test_non_finite_float_options_are_refused_or_give_valid_json(capsys, tmp_path, argv, key, value):
+    if argv[0] == "simulate":
+        code_file = tmp_path / "code.txt"
+        made = ["construct", "--mode", "classical", "--n", "4", "--rate", "0.5"]
+        assert entrypoint(made + ["--code-out", str(code_file)]) == 0
+        capsys.readouterr()
+        argv = argv + ["--code", str(code_file)]
+    listed = "0.25," if key in ("level_fractions", "gammas") else ""
+    # "=" keeps argparse from reading -inf as a flag
+    code = entrypoint(argv + [f"--{key.replace('_', '-')}={listed}{value}"])
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+        report = json.loads(captured.out, parse_constant=_no_nan)
+        assert report["config"][key] is not None
+    else:
+        assert code in (2, 3) and captured.out == ""
+        assert json.loads(captured.err)["exit_code"] == code

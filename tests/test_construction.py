@@ -92,6 +92,13 @@ def test_classical_budget_infeasible():
         co.select_classical(er.RootChannel(0.5), 3, max_sum_erasure=-1.0)
 
 
+def test_classical_nan_budget_raises_and_infinite_budget_takes_all():
+    root = er.RootChannel(0.5)
+    with pytest.raises(ValueError, match="budget must be a number, got nan"):
+        co.select_classical(root, 3, max_sum_erasure=math.nan)
+    assert co.select_classical(root, 3, max_sum_erasure=math.inf).indices.tolist() == list(range(1, 9))
+
+
 def test_classical_needs_exactly_one_target():
     root = er.RootChannel(0.5)
     with pytest.raises(ValueError):
@@ -541,17 +548,17 @@ def test_explicit_levels_override():
     assert set(np.unique(spec.source_pocket)) <= {14, 18}
 
 
-def test_pocket_weights_accounting():
+def test_pocket_stats_accounting():
     root = er.RootChannel(0.5)
     spec, report = co.construct_multipocket(
         root, 16, 0.30, 8.0, 3.8, pockets=4, p_ub=2.0**-10
     )
-    rows = co.pocket_weights(report)
-    assert [r[0] for r in rows] == [2, 4, 6, 8]
-    assert math.fsum(r[2] for r in rows) == pytest.approx(spec.rate, abs=1e-15)
-    for _, recruited, retained, lost in rows:
-        assert retained <= recruited + 1e-15
-        assert 0.0 <= lost <= 1.0
+    rows = report.pocket_stats
+    assert [r.level for r in rows] == [2, 4, 6, 8]
+    assert math.fsum(r.retained_weight for r in rows) == pytest.approx(spec.rate, abs=1e-15)
+    for r in rows:
+        assert r.retained_weight <= r.recruited_weight + 1e-15
+        assert 0.0 <= r.lost_fraction <= 1.0
 
 
 def test_pocket_loss_tracks_entropy_bound():
@@ -561,13 +568,13 @@ def test_pocket_loss_tracks_entropy_bound():
     _, report = co.construct_multipocket(
         er.RootChannel(0.5), n, beta_p, 8.0, 3.8, pockets=4, p_ub=2.0**-10
     )
-    for m, recruited, _, lost in co.pocket_weights(report):
-        if recruited == 0.0:
+    for s in report.pocket_stats:
+        if s.recruited_weight == 0.0:
             continue
-        eps = beta_p * n / (n - m)
+        eps = beta_p * n / (n - s.level)
         assert eps <= 1.0
-        bound = 2.0 ** (-(n - m) * (1.0 - cr.binary_entropy(eps)))
-        assert lost <= 8.0 * bound
+        bound = 2.0 ** (-(n - s.level) * (1.0 - cr.binary_entropy(eps)))
+        assert s.lost_fraction <= 8.0 * bound
 
 
 def test_gap_shrinks_with_blocklength():

@@ -325,6 +325,27 @@ def test_estimate_mu_degenerate_inputs():
         cr.estimate_mu(_constant_iterates(dead), 0.5)  # underflow in the window
 
 
+@pytest.mark.parametrize(
+    "z0, fit_fraction, name",
+    [
+        (math.nan, 0.5, "z0"),
+        (-0.1, 0.5, "z0"),
+        (1.5, 0.5, "z0"),
+        (0.5, 0.0, "fit_fraction"),
+        (0.5, 1.5, "fit_fraction"),
+        (0.5, math.nan, "fit_fraction"),
+        (0.5, 0.05, "fit window"),  # int(12 * 0.95) = 11: one iterate left
+    ],
+)
+def test_estimate_mu_refuses_z0_or_fit_fraction_out_of_range(z0, fit_fraction, name):
+    planted = _constant_iterates([2.0 ** (-n / 4.0) for n in range(12)])
+    with pytest.raises(ValueError, match=name):
+        cr.estimate_mu(planted, z0, fit_fraction)
+    # the ends of both ranges are accepted; 0.1 leaves a window of 2
+    assert cr.estimate_mu(planted, 1.0, 1.0) == pytest.approx(4.0, abs=1e-9)
+    assert cr.estimate_mu(planted, 0.0, 0.1) == pytest.approx(4.0, abs=1e-9)
+
+
 def test_full_pipeline_estimate():
     its = cr.iterate_g(0.01, 0.99, 30, 1 << 13)
     mu = cr.estimate_mu(its, 0.5)

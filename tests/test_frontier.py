@@ -15,36 +15,36 @@ MU = 3.627
 
 
 def test_achievable_at_zero_beta_huge_mu():
-    res = fr.is_achievable(fr.RegionQuery(0.0, 1e6, MU))
+    res = fr.is_achievable(0.0, 1e6, MU)
     assert res.achievable
     assert res.worst_margin > 0.999
 
 
 def test_reference_boundary_point_sits_on_edge():
     beta, inv = fr.REFERENCE_BOUNDARY_3627[0]
-    res = fr.is_achievable(fr.RegionQuery(beta, 1.0 / inv, MU))
+    res = fr.is_achievable(beta, 1.0 / inv, MU)
     assert abs(res.worst_margin) <= 1e-12  # full-precision row: one ulp from 0
     assert res.worst_pi == 0.0
     assert not res.achievable  # below the strictness slack
     # same point rounded to four digits tips visibly past the edge
-    rounded = fr.is_achievable(fr.RegionQuery(0.3976, 1.0 / 0.030494, MU))
+    rounded = fr.is_achievable(0.3976, 1.0 / 0.030494, MU)
     assert rounded.worst_margin == pytest.approx(-2.336048991491424e-05, rel=1e-6)
     assert not rounded.achievable
 
 
 def test_not_achievable_above_frontier():
-    res = fr.is_achievable(fr.RegionQuery(0.45, 4.0, MU))
+    res = fr.is_achievable(0.45, 4.0, MU)
     assert not res.achievable
     assert res.worst_margin < -0.1
 
 
 def test_region_query_validation():
     with pytest.raises(ValueError):
-        fr.RegionQuery(0.3, 3.0, MU)  # mu_p <= mu_star
+        fr.is_achievable(0.3, 3.0, MU)  # mu_p <= mu_star
     with pytest.raises(ValueError):
-        fr.RegionQuery(0.3, 8.0, 1.5)
+        fr.is_achievable(0.3, 8.0, 1.5)
     with pytest.raises(ValueError):
-        fr.RegionQuery(-0.1, 8.0, MU)
+        fr.is_achievable(-0.1, 8.0, MU)
 
 
 def test_max_beta_anchors():
@@ -64,9 +64,8 @@ def test_max_beta_anchors():
 def test_max_beta_sits_on_the_oracle_boundary(mu_star, ratio):
     mu_p = mu_star * ratio
     b = fr.max_beta(mu_p, mu_star)
-    assert fr.is_achievable(fr.RegionQuery(b * (1.0 - 1e-7), mu_p, mu_star)).achievable
-    above = fr.RegionQuery(b * (1.0 + 1e-7) + 1e-12, mu_p, mu_star)
-    assert not fr.is_achievable(above).achievable
+    assert fr.is_achievable(b * (1.0 - 1e-7), mu_p, mu_star).achievable
+    assert not fr.is_achievable(b * (1.0 + 1e-7) + 1e-12, mu_p, mu_star).achievable
 
 
 def test_max_beta_pi_one_end_binds_for_huge_mu_star():
@@ -75,9 +74,8 @@ def test_max_beta_pi_one_end_binds_for_huge_mu_star():
     s_star = 1.0 - 2.0 ** -(1.0 - 1.0 / mu_star - fr.ACHIEVABILITY_SLACK)
     assert s_star > binary_entropy_inv(1.0 - fr.ACHIEVABILITY_SLACK)
     b = fr.max_beta(mu_p, mu_star)
-    assert fr.is_achievable(fr.RegionQuery(b * (1.0 - 1e-7), mu_p, mu_star)).achievable
-    above = fr.RegionQuery(b * (1.0 + 1e-7), mu_p, mu_star)
-    res = fr.is_achievable(above)
+    assert fr.is_achievable(b * (1.0 - 1e-7), mu_p, mu_star).achievable
+    res = fr.is_achievable(b * (1.0 + 1e-7), mu_p, mu_star)
     assert not res.achievable and res.worst_pi == 1.0
 
 
@@ -212,7 +210,7 @@ def test_gamma_tradeoff_monotone_along_curve():
 def test_gamma_curve_points_inside_region():
     for g in fr.DEFAULT_CONTAINMENT_GAMMAS:
         pt = fr.gamma_tradeoff(g, MU)
-        res = fr.is_achievable(fr.RegionQuery(pt.beta_p, 1.0 / pt.inv_mu_p, MU))
+        res = fr.is_achievable(pt.beta_p, 1.0 / pt.inv_mu_p, MU)
         assert res.achievable, f"gamma={g} escaped the region"
 
 
@@ -291,16 +289,16 @@ def test_verify_corollaries_rejects_beta_star_outside_unit_interval(beta_star):
     mu_p=st.floats(min_value=4.0, max_value=100.0),
 )
 def test_achievability_monotone_in_beta(beta_hi, frac, mu_p):
-    hi = fr.is_achievable(fr.RegionQuery(beta_hi, mu_p, MU))
+    hi = fr.is_achievable(beta_hi, mu_p, MU)
     if hi.achievable:
-        lo = fr.is_achievable(fr.RegionQuery(beta_hi * frac, mu_p, MU))
+        lo = fr.is_achievable(beta_hi * frac, mu_p, MU)
         assert lo.achievable
         assert lo.worst_margin >= hi.worst_margin - 1e-12
 
 
 def _per_query(betas, mu_ps, mu_star):
     return [
-        fr.is_achievable(fr.RegionQuery(float(b), float(m), mu_star))
+        fr.is_achievable(float(b), float(m), mu_star)
         for b, m in zip(betas, mu_ps)
     ]
 
@@ -317,7 +315,7 @@ def _per_query(betas, mu_ps, mu_star):
 def test_is_achievable_array_equals_per_query_calls(mu_star, queries):
     betas = np.array([b for b, _ in queries])
     mu_ps = mu_star * np.array([r for _, r in queries])
-    got = fr.is_achievable(fr.RegionQuery(betas, mu_ps, mu_star))
+    got = fr.is_achievable(betas, mu_ps, mu_star)
     for i, one in enumerate(_per_query(betas, mu_ps, mu_star)):
         assert isinstance(one.achievable, bool) and isinstance(one.worst_margin, float)
         assert (bool(got.achievable[i]), got.worst_margin[i], got.worst_pi[i]) == one
@@ -331,12 +329,12 @@ def test_is_achievable_array_spans_scan_blocks_and_broadcasts():
     invs = np.array([p.inv_mu_p for p in pts])
     mu_ps = np.full(invs.size, fr.INFINITE_MU)
     np.divide(1.0, invs, out=mu_ps, where=invs > 0.0)
-    got = fr.is_achievable(fr.RegionQuery(betas, mu_ps, MU))
+    got = fr.is_achievable(betas, mu_ps, MU)
     want = _per_query(betas, mu_ps, MU)
     assert got.worst_margin.tolist() == [w.worst_margin for w in want]
     assert got.worst_pi.tolist() == [w.worst_pi for w in want]
-    flat = fr.is_achievable(fr.RegionQuery(0.3, mu_ps[:6], MU))
-    square = fr.is_achievable(fr.RegionQuery(0.3, mu_ps[:6].reshape(2, 3), MU))
+    flat = fr.is_achievable(0.3, mu_ps[:6], MU)
+    square = fr.is_achievable(0.3, mu_ps[:6].reshape(2, 3), MU)
     assert square.worst_margin.shape == (2, 3)
     assert square.worst_margin.ravel().tolist() == flat.worst_margin.tolist()
     assert flat.worst_margin.tolist() == [w.worst_margin for w in _per_query([0.3] * 6, mu_ps[:6], MU)]
@@ -344,9 +342,37 @@ def test_is_achievable_array_spans_scan_blocks_and_broadcasts():
 
 def test_region_query_names_a_bad_element():
     with pytest.raises(ValueError, match="beta_p must be nonnegative, got -0.1"):
-        fr.RegionQuery(np.array([0.2, -0.1]), 8.0, MU)
+        fr.is_achievable(np.array([0.2, -0.1]), 8.0, MU)
     with pytest.raises(ValueError, match="mu_p must exceed mu_star, got 3.0 <= 3.627"):
-        fr.RegionQuery(0.2, np.array([8.0, 3.0]), MU)
+        fr.is_achievable(0.2, np.array([8.0, 3.0]), MU)
+
+
+_NON_FINITE_CALLS = [
+    ("verify_corollaries", (np.inf, 0.4469, ()), "mu_star"),
+    ("verify_corollaries", (np.nan, 0.4469, ()), "mu_star"),
+    ("gamma_tradeoff", (0.5, np.inf), "mu_star"),
+    ("trace_frontier", (np.nan,), "mu_star"),
+    ("max_beta", (8.0, np.inf), "mu_star"),
+    ("max_beta", (np.array([8.0, np.nan]), MU), "mu_p"),
+    ("conjectured_intercept", (np.inf,), "mu_star"),
+    ("conjectured_intercept", (np.nan,), "mu_star"),
+    ("is_achievable", (0.3, np.inf, MU), "mu_p"),
+    ("is_achievable", (0.3, np.nan, MU), "mu_p"),
+    ("is_achievable", (np.nan, 8.0, MU), "beta_p"),
+    ("is_achievable", (0.3, 8.0, np.nan), "mu_star"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, name",
+    _NON_FINITE_CALLS,
+    ids=[f"{f}{a}" for f, a, _ in _NON_FINITE_CALLS],
+)
+def test_non_finite_exponents_are_refused_by_name(func, args, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            getattr(fr, func)(*args)
 
 
 _GAMMA_FRACTIONS = st.lists(st.floats(min_value=1e-9, max_value=1.0 - 1e-9), max_size=8)
@@ -380,7 +406,7 @@ def test_verify_corollaries_equals_a_per_gamma_loop(mu_star, fractions):
     want = []
     for g in gammas:
         pt = fr.gamma_tradeoff(g, mu_star)
-        res = fr.is_achievable(fr.RegionQuery(pt.beta_p, 1.0 / pt.inv_mu_p, mu_star))
+        res = fr.is_achievable(pt.beta_p, 1.0 / pt.inv_mu_p, mu_star)
         want.append((g, res.worst_margin))
     assert rep.containment_margins == tuple(want)
     assert all(type(m) is float for _, m in rep.containment_margins)
@@ -391,10 +417,10 @@ def test_is_achievable_over_memory_budget_refuses_before_scanning(monkeypatch):
     mu_ps = np.linspace(10.0, 100.0, 1000)
     monkeypatch.setattr(errors, "_memory_budget", lambda: 399_999)
     with pytest.raises(errors.LevelTooLargeError) as refused:
-        fr.is_achievable(fr.RegionQuery(0.3, mu_ps, MU))
+        fr.is_achievable(0.3, mu_ps, MU)
     assert str(refused.value) == (
         "is_achievable with 1,000 questions would need about 400,000 bytes, "
         "over the budget of 399,999 bytes (half of physical memory)"
     )
     monkeypatch.setattr(errors, "_memory_budget", lambda: 400_000)
-    assert fr.is_achievable(fr.RegionQuery(0.3, mu_ps, MU)).worst_margin.shape == (1000,)
+    assert fr.is_achievable(0.3, mu_ps, MU).worst_margin.shape == (1000,)
