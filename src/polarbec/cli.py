@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -169,6 +170,8 @@ def cmd_criterion(config: dict) -> dict:
 
 
 def cmd_mu_estimate(config: dict) -> dict:
+    # refuse a bad z0 or fit fraction before paying for the iteration
+    criterion._fit_start(config["steps"] + 1, config["z0"], config["fit_fraction"])
     iterates = criterion.iterate_g(
         config["a"], config["b"], config["steps"], grid_size=config["grid"]
     )
@@ -427,9 +430,25 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+# how a negative number starts, -inf and -nan among them
+_NEGATIVE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Each "--key" followed by a negative number as "--key=number":
+    argparse reads a separate -inf, -nan or -1e5 as a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1][:2] == "--" and "=" not in out[-1] and _NEGATIVE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def entrypoint(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     sub = args.subcommand
     try:
         config = resolve_config(sub, args)

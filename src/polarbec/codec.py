@@ -8,12 +8,12 @@ bitmasks, known and value, with bit t standing for position t.
 
 On the BEC the decoder never guesses, so whether a block decodes depends on
 the erasure pattern alone.  simulate() exploits that through a vectorized
-resolution profile, bit-sliced over 64 trials per uint64 word, fed by one
-counter-based Philox stream that each chunk of trials opens at its first
-trial, on up to two threads (its docstring states the stream).  Each batch
-is profiled in slabs of whole 64-trial word rows, about 2**19 words or one
-row, and a chunk reads its stream in pieces of about 2**16 raw words, so
-the memory a run holds depends on n alone, not on the batch.
+resolution profile, bit-sliced over 64 trials per uint64 word, and a draw
+bit-sliced the same way: one raw Philox word decides one bit of the
+Knuth-Yao comparison for 64 trials, about 8.5 words per 64 trial positions,
+on up to two threads (its docstring states the stream).  The run is
+profiled in slabs of whole 64-trial word rows, about 2**18 words or one
+row, so the memory it holds besides the tally depends on n alone.
 exact_block_error() deliberately does not, running the actual
 message-passing decoder on every pattern so the two stay independent; it
 memoizes subtree outcomes for one enumeration by (known, value, width,
@@ -44,12 +44,13 @@ WILSON_Z95 = 1.959963984540054
 # exact_block_error enumerates 2**(2**n) patterns
 EXACT_ENUM_MAX_LEVEL = 4
 
-# raw Philox words one simulate chunk reads at most, unless 8 trials need more
-_DRAW_WORDS = 1 << 19
+# words of one draw group, the unit of simulate's stream at every n
+_GROUP_WORDS = 1 << 16
+# draw rounds that read a word for every word of a group
+_DENSE_ROUNDS = 8
 # words of the bit-sliced table profiled at once, unless one row needs more
-_SLAB_WORDS = 1 << 19
-# raw Philox words drawn and compared at once
-_PIECE_WORDS = 1 << 16
+_SLAB_WORDS = 1 << 18
+_ALL_LANES = np.uint64(2**64 - 1)
 
 
 def _as_bits(seq, what: str) -> np.ndarray:
@@ -319,58 +320,29 @@ class SimResult:
         return wilson_interval(self.block_errors, self.trials)
 
 
-def _piece_shape(stride: int) -> tuple[int, int]:
-    """Trials one draw piece holds, and raw words it reads of each, for
-    trials of stride raw words.
-
-    Whole trials where they fit: a multiple of 8, or a power of two below 8,
-    so that a piece's trials fill whole byte rows or share one.  Else one
-    trial, read _PIECE_WORDS words (one 4-word Philox block at least) at a
-    time.
+def _draw_group(known: np.ndarray, seed: int, digits: str, group: int) -> None:
+    """Draw into known the first len(known) words of draw group `group`, as
+    known lanes, by the stream simulate() documents; digits holds the bits
+    of c, most significant first, up to its last set bit.  Each call writes
+    only its own words, so groups may run on parallel threads.
     """
-    per_piece = max(1, _PIECE_WORDS // stride)
-    return per_piece & -8 or 1 << per_piece.bit_length() - 1, min(stride, max(_PIECE_WORDS, 4))
-
-
-def _draw_chunk(
-    planes: np.ndarray, seed: int, limit: np.uint64 | None, first: int, lo: int, rows: int
-) -> None:
-    """Draw trials first .. first + rows - 1 into the slab's byte planes.
-
-    planes[w, b, i] is byte b of the slab's word w at position i; its bit r
-    is trial 8 * (8 * w + b) + r of the slab, and lo is the slab offset of
-    trial first.  Trial t reads the stream simulate() documents, from
-    counter t * B, in the pieces that _piece_shape() sets.  Position i is known
-    where its raw word is at least limit; limit None (z0 = 1) erases every
-    position, so nothing is drawn.  The chunk's buffers are private and it
-    writes only its own bytes, so chunks may run on parallel threads.
-    """
-    size = planes.shape[2]
-    stride = 4 * -(-size // 4)  # raw words a trial reads
-    # byte row k holds trials 8k .. 8k + 7 of the chunk, trial 8k + r in bit r
-    packed = np.zeros((-(-rows // 8), size), dtype=np.uint8)
-    if limit is not None:
-        bitgen = np.random.Philox(key=seed, counter=first * stride // 4)
-        per_piece, width = _piece_shape(stride)
-        group = min(per_piece, 8)  # trials of a piece that share a byte row
-        for t in range(0, rows, per_piece):
-            count = min(per_piece, rows - t)
-            shifts = np.arange(t % 8, t % 8 + group, dtype=np.uint8)[:, None]
-            for i in range(0, stride, width):
-                raw = bitgen.random_raw(count * min(width, stride - i)).reshape(count, -1)
-                used = min(raw.shape[1], size - i)  # n <= 1 uses part of a block
-                known = np.zeros((-(-count // group) * group, used), dtype=bool)
-                np.greater_equal(raw[:, :used], limit, out=known[:count])
-                del raw
-                bits = known.view(np.uint8).reshape(-1, group, used)
-                bits <<= shifts
-                k = t // 8
-                packed[k : k + len(bits), i : i + used] |= np.bitwise_or.reduce(bits, axis=1)
-    w, b = divmod(lo // 8, 8)
-    full, tail = divmod(len(packed), 8)
-    planes[w : w + full] = packed[: 8 * full].reshape(full, 8, size)
-    if tail:
-        planes[w + full, b : b + tail] = packed[8 * full :]
+    known.fill(_ALL_LANES)
+    undecided = np.full(len(known), _ALL_LANES)
+    where = slice(None)  # the words that undecided holds
+    for k, bit in enumerate(digits):
+        if k >= _DENSE_ROUNDS:
+            keep = undecided != 0
+            where = np.flatnonzero(keep) if k == _DENSE_ROUNDS else where[keep]
+            undecided = undecided[keep]
+            if not undecided.size:
+                break
+        raw = np.random.Philox(key=seed, counter=[0, 0, k, group]).random_raw(len(undecided))
+        raw &= undecided  # lanes whose bit of U equals 1
+        undecided ^= raw  # lanes whose bit of U is 0
+        if bit == "1":
+            known[where] ^= undecided  # U's 0 under c's 1: U < c, erased
+            undecided = raw
+        del raw  # before the next round draws
 
 
 def simulate(
@@ -382,19 +354,26 @@ def simulate(
     the failure event depends only on the erasure pattern, so this loses no
     generality.  seed must lie in [0, 2**64).
 
-    Trial t reads the 4*B raw words of np.random.Philox(key=seed,
-    counter=t*B), with B = ceil(2**n / 4), and uses the first 2**n of them:
-    position i is erased iff (raw[i] >> 11) < ceil(z0 * 2**53), which is
-    Generator.random() < z0 bit for bit.  Each batch is profiled in slabs
-    of whole 64-trial word rows, at most about 2**19 words or one row.  A
-    slab is cut into chunks of at most about 2**19 raw words, and each
-    chunk opens that stream at its first trial and reads it in pieces of at
-    most about 2**16 raw words, so the tally is independent of batch, slab,
-    chunk and piece size and worker count, and the memory held is
-    independent of batch.  A slab's chunks are drawn through _run_chunks,
-    on one thread per CPU in the process's affinity mask, at most two, the
-    calling thread among them, and fewer where the memory budget cannot
-    hold their buffers.
+    Word row * 2**n + i holds position i of trials 64 * row .. 64 * row +
+    63, trial 64 * row + l in bit l.  A position is erased with probability
+    exactly c / 2**53, c = ceil(z0 * 2**53), as by Generator.random() < z0:
+    round k compares bit k of a uniform U with bit k of c, most significant
+    first (Knuth and Yao), for 64 lanes at once from one raw word r.  With u
+    the lanes still undecided, a set bit of c erases u & ~r and keeps u & r,
+    a clear one keeps u & ~r; lanes undecided after c's last set bit are not
+    erased.  Round k of group g, words g * 2**16 .. (g + 1) * 2**16 - 1 at
+    every n, reads np.random.Philox(key=seed, counter=[0, 0, k, g]): in
+    rounds below 8 the word at each word's offset, later one word per word
+    with a lane still undecided, in word order.  So a run's first T trials
+    fail exactly where a T-trial run's do.
+
+    The run is profiled in slabs of whole rows and groups, at most about
+    2**18 words or one row, so its memory besides the tally (a row per
+    batch) depends on n alone.  A slab's groups are drawn through
+    _run_chunks, on one thread per CPU in the process's affinity mask, at
+    most two, the calling thread among them, and fewer where the memory
+    budget cannot hold their buffers.  batch only splits the tally: the
+    tally is independent of batch, slab and worker count.
 
     Failures are detected with the resolution profile, which agrees with
     sc_decode_bec by construction (and by test), run bit-sliced on 64
@@ -407,61 +386,55 @@ def simulate(
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     size = 1 << spec.n
-    stride = 4 * -(-size // 4)  # raw words a trial reads, four per Philox counter step
-    # A chunk is a power-of-two share of a word or a whole number of words,
-    # so it never straddles a word; slabs are whole words, and their chunks
-    # are cut from each slab's start, so no chunk straddles a slab either.
-    per_byte = max(1, _DRAW_WORDS // (8 * stride))
-    chunk = 64 * (per_byte // 8) or 8 << per_byte.bit_length() - 1
-    first = min(batch, trials)
-    slab = min(-(-first // 64), max(1, _SLAB_WORDS // size))  # word rows profiled at once
-    span = min(first, 64 * slab)
-    rows = min(chunk, span)
+    rows = -(-trials // 64)  # word rows of the run
+    # A slab is whole rows and whole groups, so it starts on a group edge.
+    unit = max(size, _GROUP_WORDS)
+    slab = min(rows, unit * max(1, _SLAB_WORDS // unit) // size)  # rows profiled at once
     # info positions whose rows are gathered at once by the failure reduction
-    cols = max(1, _PIECE_WORDS // slab)
+    cols = max(1, _GROUP_WORDS // slab)
     # The slab's word table and the larger of the profile's half table and
-    # the failure reduction (its gather, one index piece and two tally
-    # rows); beside them, per worker, three times its chunk's packed byte
-    # rows and one piece (raw words, their compare and its packed rows),
-    # because a worker's freed buffers stay in its malloc arena while the
-    # profile runs.  Workers the budget cannot hold are dropped, so more
-    # CPUs never refuse a run that one CPU would take.
+    # the failure reduction (its gather, one index piece, two tally rows and
+    # the slab's prefix counts); beside them, per worker, three times a
+    # draw's two group-sized buffers, because a worker's freed buffers stay
+    # in its malloc arena while the profile runs.  Workers the budget cannot
+    # hold are dropped, so more CPUs never refuse a run that one CPU would.
     table = 8 * slab * size
-    reduction = 8 * ((slab + 2) * min(cols, len(spec)) + 2 * slab)
-    per_piece, width = _piece_shape(stride)
-    piece = min(rows, per_piece) * width
-    per_worker = 3 * (-(-rows // 8) * size + 10 * piece)
+    reduction = 8 * ((slab + 2) * min(cols, len(spec)) + 4 * slab)
+    per_worker = 3 * 16 * min(_GROUP_WORDS, slab * size)
     base = table + max(table // 2, reduction)
     room = (errors._memory_budget() - base) // per_worker
-    workers = max(1, min(_worker_count(), -(-span // chunk), room))
+    workers = max(1, min(_worker_count(), -(-slab * size // _GROUP_WORDS), room))
     need = base + workers * per_worker
     _check_memory(need, f"simulate at n={spec.n}, {64 * slab} trials a slab")
-    # raw >> 11 >= T iff raw >= T << 11, which fits 64 bits unless T = 2**53
     threshold = math.ceil(root.z0 * 2.0**53)
-    limit = np.uint64(threshold << 11) if threshold < 1 << 53 else None
-    total = 0
-    batches: list[tuple[int, int]] = []
-    for start in range(0, trials, batch):
-        count = min(batch, trials - start)
-        failures = 0
-        for lo in range(start, start + count, 64 * slab):
-            part = min(64 * slab, start + count - lo)
-            # bit r of words[w, i] is position i of trial lo + 64 * w + r
-            words = np.zeros((-(-part // 64), size), dtype="<u8")
-            planes = words.view(np.uint8).reshape(*words.shape, 8).transpose(0, 2, 1)
-            chunks = [(lo + c, c, min(chunk, part - c)) for c in range(0, part, chunk)]
-            _run_chunks(lambda *c: _draw_chunk(planes, seed, limit, *c), chunks, workers)
-            resolved = _resolution_profile(words)
-            # a trial fails where some info position is unresolved
-            ok = np.full(len(words), np.iinfo(np.uint64).max, dtype=np.uint64)
-            for k in range(0, len(spec), cols):
-                info_pos = spec.indices[k : k + cols].astype(np.int64) - 1
-                ok &= np.bitwise_and.reduce(resolved[:, info_pos], axis=1)
-            failed = ~ok
-            # bits past the slab's last trial are padding
-            failed[-1] &= np.uint64((1 << (part - 64 * (len(words) - 1))) - 1)
-            failures += int(np.bitwise_count(failed).sum())
-            del words, planes, resolved  # free this slab before the next
-        total += failures
-        batches.append((failures, count))
-    return SimResult(trials=trials, block_errors=total, batches=tuple(batches))
+    digits = f"{threshold:053b}".rstrip("0")  # c's bits past its last set bit are 0
+    edges = np.append(np.arange(0, trials, batch), trials)  # each batch's first trial, and the end
+    below = np.zeros(len(edges), dtype=np.int64)  # failures before each edge
+    buffer = np.empty((slab, size), dtype=np.uint64)  # every slab's word table
+    for r0 in range(0, rows, slab):
+        # bit r of words[w, i] is position i of trial 64 * (r0 + w) + r, and
+        # flat word c is word r0 * size + c of the stream
+        words = buffer[: rows - r0]
+        flat = words.reshape(-1)
+        if threshold >> 53:  # z0 = 1 erases every position
+            flat.fill(0)
+        else:
+            chunks = [
+                (flat[c : c + _GROUP_WORDS], (r0 * size + c) // _GROUP_WORDS)
+                for c in range(0, flat.size, _GROUP_WORDS)
+            ]
+            _run_chunks(lambda known, g: _draw_group(known, seed, digits, g), chunks, workers)
+        resolved = _resolution_profile(words)
+        # a trial fails where some info position is unresolved
+        ok = np.full(len(words), _ALL_LANES)
+        for k in range(0, len(spec), cols):
+            info_pos = spec.indices[k : k + cols].astype(np.int64) - 1
+            ok &= np.bitwise_and.reduce(resolved[:, info_pos], axis=1)
+        failed = np.append(~ok, np.uint64(0))
+        at = np.cumsum(np.bitwise_count(failed), dtype=np.int64)  # failures up to each row
+        # the slab's failed bits below each edge; bits past the run's last
+        # trial are padding, above every edge
+        row, bit = np.divmod(np.clip(edges - 64 * r0, 0, 64 * len(words)), 64)
+        below += at[row] - np.bitwise_count(failed[row] >> bit.astype(np.uint64))
+    batches = tuple(zip(np.diff(below).tolist(), np.diff(edges).tolist()))
+    return SimResult(trials=trials, block_errors=int(below[-1]), batches=batches)

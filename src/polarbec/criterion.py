@@ -344,6 +344,23 @@ def iterate_g(
     return out
 
 
+def _fit_start(count: int, z0: float, fit_fraction: float) -> int:
+    """estimate_mu's checks on count iterates; the first one in its fit window."""
+    if count < 10:
+        raise ValueError("need at least 10 iterates for a stable fit")
+    if not 0.0 <= z0 <= 1.0:  # False for NaN
+        raise ValueError(f"z0 must lie in [0, 1], got {z0!r}")
+    if not 0.0 < fit_fraction <= 1.0:  # False for NaN
+        raise ValueError(f"fit_fraction must lie in (0, 1], got {fit_fraction!r}")
+    start = int(count * (1.0 - fit_fraction))
+    if count - start < 2:
+        raise ValueError(
+            f"fit_fraction {fit_fraction!r} of {count} iterates leaves"
+            f" {count - start} in the fit window; need at least 2"
+        )
+    return start
+
+
 def estimate_mu(
     iterates: Sequence[GridFunction], z0: float, fit_fraction: float = 0.5
 ) -> float:
@@ -354,18 +371,7 @@ def estimate_mu(
     in [0, 1], fit_fraction in (0, 1], and the window must hold at least 2
     iterates; otherwise ValueError.
     """
-    if len(iterates) < 10:
-        raise ValueError("need at least 10 iterates for a stable fit")
-    if not 0.0 <= z0 <= 1.0:  # False for NaN
-        raise ValueError(f"z0 must lie in [0, 1], got {z0!r}")
-    if not 0.0 < fit_fraction <= 1.0:  # False for NaN
-        raise ValueError(f"fit_fraction must lie in (0, 1], got {fit_fraction!r}")
-    start = int(len(iterates) * (1.0 - fit_fraction))
-    if len(iterates) - start < 2:
-        raise ValueError(
-            f"fit_fraction {fit_fraction!r} of {len(iterates)} iterates leaves"
-            f" {len(iterates) - start} in the fit window; need at least 2"
-        )
+    start = _fit_start(len(iterates), z0, fit_fraction)
     ys = np.array([float(g(z0)) for g in iterates[start:]])
     if np.any(ys <= 0.0):
         raise DegenerateFitError(

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from polarbec import codec, errors
+from polarbec import codec, criterion, errors
 from polarbec.cli import SUBCOMMANDS, _float_list, _real, entrypoint
 from polarbec.erasure import RootChannel, cached_level_table
 
@@ -280,7 +280,12 @@ def test_mu_estimate_degenerate_exits_3(capsys):
         ("--fit-fraction=0.05", "fit window"),  # 1 of 12 iterates
     ],
 )
-def test_mu_estimate_bad_z0_or_fit_fraction_exits_2(capsys, flag, name):
+def test_mu_estimate_bad_z0_or_fit_fraction_exits_2(capsys, monkeypatch, flag, name):
+    # refused before the iteration runs
+    def iterate_g(*args, **kwargs):
+        raise AssertionError("iterate_g ran before the checks")
+
+    monkeypatch.setattr(criterion, "iterate_g", iterate_g)
     code, out, err = run_cli(capsys, "mu-estimate", "--steps", "11", "--grid", "4096", flag)
     assert code == 2 and out is None
     assert err["error"] == "ValueError" and name in err["message"]
@@ -393,21 +398,21 @@ def test_simulate_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch, work
     assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
     assert "n=40" in err["message"]
     # On one worker, n = 26 needs its 512 MiB slab of one word row, the
-    # 256 MiB half table, and three times a 64 MiB packed byte row and one
-    # 2**16-word piece.  One byte less is refused; the estimate itself is
-    # admitted, and the first draw stops the run, as it would stop a run
-    # that an estimate too small let through.
+    # 256 MiB half table, and three times a draw's two 2**16-word buffers.
+    # One byte less is refused; the estimate itself is admitted, and the
+    # first draw stops the run, as it would stop a run that an estimate too
+    # small let through.
     def stop(*args):
         raise RuntimeError("admitted")
 
-    monkeypatch.setattr(codec, "_draw_chunk", stop)
+    monkeypatch.setattr(codec, "_draw_group", stop)
     workers(1)
-    need = 3 * 2**28 + 3 * (2**26 + 10 * 2**16)
+    need = 3 * 2**28 + 3 * 2 * 2**19
     code_file.write_text("n=26\nz0=0.5\nparams=mode=classical\nj=1 m=0 sq=0 lera=1.0\n")
     monkeypatch.setattr(errors, "_memory_budget", lambda: need - 1)
     code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
     assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
-    assert err["message"].startswith("simulate at n=26, 64 trials a slab would need about 962 MiB")
+    assert err["message"].startswith("simulate at n=26, 64 trials a slab would need about 771 MiB")
     monkeypatch.setattr(errors, "_memory_budget", lambda: need)
     for count in (1, 2):
         # on two CPUs the worker the budget cannot hold is dropped
@@ -845,10 +850,12 @@ def test_non_finite_float_options_are_refused_or_give_valid_json(capsys, tmp_pat
         assert entrypoint(made + ["--code-out", str(code_file)]) == 0
         capsys.readouterr()
         argv = argv + ["--code", str(code_file)]
-    listed = "0.25," if key in ("level_fractions", "gammas") else ""
-    # "=" keeps argparse from reading -inf as a flag
-    code = entrypoint(argv + [f"--{key.replace('_', '-')}={listed}{value}"])
+    flag = f"--{key.replace('_', '-')}"
+    text = ("0.25," if key in ("level_fractions", "gammas") else "") + value
+    code = entrypoint(argv + [f"{flag}={text}"])
     captured = capsys.readouterr()
+    # a separate value, -inf among them, reads as the joined one
+    assert (entrypoint(argv + [flag, text]), capsys.readouterr()) == (code, captured)
     if code == 0:
         assert captured.err == ""
         report = json.loads(captured.out, parse_constant=_no_nan)

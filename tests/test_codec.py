@@ -385,77 +385,132 @@ def test_simulate_seed_range():
             assert codec.simulate(spec, root, 10, seed=seed).trials == 10
 
 
-@pytest.mark.parametrize("n, z0, trials", [(2, 0.5, 150), (4, 0.2, 300), (6, 0.45, 203)])
+def _documented_erasures(seed: int, z0: float, n: int, trials: int) -> np.ndarray:
+    """Erasure patterns of trials 0 .. trials - 1, one row each, rebuilt lane
+    by lane from the stream simulate() documents.
+
+    Lane l of word w = row * 2**n + i is position i of trial 64 * row + l.
+    Each lane compares its own bits of U, one per round, with c's bits,
+    c = ceil(z0 * 2**53); the first bit that differs decides the lane,
+    erased where c's bit is the 1 (U < c).  Round k of group g (words g * 2**16 ..
+    (g + 1) * 2**16 - 1) reads Philox(key=seed, counter=[0, 0, k, g]):
+    rounds below 8 the word at each word's offset, later rounds successive
+    words for the words with a lane still undecided.  Rounds end after c's
+    last set bit; lanes undecided then are not erased.
+    """
+    size = 1 << n
+    c = math.ceil(z0 * 2**53)
+    words = -(-trials // 64) * size
+    erased = np.zeros((words, 64), dtype=bool)
+    for start in range(0, words, 2**16):
+        undecided = np.ones((min(2**16, words - start), 64), dtype=bool)
+        for k in range(53):
+            if c % 2 ** (53 - k) == 0:  # c's bits from k on are all 0
+                break
+            c_bit = bool(c >> (52 - k) & 1)
+            live = np.arange(len(undecided)) if k < 8 else np.flatnonzero(undecided.any(axis=1))
+            raw = np.random.Philox(key=seed, counter=[0, 0, k, start >> 16]).random_raw(len(live))
+            # column l is bit l of each word
+            u_bit = np.unpackbits(raw.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
+                                  bitorder="little").astype(bool)
+            decided = undecided[live] & (u_bit != c_bit)
+            if c_bit:
+                erased[start + live] |= decided
+            undecided[live] &= ~decided
+    return erased.reshape(-1, size, 64).transpose(0, 2, 1).reshape(-1, size)[:trials]
+
+
+@pytest.mark.parametrize(
+    "n, z0, trials",
+    [(2, 0.5, 150), (4, 0.2, 300), (6, 0.45, 203), pytest.param(17, 0.45, 4, id="17-0.45-4")],
+)
 def test_simulate_follows_documented_stream(n, z0, trials):
     # Rebuild every trial's pattern from the stream simulate() documents and
     # decode it with the message-passing decoder; trial counts that are not
     # multiples of 64 leave padding lanes that must not count as failures.
+    # At n = 17 a row spans two groups, and the one channel (erased with
+    # probability 0.56) hangs on positions in both.
     size = 1 << n
-    blocks = -(-size // 4)
     seed = 2**63 + 12345
     root = er.RootChannel(z0)
-    spec = co.select_classical(root, n, rate=0.5)
+    spec = _bare_spec(n, [8192]) if n > 16 else co.select_classical(root, n, rate=0.5)
     frozen = np.zeros(size - len(spec), dtype=np.int8)
-    failures = 0
-    for t in range(trials):
-        raw = np.random.Philox(key=seed, counter=t * blocks).random_raw(4 * blocks)
-        erased = (raw[:size] >> 11) < math.ceil(z0 * 2**53)
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=t * blocks))
-        assert np.array_equal(erased, gen.random(size) < z0)
-        res = codec.sc_decode_bec(erased, np.zeros(size, dtype=np.int8), spec, frozen)
-        failures += not res.ok
-    assert 0 < failures < trials
-    for batch in (1, 63, 64, 65, 100, trials, 4096):
+    patterns = _documented_erasures(seed, z0, n, trials)
+    assert abs(patterns.mean() - z0) < 0.05
+    failed = np.array([
+        not codec.sc_decode_bec(erased, np.zeros(size, dtype=np.int8), spec, frozen).ok
+        for erased in patterns
+    ])
+    assert 0 < failed.sum() < trials
+    for batch in (1, 63, 64, 65, 100, 333, 1000, trials, 4096):
         got = codec.simulate(spec, root, trials, seed, batch=batch)
-        assert got.block_errors == failures
-        assert [t for _, t in got.batches] == [
-            min(batch, trials - s) for s in range(0, trials, batch)
-        ]
+        assert got.block_errors == failed.sum()
+        assert got.batches == tuple(
+            (int(failed[s : s + batch].sum()), min(batch, trials - s))
+            for s in range(0, trials, batch)
+        )
 
 
-@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("z0", [0.2, 0.45, 0.5, 0.75])
+def test_simulate_agrees_with_exact_block_error(n, z0):
+    # Dyadic z0 (one or two bits of c) stops the draw after one or two rounds.
+    root = er.RootChannel(z0)
+    spec = co.select_classical(root, n, rate=0.5)
+    got = codec.simulate(spec, root, 20_000, seed=17)
+    lo, hi = codec.wilson_interval(got.block_errors, got.trials, z=5.0)
+    assert lo <= codec.exact_block_error(spec, root) <= hi
+
+
+@pytest.mark.parametrize("n, z0, short, long", [(10, 0.4, 5000, 12_000), (17, 0.45, 100, 150)])
+def test_simulate_prefix_of_a_longer_run(n, z0, short, long):
+    # Appending trials only appends words: the short run ends inside a row,
+    # and at n = 10 inside a group of 64 rows, which it reads only in part.
+    root = er.RootChannel(z0)
+    spec = co.select_classical(root, n, rate=0.5)
+    for batch in (10, 50):
+        head = codec.simulate(spec, root, short, seed=21, batch=batch).batches
+        whole = codec.simulate(spec, root, long, seed=21, batch=batch).batches
+        assert whole[: len(head)] == head
+        assert 0 < sum(e for e, _ in head) < short
+
+
+@pytest.mark.parametrize("n", [1, 5, 10, 17])
 def test_simulate_independent_of_chunks_and_workers(n, monkeypatch, workers, short_switch):
-    # Budgets of 1, 2, 3, 8 and 24 bytes of 8 trials give chunks of 8, 16
-    # and 16 trials (within a word), 64 (one word) and 192 (three words).
-    # A trial draws 32 raw words at n = 5, and 4 at n = 1, where it uses 2.
-    # The last four rows also shrink the draw pieces and the slabs: pieces
-    # of one trial; of 8 and 24 words, which split a trial at n = 5 (into
-    # four, and into 24 + 8) and hold 2 and 4 trials at n = 1; and of 64
-    # words, 2 and 16 trials.  Pieces of fewer than 8 trials share byte
-    # rows.  Slabs of 1 and 3 word rows cut the 1000-trial batch into 16
-    # and 6 slabs, and chunks of two words are cut at the slab edges.
-    # Three workers (over the default cap, and more than a 2-CPU host has)
-    # with a short switch interval stress the disjoint writes.
-    raw_per_trial = 4 * -(-(1 << n) // 4)
+    # Each group of 2**16 words is one chunk.  At n = 1 and 5 the run is one
+    # group, cut short; at n = 10 it is 313 rows, about five groups of 64
+    # rows; at n = 17 it is three rows of two groups each.  The slab budgets
+    # give slabs of 256, 64, 192 and 384 (the whole run) rows at n = 10, and
+    # of 2, 1, 1 and 3 (the whole run) rows at n = 17.  Three workers (over the default cap,
+    # and more than a 2-CPU host has) with a short switch interval stress
+    # the disjoint writes.
+    trials = 150 if n > 16 else 20_000
     root = er.RootChannel(0.45)
     spec = co.select_classical(root, n, rate=0.5)
     want = {
-        batch: codec.simulate(spec, root, 1000, seed=99, batch=batch)
-        for batch in (333, 1000)
+        batch: codec.simulate(spec, root, trials, seed=99, batch=batch)
+        for batch in (trials // 60, trials // 20)  # 333 and 1000 at 20,000 trials
     }
-    default = (codec._PIECE_WORDS, codec._SLAB_WORDS)
-    sizes = [(per_byte, *default) for per_byte in (1, 2, 3, 8, 24)]
-    sizes += [(2, raw_per_trial, 1), (16, 8, 3 << n), (16, 24, 1 << n), (2, 64, 3 << n)]
-    for per_byte, piece, slab in sizes:
-        monkeypatch.setattr(codec, "_DRAW_WORDS", 8 * per_byte * raw_per_trial)
-        monkeypatch.setattr(codec, "_PIECE_WORDS", piece)
+    for slab in (codec._SLAB_WORDS, 1, 3 << 16, 3 << 17):
         monkeypatch.setattr(codec, "_SLAB_WORDS", slab)
         for count in (1, 2, 3):
             workers(count)
             for batch, ref in want.items():
-                got = codec.simulate(spec, root, 1000, seed=99, batch=batch)
+                got = codec.simulate(spec, root, trials, seed=99, batch=batch)
                 assert (got.block_errors, got.batches) == (ref.block_errors, ref.batches)
-    assert 0 < want[1000].block_errors < 1000
+    assert all(0 < ref.block_errors < trials for ref in want.values())
 
 
 @pytest.mark.parametrize("n, trials", [(4, 10_000), (10, 5_000), (16, 600)])
 @pytest.mark.parametrize("count", [1, 2])
 def test_simulate_estimate_covers_the_traced_peak(n, trials, count, monkeypatch, workers):
-    # n = 16 profiles two slabs of 8 word rows, n = 10 two batches of one
-    # slab each, n = 4 three batches of one slab
+    # n = 16 profiles slabs of 4, 4 and 2 word rows, a group a row; n = 10
+    # one slab of 79 rows, a group and a part; n = 4 one slab of 157 rows,
+    # part of a group
     workers(count)
     root = er.RootChannel(0.45)
     spec = co.select_classical(root, n, rate=0.5)
+    codec.simulate(spec, root, 64, seed=4)  # numpy.random is imported at its first use
     needs = []
     check = codec._check_memory
     monkeypatch.setattr(codec, "_check_memory", lambda b, w: (needs.append(b), check(b, w)))
@@ -488,7 +543,7 @@ def test_simulate_more_cpus_never_refuse(monkeypatch):
     # A budget that holds a run on one CPU holds it on 64: the workers the
     # budget cannot hold are dropped, and the tally does not change.
     root = er.RootChannel(0.45)
-    spec = co.select_classical(root, 10, rate=0.5)  # 8 chunks of 512 trials
+    spec = co.select_classical(root, 10, rate=0.5)  # 4 groups of 4,096 trials
     needs = []
     check = codec._check_memory
     monkeypatch.setattr(codec, "_check_memory", lambda b, w: (needs.append(b), check(b, w)))
@@ -500,7 +555,7 @@ def test_simulate_more_cpus_never_refuse(monkeypatch):
         if budget is not None:
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * budget}
             monkeypatch.setattr(errors.os, "sysconf", pages.__getitem__)
-        got = codec.simulate(spec, root, 4096, seed=5)
+        got = codec.simulate(spec, root, 16_384, seed=5)
         return got.block_errors, got.batches
 
     ref = run(1)

@@ -177,10 +177,11 @@ def test_walk_raises_a_worker_error_and_leaves_no_thread(monkeypatch, workers, c
             nodes = (np.ones(64), np.ones(64), 4)  # 128 chunks of 8 channels
             er._walk_subtrees([nodes], 3, take)
         else:
-            monkeypatch.setattr(codec, "_draw_chunk", take)
+            monkeypatch.setattr(codec, "_draw_group", take)
             one = np.ones(1, dtype=np.uint64)
             spec = co.CodeSpec(16, 0.5, one, np.ones(1), one, np.zeros(1, dtype=np.int64))
-            codec.simulate(spec, er.RootChannel(0.5), 512, seed=0)  # 64 chunks of 8 trials
+            # two slabs of 4 chunks, a 64-trial row each
+            codec.simulate(spec, er.RootChannel(0.5), 512, seed=0)
     assert threading.active_count() == threads
     assert len(set(visited)) == 2 and len(raised) == 1 and late == []
 
