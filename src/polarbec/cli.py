@@ -37,7 +37,6 @@ from .errors import (
     InfeasibleTargetError,
     InvalidCandidateError,
     LevelTooLargeError,
-    PolarBECError,
 )
 
 CACHE_ENV = "POLARBEC_CACHE_DIR"
@@ -190,22 +189,6 @@ def cmd_mu_estimate(config: dict) -> dict:
     }
 
 
-def _feasibility_hint(n: int, beta_p: float, mu_p: float, mu_star: float) -> str:
-    try:
-        cap = frontier.max_beta(mu_p, mu_star)
-    except (ValueError, PolarBECError):
-        return "no feasible beta_p at these exponents"
-    if beta_p > cap:
-        return (
-            f"largest achievable beta_p at mu_p={mu_p:g}, mu_star={mu_star:g}"
-            f" is about {cap:.4f} (requested {beta_p:g})"
-        )
-    return (
-        f"beta_p={beta_p:g} is achievable at mu_p={mu_p:g}, mu_star={mu_star:g};"
-        f" n={n} is too small for these pocket levels"
-    )
-
-
 def cmd_construct(config: dict) -> dict:
     root = RootChannel(config["z0"])
     n = config["n"]
@@ -220,14 +203,7 @@ def cmd_construct(config: dict) -> dict:
             max_sum_erasure=config["budget"],
             table=cached_level_table(root, n, os.environ.get(CACHE_ENV) or None),
         )
-        report = {
-            "size": len(spec),
-            "rate": spec.rate,
-            "capacity": root.capacity,
-            "gap": root.capacity - spec.rate,
-            "union_bound_log": union_bound(spec),
-            "pockets": [],
-        }
+        report = {"union_bound_log": union_bound(spec), "pockets": []}
     elif config["mode"] == "multipocket":
         levels = config["levels"]
         if config["level_fractions"] is not None:
@@ -235,27 +211,17 @@ def cmd_construct(config: dict) -> dict:
                 raise ValueError(f"level_fractions must be finite, got {config['level_fractions']}")
             rounded = [_round_nearest(f * n) for f in config["level_fractions"]]
             levels = sorted(set(rounded))
-        try:
-            spec, cons = construct_multipocket(
-                root,
-                n,
-                config["beta_p"],
-                config["mu_p"],
-                config["mu_star"],
-                pockets=config["pockets"],
-                p_ub=config["p_ub"],
-                levels=levels,
-            )
-        except EmptyCodeError as err:
-            hint = _feasibility_hint(
-                n, config["beta_p"], config["mu_p"], config["mu_star"]
-            )
-            raise EmptyCodeError(f"{err} ({hint})") from err
+        spec, cons = construct_multipocket(
+            root,
+            n,
+            config["beta_p"],
+            config["mu_p"],
+            config["mu_star"],
+            pockets=config["pockets"],
+            p_ub=config["p_ub"],
+            levels=levels,
+        )
         report = {
-            "size": len(spec),
-            "rate": cons.rate,
-            "capacity": cons.capacity,
-            "gap": cons.gap,
             "union_bound_log": cons.union_bound_log,
             "n0": cons.n0,
             "quota": cons.quota,
@@ -271,6 +237,9 @@ def cmd_construct(config: dict) -> dict:
         }
     else:
         raise ValueError(f"unknown mode {config['mode']!r}")
+    report.update(
+        size=len(spec), rate=spec.rate, capacity=root.capacity, gap=root.capacity - spec.rate
+    )
     if config["code_out"] is not None:
         save_codespec(spec, config["code_out"])
         report["code_file"] = config["code_out"]
@@ -312,14 +281,13 @@ def cmd_simulate(config: dict) -> dict:
         batch=config["batch"],
     )
     if config["csv"] is not None:
-        rows = []
-        for block, (errors, trials) in enumerate(result.batches):
-            lo, hi = wilson_interval(errors, trials)
-            rows.append((block, errors, trials, errors / trials, lo, hi))
         _write_csv(
             config["csv"],
             ["trial_block", "errors", "trials", "estimate", "ci_lo", "ci_hi"],
-            rows,
+            (
+                (block, errors, trials, errors / trials, *wilson_interval(errors, trials))
+                for block, (errors, trials) in enumerate(result.batches)
+            ),
         )
     lo, hi = result.wilson_ci95
     return {

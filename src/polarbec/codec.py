@@ -398,10 +398,13 @@ def simulate(
     # draw's two group-sized buffers, because a worker's freed buffers stay
     # in its malloc arena while the profile runs.  Workers the budget cannot
     # hold are dropped, so more CPUs never refuse a run that one CPU would.
+    # The tally holds at most 176 bytes a batch (tracemalloc): the edge,
+    # count and divmod columns, two lists of counts and the batches' pairs.
     table = 8 * slab * size
     reduction = 8 * ((slab + 2) * min(cols, len(spec)) + 4 * slab)
     per_worker = 3 * 16 * min(_GROUP_WORDS, slab * size)
-    base = table + max(table // 2, reduction)
+    tally = 192 * (-(-trials // batch) + 1)
+    base = table + max(table // 2, reduction) + tally
     room = (errors._memory_budget() - base) // per_worker
     workers = max(1, min(_worker_count(), -(-slab * size // _GROUP_WORDS), room))
     need = base + workers * per_worker

@@ -51,7 +51,7 @@ from .erasure import (
     level_log_table,
 )
 from .errors import EmptyCodeError, InfeasibleTargetError, _check_memory
-from .frontier import _check_exponents
+from .frontier import _check_exponents, max_beta
 
 # ceil() guard against float noise like 3.0000000000000004 from beta_p * n
 _CEIL_SLACK = 1e-9
@@ -308,7 +308,8 @@ def construct_multipocket(
     """Run recruit, train, retain over the pocket levels.
 
     `levels` overrides the derived pocket levels; thresholds then use the
-    pocket count D = len(levels).
+    pocket count D = len(levels).  When no channel survives, the
+    EmptyCodeError says whether beta_p exceeds max_beta or n is too small.
     """
     _check_exponents(mu_star, mu_p)
     if not 0.0 <= beta_p <= 0.5:
@@ -356,10 +357,21 @@ def construct_multipocket(
 
     columns, retained = _train_and_retain(recruits, n, quota, final_le_min)
     if not columns["indices"].size:
+        cap = max_beta(mu_p, mu_star)
+        if beta_p > cap:
+            hint = (
+                f"largest achievable beta_p at mu_p={mu_p:g}, mu_star={mu_star:g}"
+                f" is about {cap:.4f} (requested {beta_p:g})"
+            )
+        else:
+            hint = (
+                f"beta_p={beta_p:g} is achievable at mu_p={mu_p:g}, mu_star={mu_star:g};"
+                f" n={n} is too small for these pocket levels"
+            )
         raise EmptyCodeError(
             f"no channel survives (n={n}, beta_p={beta_p}, mu_p={mu_p}, "
             f"mu_star={mu_star}, pockets={d_count}, p_ub={p_ub}); "
-            "lower beta_p or mu_p, or raise n"
+            f"lower beta_p or mu_p, or raise n ({hint})"
         )
     spec = CodeSpec(
         n=n,

@@ -256,26 +256,8 @@ def mu_star_from_ratio(r: float) -> float:
     return -1.0 / math.log2(r)
 
 
-# Queries per block of iterate_g's step.  Both query maps have slope at most
-# 2, so one block's brackets span at most 2 * _BLOCK + 1 grid intervals and
-# their offsets from the block's first bracket fit 16 bits.
+# Queries per block of iterate_g's step
 _BLOCK = 1 << 14
-
-
-def _block_brackets(
-    grid: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """Find the brackets j of the queries x once, for iterate_g's step.
-
-    Returns the offsets x - grid[j], written over x; each block's first
-    bracket; and per query its bracket's 16-bit offset from that first one.
-    """
-    # np.interp's bracket: grid[j] <= x < grid[j + 1], or the last node
-    j = np.searchsorted(grid, x, side="right") - 1
-    np.subtract(x, grid[j], out=x)
-    first = j[::_BLOCK].tolist()
-    j -= np.repeat(first, _BLOCK)[: j.size]
-    return x, first, j.astype(np.uint16)
 
 
 def iterate_g(
@@ -304,14 +286,24 @@ def iterate_g(
         raise ValueError("grid_size must be at least 4096")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    # every iterate is kept; the grid, two offsets, the slopes and two
-    # 16-bit brackets add 36 bytes a node
-    need = (8 * (n_steps + 1) + 36) * (grid_size + 1)
+    bracket = np.min_scalar_type(grid_size)  # uint16 up to 65,535 intervals
+    # every iterate is kept, 8 bytes a node and about 220 of objects; the
+    # grid, two offsets, the slopes and the two bracket columns add
+    # 32 + 2 * itemsize bytes a node, and the step's five block buffers 40
+    # bytes a block query; 8 KiB covers the call's small objects (under 4)
+    node = 8 * (n_steps + 1) + 32 + 2 * bracket.itemsize
+    need = node * (grid_size + 1) + 256 * (n_steps + 1) + 40 * _BLOCK + 8192
     _check_memory(need, f"iterate_g with {n_steps} steps on {grid_size} intervals")
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     sq = grid * grid
     dbl = 2.0 * grid - sq
-    queries = [_block_brackets(grid, x) for x in (sq, dbl)]
+    queries = []
+    for x in (sq, dbl):
+        # np.interp's bracket: grid[j] <= x < grid[j + 1], or the last node
+        j = np.searchsorted(grid, x, side="right") - 1
+        np.subtract(x, grid[j], out=x)  # the offsets, written over x
+        queries.append((x, j.astype(bracket)))
+        del j  # 8 bytes a node, freed before the next search
     values = ((grid > a) & (grid < b)).astype(np.float64)
     out = [GridFunction(grid, values)]
     slope = np.zeros(grid_size + 1)  # the last node's entry stays 0
@@ -327,16 +319,16 @@ def iterate_g(
             np.subtract(grid[i + 1 : e + 1], grid[i:e], out=width[: e - i])
             np.divide(slope[i:e], width[: e - i], out=slope[i:e])
         values = np.empty_like(grid)
-        for blk, i in enumerate(range(0, grid_size + 1, _BLOCK)):
+        for i in range(0, grid_size + 1, _BLOCK):
             e = min(i + _BLOCK, grid_size + 1)
             j, t = index[: e - i], gathered[: e - i]
-            for part, (off, first, local) in zip(parts, queries):
-                r, j0 = part[: e - i], first[blk]
-                np.copyto(j, local[i:e])
+            for part, (off, brackets) in zip(parts, queries):
+                r = part[: e - i]
+                np.copyto(j, brackets[i:e])
                 # every index is in range, and "clip" skips the bounds check
-                np.take(slope[j0:], j, out=r, mode="clip")
+                np.take(slope, j, out=r, mode="clip")
                 r *= off[i:e]
-                np.take(v[j0:], j, out=t, mode="clip")
+                np.take(v, j, out=t, mode="clip")
                 r += t
             np.add(parts[0, : e - i], parts[1, : e - i], out=values[i:e])
             values[i:e] *= 0.5

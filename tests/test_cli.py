@@ -397,8 +397,16 @@ def test_simulate_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch, work
     code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
     assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
     assert "n=40" in err["message"]
+    # n = 4, but 10**13 batches of one trial would hold some 1,700 TiB of tally
+    code_file.write_text("n=4\nz0=0.5\nparams=mode=classical\nj=1 m=0 sq=0 lera=1.0\n")
+    code, out, err = run_cli(
+        capsys, "simulate", "--code", str(code_file), "--trials", str(10**13), "--batch", "1"
+    )
+    assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
+    assert "n=4" in err["message"]
     # On one worker, n = 26 needs its 512 MiB slab of one word row, the
-    # 256 MiB half table, and three times a draw's two 2**16-word buffers.
+    # 256 MiB half table, three times a draw's two 2**16-word buffers, and
+    # 192 bytes for each of the 3 batches of 10,000 trials and the end.
     # One byte less is refused; the estimate itself is admitted, and the
     # first draw stops the run, as it would stop a run that an estimate too
     # small let through.
@@ -407,7 +415,7 @@ def test_simulate_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch, work
 
     monkeypatch.setattr(codec, "_draw_group", stop)
     workers(1)
-    need = 3 * 2**28 + 3 * 2 * 2**19
+    need = 3 * 2**28 + 3 * 2 * 2**19 + 192 * 4
     code_file.write_text("n=26\nz0=0.5\nparams=mode=classical\nj=1 m=0 sq=0 lera=1.0\n")
     monkeypatch.setattr(errors, "_memory_budget", lambda: need - 1)
     code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))

@@ -501,12 +501,16 @@ def test_simulate_independent_of_chunks_and_workers(n, monkeypatch, workers, sho
     assert all(0 < ref.block_errors < trials for ref in want.values())
 
 
-@pytest.mark.parametrize("n, trials", [(4, 10_000), (10, 5_000), (16, 600)])
+@pytest.mark.parametrize(
+    "n, trials, batch",
+    [(4, 10_000, 4096), (10, 5_000, 4096), (16, 600, 4096), (4, 100_000, 1)],
+    ids=["4-10000", "10-5000", "16-600", "4-100000-batch1"],
+)
 @pytest.mark.parametrize("count", [1, 2])
-def test_simulate_estimate_covers_the_traced_peak(n, trials, count, monkeypatch, workers):
+def test_simulate_estimate_covers_the_traced_peak(n, trials, batch, count, monkeypatch, workers):
     # n = 16 profiles slabs of 4, 4 and 2 word rows, a group a row; n = 10
     # one slab of 79 rows, a group and a part; n = 4 one slab of 157 rows,
-    # part of a group
+    # part of a group; at batch 1 the tally of 10**5 batches is most of it
     workers(count)
     root = er.RootChannel(0.45)
     spec = co.select_classical(root, n, rate=0.5)
@@ -516,7 +520,7 @@ def test_simulate_estimate_covers_the_traced_peak(n, trials, count, monkeypatch,
     monkeypatch.setattr(codec, "_check_memory", lambda b, w: (needs.append(b), check(b, w)))
     tracemalloc.start()
     try:
-        codec.simulate(spec, root, trials, seed=4)
+        codec.simulate(spec, root, trials, seed=4, batch=batch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

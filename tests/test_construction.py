@@ -515,7 +515,9 @@ def test_multipocket_monotone_in_beta():
 
 
 def test_multipocket_empty_when_n_too_small():
-    with pytest.raises(EmptyCodeError):
+    # beta_p = .30 is past max_beta(8, 3.8), about .2361, and the message says so
+    hint = r"largest achievable beta_p .* 0\.2361 \(requested 0\.3\)"
+    with pytest.raises(EmptyCodeError, match=hint):
         co.construct_multipocket(
             er.RootChannel(0.5), 8, 0.30, 8.0, 3.8, pockets=4, p_ub=2.0**-10
         )

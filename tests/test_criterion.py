@@ -1,10 +1,11 @@
 """Eigenfunction ratio test, functional iteration, and entropy utilities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import binary_entropy_inv_reference, iterate_g_reference, linear_erasures
 
@@ -184,11 +185,14 @@ _ENDS = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 @given(
     grid_size=st.one_of(
         st.integers(min_value=4096, max_value=70_000),
-        st.sampled_from([4096, 10_007, 1 << 14, (1 << 14) + 1, 1 << 15, 1 << 16]),
+        # 65_535 intervals is the last with 16-bit brackets
+        st.sampled_from([4096, 10_007, 1 << 14, (1 << 14) + 1, 1 << 15, 65_535, 65_536]),
     ),
     ends=st.tuples(_ENDS, _ENDS).filter(lambda ab: ab[0] != ab[1]),
     n_steps=st.integers(min_value=0, max_value=5),
 )
+@example(grid_size=65_535, ends=(0.01, 0.99), n_steps=5)
+@example(grid_size=65_536, ends=(0.01, 0.99), n_steps=5)
 def test_iterate_g_equals_the_np_interp_iteration(grid_size, ends, n_steps):
     a, b = sorted(ends)
     got = cr.iterate_g(a, b, n_steps, grid_size)
@@ -203,6 +207,21 @@ def test_iterate_g_equals_the_np_interp_iteration_at_bench_size():
     got = cr.iterate_g(0.01, 0.99, 50, 1 << 18)
     want = iterate_g_reference(0.01, 0.99, 50, 1 << 18)
     assert all(g.values.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("grid_size", [8192, 1 << 18])  # 16- and 32-bit brackets
+def test_iterate_g_estimate_covers_the_traced_peak(grid_size, monkeypatch):
+    cr.iterate_g(0.01, 0.99, 1, 4096)  # numpy's first-call allocations
+    needs = []
+    check = cr._check_memory
+    monkeypatch.setattr(cr, "_check_memory", lambda b, w: (needs.append(b), check(b, w)))
+    tracemalloc.start()
+    try:
+        cr.iterate_g(0.01, 0.99, 50, grid_size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert needs == [needs[0]] and needs[0] >= peak, (needs, peak)
 
 
 _NODES = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=30)
