@@ -286,7 +286,7 @@ def cmd_simulate(config: dict) -> dict:
             ["trial_block", "errors", "trials", "estimate", "ci_lo", "ci_hi"],
             (
                 (block, errors, trials, errors / trials, *wilson_interval(errors, trials))
-                for block, (errors, trials) in enumerate(result.batches)
+                for block, (errors, trials) in enumerate(result.batches.tolist())
             ),
         )
     lo, hi = result.wilson_ci95
@@ -305,7 +305,7 @@ def cmd_corollaries(config: dict) -> dict:
     report = frontier.verify_corollaries(
         mu_star=config["mu_star"],
         beta_star=config["beta_star"],
-        gammas=tuple(_float_list(config["gammas"])),
+        gammas=tuple(config["gammas"]),
     )
     return report.as_dict()
 
@@ -367,7 +367,7 @@ SUBCOMMANDS = {
     "corollaries": (cmd_corollaries, "numeric checks tying the region to its reference points", (
         ("mu_star", 3.627, _real, "criterion exponent"),
         ("beta_star", 0.4469, _real, "straight-segment error exponent"),
-        ("gammas", "0.30,0.50,0.70,0.90,0.99", _text, "comma-separated sweep"),
+        ("gammas", frontier.DEFAULT_CONTAINMENT_GAMMAS, _float_list, "comma-separated sweep"),
     )),
 }
 

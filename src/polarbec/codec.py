@@ -300,12 +300,12 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z95) -> tuple[fl
 
 @dataclass(frozen=True)
 class SimResult:
-    """Monte-Carlo tally; batches holds (errors, trials) per batch of trials,
-    in trial order: the rows of simulate's CSV."""
+    """Monte-Carlo tally; batches is an int64 array of (errors, trials) rows,
+    one per batch of trials, in trial order: the rows of simulate's CSV."""
 
     trials: int
     block_errors: int
-    batches: tuple[tuple[int, int], ...] = ()
+    batches: np.ndarray
 
     def __post_init__(self) -> None:
         if not 0 <= self.block_errors <= self.trials:
@@ -398,12 +398,14 @@ def simulate(
     # draw's two group-sized buffers, because a worker's freed buffers stay
     # in its malloc arena while the profile runs.  Workers the budget cannot
     # hold are dropped, so more CPUs never refuse a run that one CPU would.
-    # The tally holds at most 176 bytes a batch (tracemalloc): the edge,
-    # count and divmod columns, two lists of counts and the batches' pairs.
+    # The tally holds about 58 bytes a batch at batch 1 (tracemalloc): the
+    # edge and count columns, the divmod columns and the failed-bit count's
+    # temporaries over them; the (errors, trials) array is made after the
+    # divmod columns are freed.
     table = 8 * slab * size
     reduction = 8 * ((slab + 2) * min(cols, len(spec)) + 4 * slab)
     per_worker = 3 * 16 * min(_GROUP_WORDS, slab * size)
-    tally = 192 * (-(-trials // batch) + 1)
+    tally = 64 * (-(-trials // batch) + 1)
     base = table + max(table // 2, reduction) + tally
     room = (errors._memory_budget() - base) // per_worker
     workers = max(1, min(_worker_count(), -(-slab * size // _GROUP_WORDS), room))
@@ -439,5 +441,6 @@ def simulate(
         # trial are padding, above every edge
         row, bit = np.divmod(np.clip(edges - 64 * r0, 0, 64 * len(words)), 64)
         below += at[row] - np.bitwise_count(failed[row] >> bit.astype(np.uint64))
-    batches = tuple(zip(np.diff(below).tolist(), np.diff(edges).tolist()))
+    del row, bit  # the last slab's divmod columns, before the tally is built
+    batches = np.column_stack((np.diff(below), np.diff(edges)))
     return SimResult(trials=trials, block_errors=int(below[-1]), batches=batches)

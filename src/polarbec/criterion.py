@@ -73,49 +73,23 @@ def binary_entropy_inv(y):
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_max(f: Callable, a, b):
-    """Maximize a unimodal f on each bracket [a, b]; returns (argmax, value).
-
-    a and b are scalars or arrays of one shape, and f maps an array of that
-    shape, one point per bracket, to the values there.  Each bracket runs
-    the scalar search's arithmetic on Python floats and stops once its own
-    width is at most 1e-10; every round evaluates f once, at all brackets,
-    so one array call equals a call per bracket bit for bit.  0-d input
-    gives floats.
-    """
-    shape = np.shape(a)
-    lo = np.asarray(a, dtype=np.float64).ravel().tolist()
-    hi = np.asarray(b, dtype=np.float64).ravel().tolist()
-
-    def at(points: list[float]) -> list[float]:
-        return np.asarray(f(np.reshape(points, shape)), dtype=np.float64).ravel().tolist()
-
-    c = [h - _INV_PHI * (h - l) for l, h in zip(lo, hi)]
-    d = [l + _INV_PHI * (h - l) for l, h in zip(lo, hi)]
-    fc, fd = at(c), at(d)
-    live = [i for i, (l, h) in enumerate(zip(lo, hi)) if h - l > 1e-10]
-    while live:
-        probe = c[:]  # a finished bracket re-evaluates a point it had
-        right = [fc[i] < fd[i] for i in live]
-        for i, r in zip(live, right):
-            if r:
-                lo[i], c[i], fc[i] = c[i], d[i], fd[i]
-                probe[i] = d[i] = lo[i] + _INV_PHI * (hi[i] - lo[i])
-            else:
-                hi[i], d[i], fd[i] = d[i], c[i], fc[i]
-                probe[i] = c[i] = hi[i] - _INV_PHI * (hi[i] - lo[i])
-        values = at(probe)
-        for i, r in zip(live, right):
-            if r:
-                fd[i] = values[i]
-            else:
-                fc[i] = values[i]
-        live = [i for i in live if hi[i] - lo[i] > 1e-10]
-    x = [0.5 * (l + h) for l, h in zip(lo, hi)]
-    fx = at(x)
-    if shape:
-        return np.reshape(x, shape), np.reshape(fx, shape)
-    return x[0], fx[0]
+def golden_section_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """Maximize a unimodal f on [a, b] to a bracket of width 1e-10; returns
+    (argmax, value) at the bracket's midpoint."""
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-10:
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+    x = 0.5 * (a + b)
+    return x, f(x)
 
 
 @dataclass(frozen=True)
@@ -231,8 +205,8 @@ def sup_ratio(h: CandidateH | GridFunction, grid_size: int = 4096) -> SupRatio:
         raise ValueError("grid_size must be at least 1000")
     xi, ratios = ratio_curve(h, grid_size)
     k = int(np.argmax(ratios))
-    lo = xi[k - 1] if k > 0 else xi[0] / 2.0
-    hi = xi[k + 1] if k + 1 < xi.size else 0.5 * (xi[-1] + 1.0)
+    lo = float(xi[k - 1] if k > 0 else xi[0] / 2.0)
+    hi = float(xi[k + 1] if k + 1 < xi.size else 0.5 * (xi[-1] + 1.0))
     argmax, refined = golden_section_max(lambda x: _ratio_at(h, x), lo, hi)
     best = max(refined, float(ratios[k]))
     if refined < ratios[k]:

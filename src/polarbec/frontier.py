@@ -19,8 +19,19 @@ where H2(s*) - 1 + c = s* * theta with theta = -log2(2**(1 - c) - 1).  So
 the largest beta_p is H2inv(1 - 1/mu_p - eps) (the pi = 0 end binds) when
 that is at least s*, and otherwise the straight segment
 (1/mu_star - 1/mu_p) / theta.  At eps = 0 that segment meets 1/mu_p = 0 at
-conjectured_intercept(mu_star).  is_achievable checks membership by a pi
-scan instead and stays independent of the closed form.
+conjectured_intercept(mu_star).
+
+The worst pi has a closed form by the same substitution.  With
+K = (1/mu_star - 1/mu_p) / beta_p the left side reads
+L(s) = 1/mu_star - K s + H2(s) on s <= 1, where s runs monotonically from
+s0 = beta_p (pi = 0) to s1 = beta_p mu_p / (mu_p - mu_star) (pi = 1).  L is
+concave there, with its maximum at s* = 1/(1 + 2**K) <= 1/2.  Above s = 1
+the linear penalty s takes H2's place; K s1 = 1/mu_star, so K < 1/mu_star
+< 1/2 whenever s1 > 1, and the penalty branch rises towards pi = 1.  So
+is_achievable evaluates the left side at two pi only: s* clipped into
+[s0, s1] and mapped back by pi = (mu_p - beta_p mu_p / s) / mu_star, and
+pi = 1.  The independent check, a dense pi scan with a golden-section
+refinement, is tests/oracles.py's region_scan.
 
 The module also carries the interpolation curve parametrized by gamma, the
 numeric checks behind its containment in the region, and the reference
@@ -35,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criterion import _entropy_inside, binary_entropy, binary_entropy_inv, golden_section_max
+from .criterion import _entropy_inside, binary_entropy, binary_entropy_inv
 from .errors import _check_memory
 
 # Proxy for "no constraint on the gap exponent" when sweeping 1/mu_p to 0.
@@ -46,17 +57,9 @@ INFINITE_MU = 1e12
 # of what is_achievable accepts.
 ACHIEVABILITY_SLACK = 1e-12
 
-# pi samples of is_achievable's scan before its golden-section refinement.
-_PI_GRID = 2048
-
-# Questions per block of is_achievable's scan: a block's left-hand sides
-# fill 256 KiB, so the scan's memory does not grow with the question count.
-_SCAN_ROWS = 16
-
 # Peak bytes of is_achievable per question, as measured with tracemalloc:
-# about 370 at 10**5 questions, mostly the Python floats of the
-# golden-section state, beside the scan's fixed 2.4 MB.
-_BYTES_PER_QUESTION = 400
+# about 106 at 10**5 questions, the two candidates' arrays and temporaries.
+_BYTES_PER_QUESTION = 112
 
 # Peak bytes of trace_frontier per sample, as measured with tracemalloc:
 # about 120 for the returned FrontierPoint list, the rest its arrays.
@@ -101,7 +104,7 @@ def _region_lhs(beta_p: float, mu_p: float, mu_star: float, pi):
 
 
 def is_achievable(beta_p, mu_p, mu_star: float) -> AchievabilityResult:
-    """Check the region condition over a pi grid plus local refinement.
+    """Check the region condition at the left side's exact maximum over pi.
 
     beta_p and mu_p are scalars or arrays that broadcast together, one
     question per element; mu_star is a scalar.  mu_star must be finite and
@@ -109,11 +112,13 @@ def is_achievable(beta_p, mu_p, mu_star: float) -> AchievabilityResult:
     mu_p = inf; INFINITE_MU stands in for an unconstrained gap), and beta_p
     nonnegative; anything else raises ValueError.
 
-    Every question scans the same pi grid and refines around its largest
-    sample with golden_section_max; all of them go through one array call,
-    which gives each question's per-query result bit for bit.  Scalar
-    arguments give floats and a bool; arrays give arrays of their broadcast
-    shape.
+    The worst pi is one of two candidates (see the module docstring): the
+    tangent point s* = 1/(1 + 2**K) clipped into the s range, taking exactly
+    0 or 1 at a clip, and pi = 1.  The left side is evaluated at both and
+    the larger kept.  At beta_p = 0 the left side falls in pi, and s* = 0
+    gives pi = 0.  Scalar arguments give floats and a bool; arrays give
+    arrays of their broadcast shape, each element equal to its own scalar
+    call.
     """
     _check_exponents(mu_star, mu_p)
     beta_p, mu_p = np.broadcast_arrays(
@@ -126,23 +131,20 @@ def is_achievable(beta_p, mu_p, mu_star: float) -> AchievabilityResult:
         raise ValueError("mu_p must be finite, got inf: the region's left side is 0/0 there")
     size = beta_p.size
     _check_memory(_BYTES_PER_QUESTION * size, f"is_achievable with {size:,} questions")
-    pis = np.linspace(0.0, 1.0, _PI_GRID)
-    flat_b, flat_m = beta_p.ravel(), mu_p.ravel()
-    k = np.empty(size, dtype=np.intp)
-    peak = np.empty(size)
-    for i in range(0, size, _SCAN_ROWS):
-        rows = slice(i, i + _SCAN_ROWS)
-        lhs = _region_lhs(flat_b[rows, None], flat_m[rows, None], mu_star, pis)
-        k[rows], peak[rows] = np.argmax(lhs, axis=1), np.max(lhs, axis=1)
-    k, peak = k.reshape(beta_p.shape), peak.reshape(beta_p.shape)
-    lo = pis[np.maximum(k - 1, 0)]
-    hi = pis[np.minimum(k + 1, _PI_GRID - 1)]
-    worst_pi, worst = golden_section_max(
-        lambda p: _region_lhs(beta_p, mu_p, mu_star, p), lo, hi
-    )
-    on_grid = peak > worst
-    worst_pi = np.where(on_grid, pis[k], worst_pi)
-    margin = 1.0 - np.where(on_grid, peak, worst)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # s* as u/(1 + u) with u = 2**-K, which underflows to 0 where 2**K
+        # would overflow; -K is -inf at beta_p = 0.  The mapped pi is read
+        # only where s* > s0 >= 0, so its division by s* = 0 goes unused.
+        u = np.exp2((1.0 / mu_p - 1.0 / mu_star) / beta_p)
+        s_star = u / (1.0 + u)
+        pi = np.clip((mu_p - beta_p * mu_p / s_star) / mu_star, 0.0, 1.0)
+    s_one = beta_p * mu_p / (mu_p - mu_star)
+    pi = np.where(s_star > beta_p, np.where(s_star < s_one, pi, 1.0), 0.0)
+    at_pi = _region_lhs(beta_p, mu_p, mu_star, pi)
+    at_one = _region_lhs(beta_p, mu_p, mu_star, 1.0)
+    one = at_one > at_pi
+    worst_pi = np.where(one, 1.0, pi)
+    margin = 1.0 - np.where(one, at_one, at_pi)
     achievable = margin > ACHIEVABILITY_SLACK
     if margin.ndim:
         return AchievabilityResult(achievable, margin, worst_pi)

@@ -1,11 +1,11 @@
 """Test-only oracles: the polarization tree walked one scalar step at a time,
 the complement computed through a mask per branch, the linear-domain
 erasures of a table, rate-mode classical selection by a full lexsort, H2
-inverted by a scalar bisection loop, and the functional iteration through
-np.interp.
+inverted by a scalar bisection loop, the functional iteration through
+np.interp, and the achievable region's condition by a dense pi scan.
 
-Tests compare the vectorized level tables, constructions and kernels
-against these; the package itself never calls them.
+Tests compare the vectorized level tables, constructions, kernels and
+closed forms against these; the package itself never calls them.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ from typing import Iterator
 
 import numpy as np
 
-from polarbec.criterion import binary_entropy
+from polarbec.criterion import binary_entropy, golden_section_max
 from polarbec.erasure import (
     COMPLEMENT_CUTOFF,
     LN2,
     RootChannel,
     complement_log2,
 )
+from polarbec.frontier import ACHIEVABILITY_SLACK, AchievabilityResult
 
 
 @dataclass(frozen=True)
@@ -222,3 +223,30 @@ def iterate_g_reference(a: float, b: float, n_steps: int, grid_size: int) -> lis
         values = 0.5 * (np.interp(sq, grid, values) + np.interp(dbl, grid, values))
         out.append(values)
     return out
+
+
+def region_scan(beta_p: float, mu_p: float, mu_star: float) -> AchievabilityResult:
+    """One question of is_achievable by search: the region's left side
+
+        (1 - pi) / (mu_p - mu_star pi) + H2(beta_p mu_p / (mu_p - mu_star pi)),
+
+    with the linear penalty s in place of H2(s) for s > 1, sampled at 2,048
+    evenly spaced pi, then refined by golden_section_max between the largest
+    sample's neighbours.  The larger of the refined value and that sample
+    is the worst case.
+    """
+
+    def lhs(pi):
+        d = mu_p - mu_star * pi
+        s = beta_p * mu_p / d
+        return (1.0 - pi) / d + np.where(s > 1.0, s, binary_entropy(np.minimum(s, 1.0)))
+
+    pis = np.linspace(0.0, 1.0, 2048)
+    values = lhs(pis)
+    k = int(np.argmax(values))
+    lo, hi = float(pis[max(k - 1, 0)]), float(pis[min(k + 1, pis.size - 1)])
+    pi, worst = golden_section_max(lambda p: float(lhs(p)), lo, hi)
+    if values[k] > worst:
+        pi, worst = float(pis[k]), float(values[k])
+    margin = 1.0 - worst
+    return AchievabilityResult(margin > ACHIEVABILITY_SLACK, margin, pi)

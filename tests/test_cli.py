@@ -155,7 +155,7 @@ def _every_key_args(tmp_path):
         ("frontier", {"mu_star": 3.627, "samples": 3, "csv": out}),
         ("simulate", {"code": str(code_file), "z0": 0.3, "trials": 64, "seed": 5,
                       "batch": 32, "csv": out}),
-        ("corollaries", {"mu_star": 3.627, "beta_star": 0.4469, "gammas": "0.5,0.9"}),
+        ("corollaries", {"mu_star": 3.627, "beta_star": 0.4469, "gammas": [0.5, 0.9]}),
     ]
 
 
@@ -406,7 +406,7 @@ def test_simulate_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch, work
     assert "n=4" in err["message"]
     # On one worker, n = 26 needs its 512 MiB slab of one word row, the
     # 256 MiB half table, three times a draw's two 2**16-word buffers, and
-    # 192 bytes for each of the 3 batches of 10,000 trials and the end.
+    # 64 bytes for each of the 3 batches of 10,000 trials and the end.
     # One byte less is refused; the estimate itself is admitted, and the
     # first draw stops the run, as it would stop a run that an estimate too
     # small let through.
@@ -415,7 +415,7 @@ def test_simulate_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch, work
 
     monkeypatch.setattr(codec, "_draw_group", stop)
     workers(1)
-    need = 3 * 2**28 + 3 * 2 * 2**19 + 192 * 4
+    need = 3 * 2**28 + 3 * 2 * 2**19 + 64 * 4
     code_file.write_text("n=26\nz0=0.5\nparams=mode=classical\nj=1 m=0 sq=0 lera=1.0\n")
     monkeypatch.setattr(errors, "_memory_budget", lambda: need - 1)
     code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
@@ -709,6 +709,17 @@ def test_corollaries_pass(capsys):
     assert code == 0 and len(out["containment_check"]["per_gamma"]) == 2
 
 
+def test_corollaries_config_takes_a_json_list_of_gammas(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"gammas": [0.4, 0.8]}))
+    code, out, err = run_cli(capsys, "corollaries", "--config", str(cfg))
+    assert code == 0, err
+    assert out["config"]["gammas"] == [0.4, 0.8]
+    assert [g["gamma"] for g in out["containment_check"]["per_gamma"]] == [0.4, 0.8]
+    code, out, _ = run_cli(capsys, "corollaries")
+    assert out["config"]["gammas"] == [0.3, 0.5, 0.7, 0.9, 0.99]
+
+
 def test_corollaries_grid_option_is_gone(capsys, tmp_path):
     # the segment check takes the exact maximum, so there is no grid to size
     with pytest.raises(SystemExit) as exc:
@@ -835,7 +846,6 @@ def test_non_finite_sweep_covers_every_float_option():
         for key, _, kind, *_ in options
         if kind in (_real, _float_list)
     }
-    floats.add(("corollaries", "gammas"))  # text, read as a list of floats
     assert {(argv[0], key) for argv, keys in _NON_FINITE_RUNS for key in keys} == floats
 
 

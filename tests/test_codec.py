@@ -350,6 +350,7 @@ def test_simulate_deterministic_and_batch_invariant():
     c = codec.simulate(spec, root, trials=2000, seed=5, batch=137)
     assert a.block_errors == b.block_errors == c.block_errors
     assert a.trials == 2000
+    assert c.batches.shape == (15, 2) and c.batches.dtype == np.int64
     assert sum(t for _, t in c.batches) == 2000
     assert sum(e for e, _ in c.batches) == c.block_errors
     d = codec.simulate(spec, root, trials=2000, seed=6)
@@ -445,10 +446,10 @@ def test_simulate_follows_documented_stream(n, z0, trials):
     for batch in (1, 63, 64, 65, 100, 333, 1000, trials, 4096):
         got = codec.simulate(spec, root, trials, seed, batch=batch)
         assert got.block_errors == failed.sum()
-        assert got.batches == tuple(
-            (int(failed[s : s + batch].sum()), min(batch, trials - s))
+        assert got.batches.tolist() == [
+            [int(failed[s : s + batch].sum()), min(batch, trials - s)]
             for s in range(0, trials, batch)
-        )
+        ]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -469,8 +470,8 @@ def test_simulate_prefix_of_a_longer_run(n, z0, short, long):
     root = er.RootChannel(z0)
     spec = co.select_classical(root, n, rate=0.5)
     for batch in (10, 50):
-        head = codec.simulate(spec, root, short, seed=21, batch=batch).batches
-        whole = codec.simulate(spec, root, long, seed=21, batch=batch).batches
+        head = codec.simulate(spec, root, short, seed=21, batch=batch).batches.tolist()
+        whole = codec.simulate(spec, root, long, seed=21, batch=batch).batches.tolist()
         assert whole[: len(head)] == head
         assert 0 < sum(e for e, _ in head) < short
 
@@ -497,7 +498,10 @@ def test_simulate_independent_of_chunks_and_workers(n, monkeypatch, workers, sho
             workers(count)
             for batch, ref in want.items():
                 got = codec.simulate(spec, root, trials, seed=99, batch=batch)
-                assert (got.block_errors, got.batches) == (ref.block_errors, ref.batches)
+                assert (got.block_errors, got.batches.tolist()) == (
+                    ref.block_errors,
+                    ref.batches.tolist(),
+                )
     assert all(0 < ref.block_errors < trials for ref in want.values())
 
 
@@ -539,7 +543,7 @@ def test_simulate_memory_is_independent_of_batch():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got.batches == ((got.block_errors, 128),)
+    assert got.batches.tolist() == [[got.block_errors, 128]]
     assert peak < 64 << 20
 
 
@@ -560,7 +564,7 @@ def test_simulate_more_cpus_never_refuse(monkeypatch):
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * budget}
             monkeypatch.setattr(errors.os, "sysconf", pages.__getitem__)
         got = codec.simulate(spec, root, 16_384, seed=5)
-        return got.block_errors, got.batches
+        return got.block_errors, got.batches.tolist()
 
     ref = run(1)
     one_cpu = needs[-1]

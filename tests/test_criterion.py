@@ -255,40 +255,6 @@ def test_grid_function_equals_np_interp(inner, seed, xs, infinities):
         assert np.float64(one).tobytes() == np.interp(x, grid, values).tobytes()
 
 
-def _bumps(peaks):
-    # unimodal in each bracket, IEEE arithmetic only, so array and 0-d
-    # evaluations agree bit for bit
-    def f(x):
-        d = x - peaks
-        return 1.0 - d * d
-
-    return f
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    brackets=st.lists(
-        st.tuples(
-            st.floats(min_value=-3.0, max_value=3.0),
-            st.one_of(st.floats(min_value=0.0, max_value=4.0), st.sampled_from([0.0, 1e-11, 1e-10, 2e-10])),
-            st.floats(min_value=-4.0, max_value=4.0),
-        ),
-        min_size=1,
-        max_size=12,
-    )
-)
-def test_golden_section_max_array_equals_per_bracket_calls(brackets):
-    a, width, peaks = (np.array(column) for column in zip(*brackets))
-    b = a + width
-    x, fx = cr.golden_section_max(_bumps(peaks), a, b)
-    assert x.shape == fx.shape == a.shape
-    for i in range(a.size):
-        one = cr.golden_section_max(_bumps(peaks[i]), float(a[i]), float(b[i]))
-        assert isinstance(one[0], float) and isinstance(one[1], float)
-        assert (x[i], fx[i]) == one
-        assert a[i] <= one[0] <= b[i]
-
-
 def test_iterate_g_validates_inputs():
     with pytest.raises(ValueError):
         cr.iterate_g(0.5, 0.5, 5, 4096)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import region_scan
 
 from polarbec import errors
 from polarbec import frontier as fr
@@ -64,8 +65,58 @@ def test_max_beta_anchors():
 def test_max_beta_sits_on_the_oracle_boundary(mu_star, ratio):
     mu_p = mu_star * ratio
     b = fr.max_beta(mu_p, mu_star)
-    assert fr.is_achievable(b * (1.0 - 1e-7), mu_p, mu_star).achievable
-    assert not fr.is_achievable(b * (1.0 + 1e-7) + 1e-12, mu_p, mu_star).achievable
+    for check in (fr.is_achievable, region_scan):
+        assert check(b * (1.0 - 1e-7), mu_p, mu_star).achievable
+        assert not check(b * (1.0 + 1e-7) + 1e-12, mu_p, mu_star).achievable
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mu_star=st.floats(min_value=2.05, max_value=8.0),
+    beta_p=st.one_of(st.floats(min_value=0.0, max_value=0.6), st.floats(min_value=1.0, max_value=4.0)),
+    ratio=st.one_of(
+        st.floats(min_value=1.0 + 1e-6, max_value=1e4),
+        st.floats(min_value=1.0 + 1e-6, max_value=1.1),  # s1 > 1 for most beta_p
+    ),
+)
+def test_is_achievable_matches_the_region_scan(mu_star, beta_p, ratio):
+    # The closed form evaluates the left side at its maximum, so its margin
+    # is at most the scan's.  It may read a little above it only by the
+    # left side's own rounding: d = mu_p - mu_star pi cancels near pi = 1,
+    # amplifying it by up to mu_p / (mu_p - mu_star).  Where mu_p / mu_star
+    # is 1 + 1e-6 both searches sit about 1e-11 from the 50-digit maximum.
+    mu_p = mu_star * ratio
+    got = fr.is_achievable(beta_p, mu_p, mu_star)
+    scan = region_scan(beta_p, mu_p, mu_star)
+    if abs(scan.worst_margin - fr.ACHIEVABILITY_SLACK) > 1e-9:
+        assert got.achievable == scan.achievable
+    noise = 1e-15 * mu_p / (mu_p - mu_star)
+    assert scan.worst_margin - 1e-9 <= got.worst_margin <= scan.worst_margin + noise
+    assert 0.0 <= got.worst_pi <= 1.0
+
+
+@pytest.mark.parametrize(
+    "beta_p, mu_p",
+    [
+        (0.0, 8.0),
+        (5e-324, 8.0),
+        (1e-300, 8.0),
+        (0.3, fr.INFINITE_MU),
+        (0.5, 2.0 * MU),  # s1 = 0.5 * 2 mu_star / mu_star is exactly 1
+        (np.nextafter(0.5, 1.0), 2.0 * MU),  # s1 just above 1
+        (1.5, 8.0),
+    ],
+)
+def test_is_achievable_gives_no_warning_at_the_edges(beta_p, mu_p):
+    # 2**K overflows for tiny beta_p, and K divides by 0 at beta_p = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fr.is_achievable(beta_p, mu_p, MU)
+    scan = region_scan(beta_p, mu_p, MU)
+    assert got.achievable == scan.achievable
+    assert scan.worst_margin - 1e-9 <= got.worst_margin <= scan.worst_margin + 1e-15
+    if beta_p < 1e-299:  # the left side falls in pi
+        assert got.worst_pi == 0.0 and got.worst_margin == 1.0 - 1.0 / mu_p
 
 
 def test_max_beta_pi_one_end_binds_for_huge_mu_star():
@@ -322,8 +373,8 @@ def test_is_achievable_array_equals_per_query_calls(mu_star, queries):
 
 
 def test_is_achievable_array_spans_scan_blocks_and_broadcasts():
-    # 130 questions cross eight of the scan's row blocks; a scalar beta_p
-    # broadcasts against the mu_p array, and a 2-d shape is kept
+    # 130 questions on the boundary, each equal to its own scalar call; a
+    # scalar beta_p broadcasts against the mu_p array, and a 2-d shape is kept
     pts = fr.trace_frontier(MU, samples=130)
     betas = np.array([p.beta_p for p in pts])
     invs = np.array([p.inv_mu_p for p in pts])
@@ -413,14 +464,14 @@ def test_verify_corollaries_equals_a_per_gamma_loop(mu_star, fractions):
 
 
 def test_is_achievable_over_memory_budget_refuses_before_scanning(monkeypatch):
-    # 400 bytes a question, checked before the scan allocates anything
+    # 112 bytes a question, checked before any candidate is computed
     mu_ps = np.linspace(10.0, 100.0, 1000)
-    monkeypatch.setattr(errors, "_memory_budget", lambda: 399_999)
+    monkeypatch.setattr(errors, "_memory_budget", lambda: 111_999)
     with pytest.raises(errors.LevelTooLargeError) as refused:
         fr.is_achievable(0.3, mu_ps, MU)
     assert str(refused.value) == (
-        "is_achievable with 1,000 questions would need about 400,000 bytes, "
-        "over the budget of 399,999 bytes (half of physical memory)"
+        "is_achievable with 1,000 questions would need about 112,000 bytes, "
+        "over the budget of 111,999 bytes (half of physical memory)"
     )
-    monkeypatch.setattr(errors, "_memory_budget", lambda: 400_000)
+    monkeypatch.setattr(errors, "_memory_budget", lambda: 112_000)
     assert fr.is_achievable(0.3, mu_ps, MU).worst_margin.shape == (1000,)
