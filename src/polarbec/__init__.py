@@ -1,11 +1,8 @@
 """Polar-code construction and analysis on the binary erasure channel."""
 
 from .codec import (
-    DecodeResult,
     SimResult,
     exact_block_error,
-    polar_encode,
-    sc_decode_bec,
     simulate,
     wilson_interval,
 )
@@ -61,7 +58,6 @@ __all__ = [
     "CodeSpec",
     "ConstructionReport",
     "CorollaryReport",
-    "DecodeResult",
     "DecodingInconsistencyError",
     "DegenerateFitError",
     "EmptyCodeError",
@@ -87,10 +83,8 @@ __all__ = [
     "load_codespec",
     "max_beta",
     "mu_star_from_ratio",
-    "polar_encode",
     "ratio_curve",
     "save_codespec",
-    "sc_decode_bec",
     "select_classical",
     "simulate",
     "sup_ratio",

@@ -1,10 +1,13 @@
-"""Butterfly encoding, successive-cancellation decoding, and simulation.
+"""Exact and Monte-Carlo block error of successive-cancellation decoding.
 
-Bits travel as int8 arrays; an erasure pattern is a bool array, True where
-the symbol was lost.  Input position i of the encoder feeds the synthetic
-channel with index j = i + 1: the first half of the input block rides the
-worse subtree.  Inside the decoder a block is a pair of Python-int
-bitmasks, known and value, with bit t standing for position t.
+An erasure pattern marks the codeword positions lost.  Input position i
+feeds the synthetic channel with index j = i + 1: the first half of the
+input block rides the worse subtree.  The decoder's core, _resolve, holds a
+block as a pair of Python-int bitmasks, known and value, with bit t
+standing for position t.  It returns the re-encoded block and the decided
+inputs, or, when a selected input stays unknown, that input's position as
+a plain int; only a received value that contradicts a frozen input raises
+(DecodingInconsistencyError).
 
 On the BEC the decoder never guesses, so whether a block decodes depends on
 the erasure pattern alone.  simulate() exploits that through a vectorized
@@ -53,54 +56,6 @@ _SLAB_WORDS = 1 << 18
 _ALL_LANES = np.uint64(2**64 - 1)
 
 
-def _as_bits(seq, what: str) -> np.ndarray:
-    bits = np.asarray(seq, dtype=np.int8)
-    if bits.ndim != 1:
-        raise ValueError(f"{what} must be one-dimensional")
-    if bits.size and (bits.min() < 0 or bits.max() > 1):
-        raise ValueError(f"{what} entries must be 0 or 1")
-    return bits
-
-
-def polar_encode(u) -> np.ndarray:
-    """Multiply by the n-fold Kronecker power of [[1,0],[1,1]] over GF(2).
-
-    The in-place butterfly runs adjacent pairs first; the stages commute, so
-    any order realizes the same matrix.
-    """
-    x = _as_bits(u, "input block").copy()
-    size = x.size
-    if size == 0 or size & (size - 1):
-        raise ValueError("input length must be a power of two")
-    width = 2
-    while width <= size:
-        view = x.reshape(-1, width)
-        view[:, : width // 2] ^= view[:, width // 2 :]
-        width *= 2
-    return x
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    """Outcome of one decoding attempt.
-
-    first_failure is the 1-based index of the earliest selected channel whose
-    input could not be resolved, or None on success.
-    """
-
-    info_bits: np.ndarray | None
-    first_failure: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.info_bits is not None
-
-
-class _Unresolved(Exception):
-    def __init__(self, position: int):
-        self.position = position
-
-
 def _to_mask(bits: np.ndarray) -> int:
     """Bit t of the result is bits[t]."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
@@ -109,7 +64,7 @@ def _to_mask(bits: np.ndarray) -> int:
 def _resolve(
     known: int, value: int, width: int, base: int, frozen: int, forced: int,
     memo: dict | None,
-) -> tuple[int, int]:
+) -> tuple[int, int] | int:
     """Decode the subtree whose inputs are channels base .. base + width - 1.
 
     known, value: bitmasks over the subtree's codeword-domain block, bit t
@@ -118,7 +73,9 @@ def _resolve(
     channels and their values.  memo: outcomes of the child subtrees, valid
     for one (frozen, forced) pair (see _subtree), or None to decode every
     child afresh.  Returns the re-encoded block and the decided inputs,
-    both as bitmasks over the subtree.
+    both as bitmasks over the subtree, or, where a selected input stays
+    unknown, the position of the first such input as a plain int (0 is a
+    position, so test the outcome's type, not its truth).
     """
     if width == 1:
         if frozen >> base & 1:
@@ -129,7 +86,7 @@ def _resolve(
                 )
             return bit, bit
         if not known:
-            raise _Unresolved(base)
+            return base
         return value, value
     half = width >> 1
     low = (1 << half) - 1
@@ -138,84 +95,36 @@ def _resolve(
     both = kl & kr
     child = _resolve if memo is None else _subtree
     # check node: parity known only when both halves are
-    cx, cu = child(both, (vl ^ vr) & both, half, base, frozen, forced, memo)
+    out = child(both, (vl ^ vr) & both, half, base, frozen, forced, memo)
+    if isinstance(out, int):
+        return out
+    cx, cu = out
     from_left = (vl ^ cx) & kl
     conflict = both & (from_left ^ vr)
     if conflict:
         t = (conflict & -conflict).bit_length() - 1
         raise DecodingInconsistencyError(f"inconsistent pair at codeword offset {t}")
     # variable node: either side pins the value
-    dx, du = child(kl | kr, vr | (from_left & ~kr), half, base + half, frozen, forced, memo)
+    out = child(kl | kr, vr | (from_left & ~kr), half, base + half, frozen, forced, memo)
+    if isinstance(out, int):
+        return out
+    dx, du = out
     return (cx ^ dx) | (dx << half), cu | (du << half)
 
 
 def _subtree(
     known: int, value: int, width: int, base: int, frozen: int, forced: int, memo: dict
-) -> tuple[int, int]:
+) -> tuple[int, int] | int:
     """_resolve, looked up in memo by (known, value, width, base) first.
 
-    memo holds the result pair, or the unresolved position as an int, which
-    is raised again on a hit.  Inconsistencies are never stored: they end
-    the whole decode.
+    memo holds whatever _resolve returned, the pair or the unresolved
+    position.  Inconsistencies are never stored: they end the whole decode.
     """
     key = (known, value, width, base)
     out = memo.get(key)
     if out is None:
-        try:
-            out = _resolve(known, value, width, base, frozen, forced, memo)
-        except _Unresolved as stop:
-            out = stop.position
-        memo[key] = out
-    if isinstance(out, int):
-        raise _Unresolved(out)
+        out = memo[key] = _resolve(known, value, width, base, frozen, forced, memo)
     return out
-
-
-def sc_decode_bec(erased, received, spec: CodeSpec, frozen_values) -> DecodeResult:
-    """Three-valued successive-cancellation decoding over the erasure channel.
-
-    erased: bool mask over codeword positions.  received: bit array; entries
-    under the mask are ignored.  frozen_values: bits for every channel not in
-    spec.indices, in ascending channel order.
-
-    A selected channel resolving to "unknown" aborts decoding with that
-    channel recorded; a received value contradicting a frozen constraint
-    raises DecodingInconsistencyError, since the channel never flips bits.
-    """
-    size = 1 << spec.n
-    mask = np.asarray(erased, dtype=bool)
-    if mask.shape != (size,):
-        raise ValueError("erasure pattern length does not match the code")
-    y = np.asarray(received, dtype=np.int8)
-    if y.shape != (size,):
-        raise ValueError("received block length does not match the code")
-    good = y[~mask]
-    if good.size and (good.min() < 0 or good.max() > 1):
-        raise ValueError("received entries must be 0 or 1 outside erasures")
-    info_pos = spec.indices.astype(np.int64) - 1
-    is_frozen = np.ones(size, dtype=bool)
-    is_frozen[info_pos] = False
-    frozen_bits = _as_bits(frozen_values, "frozen values")
-    if frozen_bits.size != size - info_pos.size:
-        raise ValueError(
-            f"expected {size - info_pos.size} frozen values, got {frozen_bits.size}"
-        )
-    template = np.zeros(size, dtype=bool)
-    template[is_frozen] = frozen_bits
-    try:
-        _, u_hat = _resolve(
-            _to_mask(~mask),
-            _to_mask(~mask & (y == 1)),
-            size,
-            0,
-            _to_mask(is_frozen),
-            _to_mask(template),
-            None,  # each subtree state occurs once in one decode: no memo
-        )
-    except _Unresolved as stop:
-        return DecodeResult(info_bits=None, first_failure=stop.position + 1)
-    info_bits = [u_hat >> i & 1 for i in info_pos.tolist()]
-    return DecodeResult(info_bits=np.array(info_bits, dtype=np.int8))
 
 
 def _resolution_profile(known: np.ndarray) -> np.ndarray:
@@ -224,10 +133,11 @@ def _resolution_profile(known: np.ndarray) -> np.ndarray:
     known: C-contiguous (..., 2**n) array, True (or a set bit) where the
     symbol arrived; overwritten with the result, which is also returned.
     The worse-side input of a pair needs both observations; once it is
-    supplied, the better side needs either.  Equivalent to running
-    sc_decode_bec without the early abort, but vectorized across leading
-    axes.  The AND/OR butterfly runs lane by lane, so a bool array profiles
-    one pattern per row and a uint64 array 64 bit-sliced patterns per word.
+    supplied, the better side needs either.  Equivalent to running the
+    message-passing decoder (_resolve) on every input without the early
+    abort, but vectorized across leading axes.  The AND/OR butterfly runs
+    lane by lane, so a bool array profiles one pattern per row and a
+    uint64 array 64 bit-sliced patterns per word.
     """
     if not known.flags.c_contiguous:
         raise ValueError("profile input must be C-contiguous")
@@ -246,14 +156,18 @@ def _resolution_profile(known: np.ndarray) -> np.ndarray:
 def exact_block_error(spec: CodeSpec, root: RootChannel) -> float:
     """Block error probability by full erasure-pattern enumeration.
 
-    Runs the real decoder on each of the 2**(2**n) patterns and weights by
-    z0**erased * (1-z0)**received, summed with compensation.  Failure is
-    pattern-determined, so the per-popcount failure counts are exact
-    integers and the only rounding is in the final weighting.  Below the
-    root, subtree outcomes are memoized for this one enumeration by
-    (known, value, width, base), so each distinct subtree state is decoded
-    once; the root itself is decoded afresh for every pattern and never
-    stored.  The resolution profile is never read.
+    Runs the real decoder on each of the 2**(2**n) patterns, sending the
+    all-zero codeword with every frozen input zero, and counts a pattern as
+    failed when the decoder returns an unresolved position (an int) rather
+    than a decoded pair; no exception is raised or caught per pattern.  The
+    failures are weighted by z0**erased * (1-z0)**received and summed with
+    compensation.  Failure is pattern-determined, so the per-popcount
+    failure counts are exact integers and the only rounding is in the final
+    weighting.  Below the root, subtree outcomes, pairs and positions
+    alike, are memoized for this one enumeration by (known, value, width,
+    base), so each distinct subtree state is decoded once; the root itself
+    is decoded afresh for every pattern and never stored.  The resolution
+    profile is never read.
     """
     if spec.n > EXACT_ENUM_MAX_LEVEL:
         raise LevelTooLargeError(
@@ -271,9 +185,7 @@ def exact_block_error(spec: CodeSpec, root: RootChannel) -> float:
     fail_by_received = [0] * (size + 1)
     memo: dict = {}
     for pattern in range(1 << size):
-        try:
-            _resolve(full ^ pattern, 0, size, 0, frozen, 0, memo)
-        except _Unresolved:
+        if isinstance(_resolve(full ^ pattern, 0, size, 0, frozen, 0, memo), int):
             fail_by_received[size - pattern.bit_count()] += 1
     terms = [
         count * z0 ** (size - k) * (1.0 - z0) ** k
@@ -376,8 +288,8 @@ def simulate(
     tally is independent of batch, slab and worker count.
 
     Failures are detected with the resolution profile, which agrees with
-    sc_decode_bec by construction (and by test), run bit-sliced on 64
-    trials per uint64 word.
+    the message-passing decoder by construction (and by test), run
+    bit-sliced on 64 trials per uint64 word.
     """
     if trials < 1:
         raise ValueError("trials must be positive")

@@ -99,8 +99,12 @@ def _entropy_term(args):
 
 
 def _region_lhs(beta_p: float, mu_p: float, mu_star: float, pi):
-    denom = mu_p - mu_star * pi
-    return (1.0 - pi) / denom + _entropy_term(beta_p * mu_p / denom)
+    # (1 - pi)/d as (d - (mu_p - mu_star))/(mu_star d): d - (mu_p - mu_star)
+    # is mu_star (1 - pi) read off d itself, so both terms see the same pi,
+    # and near mu_p = mu_star, where 1 - pi and d cancel, mu_p - mu_star is
+    # exact (Sterbenz) and d carries the only rounding
+    d = mu_p - mu_star * pi
+    return (d - (mu_p - mu_star)) / (mu_star * d) + _entropy_term(beta_p * mu_p / d)
 
 
 def is_achievable(beta_p, mu_p, mu_star: float) -> AchievabilityResult:

@@ -2,10 +2,14 @@
 the complement computed through a mask per branch, the linear-domain
 erasures of a table, rate-mode classical selection by a full lexsort, H2
 inverted by a scalar bisection loop, the functional iteration through
-np.interp, and the achievable region's condition by a dense pi scan.
+np.interp, the achievable region's condition by a dense pi scan, and the
+butterfly encoder with a one-block successive-cancellation decoder.
 
 Tests compare the vectorized level tables, constructions, kernels and
-closed forms against these; the package itself never calls them.
+closed forms against these; the package itself never calls them.  The
+decoder runs the package's message-passing core, codec._resolve, which
+exact_block_error also runs; tests check it against the vectorized
+resolution profile, which shares no code with it.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from typing import Iterator
 
 import numpy as np
 
+from polarbec.codec import _resolve, _to_mask
+from polarbec.construction import CodeSpec
 from polarbec.criterion import binary_entropy, golden_section_max
 from polarbec.erasure import (
     COMPLEMENT_CUTOFF,
@@ -250,3 +256,94 @@ def region_scan(beta_p: float, mu_p: float, mu_star: float) -> AchievabilityResu
         pi, worst = float(pis[k]), float(values[k])
     margin = 1.0 - worst
     return AchievabilityResult(margin > ACHIEVABILITY_SLACK, margin, pi)
+
+
+def _as_bits(seq, what: str) -> np.ndarray:
+    bits = np.asarray(seq, dtype=np.int8)
+    if bits.ndim != 1:
+        raise ValueError(f"{what} must be one-dimensional")
+    if bits.size and (bits.min() < 0 or bits.max() > 1):
+        raise ValueError(f"{what} entries must be 0 or 1")
+    return bits
+
+
+def polar_encode(u) -> np.ndarray:
+    """Multiply by the n-fold Kronecker power of [[1,0],[1,1]] over GF(2).
+
+    Input position i feeds the synthetic channel with index j = i + 1.  The
+    in-place butterfly runs adjacent pairs first; the stages commute, so
+    any order realizes the same matrix.
+    """
+    x = _as_bits(u, "input block").copy()
+    size = x.size
+    if size == 0 or size & (size - 1):
+        raise ValueError("input length must be a power of two")
+    width = 2
+    while width <= size:
+        view = x.reshape(-1, width)
+        view[:, : width // 2] ^= view[:, width // 2 :]
+        width *= 2
+    return x
+
+
+@dataclass(frozen=True)
+class DecodeResult:
+    """Outcome of one decoding attempt.
+
+    first_failure is the 1-based index of the earliest selected channel whose
+    input could not be resolved, or None on success.
+    """
+
+    info_bits: np.ndarray | None
+    first_failure: int | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.info_bits is not None
+
+
+def sc_decode_bec(erased, received, spec: CodeSpec, frozen_values) -> DecodeResult:
+    """Three-valued successive-cancellation decoding over the erasure channel.
+
+    erased: bool mask over codeword positions.  received: bit array; entries
+    under the mask are ignored.  frozen_values: bits for every channel not in
+    spec.indices, in ascending channel order.
+
+    A selected channel resolving to "unknown" aborts decoding with that
+    channel recorded; a received value contradicting a frozen constraint
+    raises DecodingInconsistencyError, since the channel never flips bits.
+    """
+    size = 1 << spec.n
+    mask = np.asarray(erased, dtype=bool)
+    if mask.shape != (size,):
+        raise ValueError("erasure pattern length does not match the code")
+    y = np.asarray(received, dtype=np.int8)
+    if y.shape != (size,):
+        raise ValueError("received block length does not match the code")
+    good = y[~mask]
+    if good.size and (good.min() < 0 or good.max() > 1):
+        raise ValueError("received entries must be 0 or 1 outside erasures")
+    info_pos = spec.indices.astype(np.int64) - 1
+    is_frozen = np.ones(size, dtype=bool)
+    is_frozen[info_pos] = False
+    frozen_bits = _as_bits(frozen_values, "frozen values")
+    if frozen_bits.size != size - info_pos.size:
+        raise ValueError(
+            f"expected {size - info_pos.size} frozen values, got {frozen_bits.size}"
+        )
+    template = np.zeros(size, dtype=bool)
+    template[is_frozen] = frozen_bits
+    out = _resolve(
+        _to_mask(~mask),
+        _to_mask(~mask & (y == 1)),
+        size,
+        0,
+        _to_mask(is_frozen),
+        _to_mask(template),
+        None,  # each subtree state occurs once in one decode: no memo
+    )
+    if isinstance(out, int):  # position 0 is channel 1
+        return DecodeResult(info_bits=None, first_failure=out + 1)
+    u_hat = out[1]
+    info_bits = [u_hat >> i & 1 for i in info_pos.tolist()]
+    return DecodeResult(info_bits=np.array(info_bits, dtype=np.int8))

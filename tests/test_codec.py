@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ChannelPath, channel_erasure, polarize_prob
+from oracles import ChannelPath, channel_erasure, polar_encode, polarize_prob, sc_decode_bec
 
 from polarbec import codec, construction as co, erasure as er, errors
 from polarbec.errors import DecodingInconsistencyError, LevelTooLargeError
@@ -60,29 +60,29 @@ def _empty_spec(n: int, z0: float = 0.5) -> co.CodeSpec:
 
 
 def test_kernel_pairs():
-    assert codec.polar_encode([0, 0]).tolist() == [0, 0]
-    assert codec.polar_encode([1, 0]).tolist() == [1, 0]
-    assert codec.polar_encode([0, 1]).tolist() == [1, 1]
-    assert codec.polar_encode([1, 1]).tolist() == [0, 1]
+    assert polar_encode([0, 0]).tolist() == [0, 0]
+    assert polar_encode([1, 0]).tolist() == [1, 0]
+    assert polar_encode([0, 1]).tolist() == [1, 1]
+    assert polar_encode([1, 1]).tolist() == [0, 1]
 
 
 def test_encode_level2_rows():
     # rows of the squared kernel, one unit vector at a time
-    assert codec.polar_encode([1, 0, 0, 0]).tolist() == [1, 0, 0, 0]
-    assert codec.polar_encode([0, 1, 0, 0]).tolist() == [1, 1, 0, 0]
-    assert codec.polar_encode([0, 0, 1, 0]).tolist() == [1, 0, 1, 0]
-    assert codec.polar_encode([0, 0, 0, 1]).tolist() == [1, 1, 1, 1]
+    assert polar_encode([1, 0, 0, 0]).tolist() == [1, 0, 0, 0]
+    assert polar_encode([0, 1, 0, 0]).tolist() == [1, 1, 0, 0]
+    assert polar_encode([0, 0, 1, 0]).tolist() == [1, 0, 1, 0]
+    assert polar_encode([0, 0, 0, 1]).tolist() == [1, 1, 1, 1]
 
 
 def test_encode_validation():
     with pytest.raises(ValueError):
-        codec.polar_encode([0, 1, 0])
+        polar_encode([0, 1, 0])
     with pytest.raises(ValueError):
-        codec.polar_encode([])
+        polar_encode([])
     with pytest.raises(ValueError):
-        codec.polar_encode([0, 2])
+        polar_encode([0, 2])
     with pytest.raises(ValueError):
-        codec.polar_encode([[0, 1], [1, 0]])
+        polar_encode([[0, 1], [1, 0]])
 
 
 @settings(max_examples=40)
@@ -95,9 +95,9 @@ def test_encode_linear_and_involutive(n, data):
     u = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)), dtype=np.int8)
     v = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)), dtype=np.int8)
     assert np.array_equal(
-        codec.polar_encode(u ^ v), codec.polar_encode(u) ^ codec.polar_encode(v)
+        polar_encode(u ^ v), polar_encode(u) ^ polar_encode(v)
     )
-    assert np.array_equal(codec.polar_encode(codec.polar_encode(u)), u)
+    assert np.array_equal(polar_encode(polar_encode(u)), u)
 
 
 def test_prime_string_rows_map_to_indices():
@@ -123,8 +123,8 @@ def test_decode_no_erasures_round_trip():
         info_pos = spec.indices.astype(int) - 1
         frozen_pos = np.setdiff1d(np.arange(size), info_pos)
         u = rng.integers(0, 2, size=size).astype(np.int8)
-        x = codec.polar_encode(u)
-        res = codec.sc_decode_bec(
+        x = polar_encode(u)
+        res = sc_decode_bec(
             np.zeros(size, dtype=bool), x, spec, u[frozen_pos]
         )
         assert res.ok and res.first_failure is None
@@ -135,19 +135,19 @@ def test_repetition_code_corrects_up_to_three_erasures():
     spec = _spec_single(2, 4)
     for bit in (0, 1):
         u = np.array([0, 0, 0, bit], dtype=np.int8)
-        x = codec.polar_encode(u)
+        x = polar_encode(u)
         for k in (1, 2, 3):
             for pos in itertools.combinations(range(4), k):
                 mask = np.zeros(4, dtype=bool)
                 mask[list(pos)] = True
-                res = codec.sc_decode_bec(mask, x, spec, np.zeros(3, dtype=np.int8))
+                res = sc_decode_bec(mask, x, spec, np.zeros(3, dtype=np.int8))
                 assert res.ok
                 assert res.info_bits.tolist() == [bit]
 
 
 def test_all_erased_reports_first_selected_channel():
     spec = _spec_single(2, 4)
-    res = codec.sc_decode_bec(
+    res = sc_decode_bec(
         np.ones(4, dtype=bool),
         np.zeros(4, dtype=np.int8),
         spec,
@@ -161,7 +161,7 @@ def test_all_erased_reports_first_selected_channel():
 def test_frozen_mismatch_raises():
     spec = _spec_single(1, 2)
     with pytest.raises(DecodingInconsistencyError):
-        codec.sc_decode_bec(
+        sc_decode_bec(
             np.zeros(2, dtype=bool),
             np.array([0, 1], dtype=np.int8),  # says u1 = 1, frozen to 0
             spec,
@@ -172,13 +172,13 @@ def test_frozen_mismatch_raises():
 def test_decode_input_validation():
     spec = _spec_single(1, 2)
     with pytest.raises(ValueError):
-        codec.sc_decode_bec(np.zeros(4, dtype=bool), np.zeros(2, dtype=np.int8), spec, [0])
+        sc_decode_bec(np.zeros(4, dtype=bool), np.zeros(2, dtype=np.int8), spec, [0])
     with pytest.raises(ValueError):
-        codec.sc_decode_bec(np.zeros(2, dtype=bool), np.zeros(4, dtype=np.int8), spec, [0])
+        sc_decode_bec(np.zeros(2, dtype=bool), np.zeros(4, dtype=np.int8), spec, [0])
     with pytest.raises(ValueError):
-        codec.sc_decode_bec(np.zeros(2, dtype=bool), np.array([0, 3]), spec, [0])
+        sc_decode_bec(np.zeros(2, dtype=bool), np.array([0, 3]), spec, [0])
     with pytest.raises(ValueError):
-        codec.sc_decode_bec(np.zeros(2, dtype=bool), np.zeros(2, dtype=np.int8), spec, [0, 1])
+        sc_decode_bec(np.zeros(2, dtype=bool), np.zeros(2, dtype=np.int8), spec, [0, 1])
 
 
 def _bits(mask: int, size: int) -> np.ndarray:
@@ -201,7 +201,7 @@ def test_profile_matches_decoder(n, rate_idx, data):
     profile = codec._resolution_profile(known.copy())
     nonzero = _bits(data.draw(st.integers(1, (1 << size) - 1)), size)
     for u in (np.zeros(size, dtype=np.int8), nonzero):
-        res = codec.sc_decode_bec(~known, codec.polar_encode(u), spec, u[frozen_pos])
+        res = sc_decode_bec(~known, polar_encode(u), spec, u[frozen_pos])
         assert res.ok == bool(profile[info_pos].all())
         if res.ok:
             assert np.array_equal(res.info_bits, u[info_pos])
@@ -310,6 +310,67 @@ def test_exact_block_error_counts_profile_failures(n, data):
         failures = int((~profile[:, info].all(axis=1)).sum())
         spec = _bare_spec(n, [i + 1 for i in info])
         assert codec.exact_block_error(spec, er.RootChannel(0.5)) * 2**size == failures
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_memoized_outcomes_equal_memo_free_decodes(n):
+    # One memo for the whole enumeration, as exact_block_error keeps it; the
+    # outcome is the decoded pair or the unresolved position (an int).  Each
+    # selection also sends a random input block, so value bits and frozen
+    # ones are not all zero.
+    size = 1 << n
+    full = (1 << size) - 1
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        info = rng.choice(size, size=rng.integers(1, size + 1), replace=False)
+        is_frozen = np.ones(size, dtype=bool)
+        is_frozen[info] = False
+        u = rng.integers(0, 2, size=size).astype(np.int8)
+        frozen, forced = codec._to_mask(is_frozen), codec._to_mask(is_frozen & (u == 1))
+        x = codec._to_mask(polar_encode(u))
+        for sent, values in ((0, 0), (x, forced)):
+            memo, kinds = {}, set()
+            for pattern in range(1 << size):
+                known = full ^ pattern
+                args = (known, sent & known, size, 0, frozen, values)
+                out = codec._resolve(*args, memo)
+                assert out == codec._resolve(*args, None)
+                kinds.add(type(out))
+            assert kinds == {int, tuple}
+
+
+def test_first_channel_unresolved_is_a_failure():
+    # The unresolved position of channel 1 is 0, which is false as a truth
+    # value: the code must fail on it all the same.  Input 0 is the parity
+    # of the whole block, so any erasure leaves it unknown.
+    size = 4
+    spec = _bare_spec(2, [1])
+    assert codec.exact_block_error(spec, er.RootChannel(0.5)) == 1.0 - 0.5**size
+    full = _bare_spec(2, [1, 2, 3, 4])
+    for pattern in range(1, 1 << size):
+        erased = _bits(pattern, size).astype(bool)
+        res = sc_decode_bec(erased, np.zeros(size, dtype=np.int8), full, [])
+        assert not res.ok and res.first_failure == 1
+        res = sc_decode_bec(erased, np.zeros(size, dtype=np.int8), spec, np.zeros(3))
+        assert not res.ok and res.first_failure == 1
+
+
+def test_inconsistency_in_a_memoized_subtree_propagates_unstored():
+    # u = (1, 0, 0, 0) sent through a code that freezes every input to 0:
+    # the width-2 check-node subtree (key (0b11, 0b01, 2, 0)) meets the
+    # frozen input 0 observed as 1.  The error leaves both that subtree and
+    # its width-1 child out of the memo, and keeps what was stored before.
+    size = 4
+    every = (1 << size) - 1  # every position received, every input frozen
+    memo = {}
+    assert codec._resolve(every, 0, size, 0, every, 0, memo) == (0, 0)
+    before = dict(memo)
+    x = codec._to_mask(polar_encode([1, 0, 0, 0]))
+    assert x == 0b0001
+    with pytest.raises(DecodingInconsistencyError, match="channel 1"):
+        codec._resolve(every, x, size, 0, every, 0, memo)
+    assert memo == before
+    assert (0b11, 0b01, 2, 0) not in memo and (0b1, 0b1, 1, 0) not in memo
 
 
 def test_exact_block_error_memory_stays_small():
@@ -439,7 +500,7 @@ def test_simulate_follows_documented_stream(n, z0, trials):
     patterns = _documented_erasures(seed, z0, n, trials)
     assert abs(patterns.mean() - z0) < 0.05
     failed = np.array([
-        not codec.sc_decode_bec(erased, np.zeros(size, dtype=np.int8), spec, frozen).ok
+        not sc_decode_bec(erased, np.zeros(size, dtype=np.int8), spec, frozen).ok
         for erased in patterns
     ])
     assert 0 < failed.sum() < trials

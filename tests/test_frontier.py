@@ -1,6 +1,7 @@
 """Achievable-region membership, frontier tracing, and the corollary checks."""
 
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -82,9 +83,10 @@ def test_max_beta_sits_on_the_oracle_boundary(mu_star, ratio):
 def test_is_achievable_matches_the_region_scan(mu_star, beta_p, ratio):
     # The closed form evaluates the left side at its maximum, so its margin
     # is at most the scan's.  It may read a little above it only by the
-    # left side's own rounding: d = mu_p - mu_star pi cancels near pi = 1,
-    # amplifying it by up to mu_p / (mu_p - mu_star).  Where mu_p / mu_star
-    # is 1 + 1e-6 both searches sit about 1e-11 from the 50-digit maximum.
+    # scan's own rounding: the scan's d = mu_p - mu_star pi and 1 - pi cancel
+    # near pi = 1, amplifying it by up to mu_p / (mu_p - mu_star).  Where
+    # mu_p / mu_star is 1 + 1e-6 the scan sits about 1e-11 from the 50-digit
+    # maximum (the closed form's own digits: the 50-digit test below).
     mu_p = mu_star * ratio
     got = fr.is_achievable(beta_p, mu_p, mu_star)
     scan = region_scan(beta_p, mu_p, mu_star)
@@ -93,6 +95,40 @@ def test_is_achievable_matches_the_region_scan(mu_star, beta_p, ratio):
     noise = 1e-15 * mu_p / (mu_p - mu_star)
     assert scan.worst_margin - 1e-9 <= got.worst_margin <= scan.worst_margin + noise
     assert 0.0 <= got.worst_pi <= 1.0
+
+
+def _region_lhs_50_digits(beta_p: float, mu_p: float, mu_star: float, pi: float) -> Decimal:
+    """The region's left side at these exact floats, in 50-digit `decimal`
+    with its own entropy, independent of `criterion` and `frontier`."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        b, mp, ms, p = map(Decimal, (beta_p, mu_p, mu_star, pi))
+        d = mp - ms * p
+        s = b * mp / d
+        if s > 1:
+            h = s
+        elif s in (0, 1):
+            h = Decimal(0)
+        else:
+            h = -(s * s.ln() + (1 - s) * (1 - s).ln()) / Decimal(2).ln()
+        return (1 - p) / d + h
+
+
+def test_is_achievable_keeps_its_digits_near_mu_star():
+    # mu_p within a relative 1e-8 .. 1e-4 of mu_star, where d = mu_p -
+    # mu_star pi and 1 - pi both cancel near pi = 1.  With 1 - pi over d,
+    # 3,000 such questions read margins up to 1.4e-9 off the 50-digit left
+    # side at is_achievable's own worst pi, 1,400 times the slack; with
+    # 1 - pi read off d, within 2.6e-16 of max(1, |left side|).
+    rng = np.random.default_rng(2024)
+    mu_star = rng.uniform(2.5, 6.0, 300)
+    mu_p = mu_star * (1.0 + 10.0 ** rng.uniform(-8.0, -4.0, 300))
+    beta_p = 10.0 ** rng.uniform(-9.0, -5.0, 300)
+    for b, mp, ms in zip(beta_p.tolist(), mu_p.tolist(), mu_star.tolist()):
+        got = fr.is_achievable(b, mp, ms)
+        lhs = _region_lhs_50_digits(b, mp, ms, got.worst_pi)
+        err = abs(Decimal(got.worst_margin) - (1 - lhs))
+        assert err <= Decimal("1e-15") * max(1, abs(lhs)), (b, mp, ms, got)
 
 
 @pytest.mark.parametrize(
