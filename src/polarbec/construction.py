@@ -100,16 +100,15 @@ class CodeSpec:
     """A selected set of level-n synthetic channels with per-channel stats.
 
     Columns are aligned arrays sorted by the 1-based channel index j.
-    squaring_count counts squarings since the channel's pocket level
-    (for the classical construction the pocket level is 0, so it is the
-    total squaring count along the path).
+    source_pocket is the level m in [0, n] each channel was recruited at, 0
+    in a classical code; squaring_count is derived from j and m, since a
+    squaring is a 1 bit of the channel's path.
     """
 
     n: int
     z0: float
     indices: np.ndarray  # uint64, 1-based, strictly increasing
     l_era: np.ndarray
-    squaring_count: np.ndarray
     source_pocket: np.ndarray
     params: dict = field(default_factory=dict)
 
@@ -117,13 +116,15 @@ class CodeSpec:
         if not 0 <= self.n < 64:
             raise ValueError(f"n={self.n} is outside [0, 64): channel indices are 64-bit")
         m = self.indices.size
-        for name in ("l_era", "squaring_count", "source_pocket"):
+        for name in ("l_era", "source_pocket"):
             if getattr(self, name).shape != (m,):
                 raise ValueError(f"column {name} misaligned")
         if m and (self.indices[0] < 1 or self.indices[-1] > (1 << self.n)):
             raise ValueError("channel index out of range")
         if m and not np.all(self.indices[1:] > self.indices[:-1]):
             raise ValueError("indices must be strictly increasing")
+        if m and not 0 <= self.source_pocket.min() <= self.source_pocket.max() <= self.n:
+            raise ValueError(f"source pocket outside [0, {self.n}]")
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -131,6 +132,21 @@ class CodeSpec:
     @property
     def rate(self) -> float:
         return self.indices.size / float(1 << self.n)
+
+    @property
+    def squaring_count(self) -> np.ndarray:
+        """Squarings since the pocket level m, popcount((j - 1) mod 2**(n - m)), in int64."""
+        out = np.empty(len(self), dtype=np.int64)
+        for lo in range(0, out.size, _CHUNK_CHANNELS):
+            rows = slice(lo, lo + _CHUNK_CHANNELS)
+            # the path's n bits to the top of a word (a shift by 64 gives 0),
+            # then its first m steps, those above the pocket, out of it
+            path = np.subtract(self.indices[rows], np.uint64(1), out=out[rows].view(np.uint64))
+            path <<= np.uint64(64 - self.n)
+            pocket = self.source_pocket[rows]
+            np.left_shift(path, pocket, out=path, dtype=np.uint64, casting="unsafe")
+            np.bitwise_count(path, out=out[rows])
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CodeSpec):
@@ -140,7 +156,6 @@ class CodeSpec:
             and self.z0 == other.z0
             and np.array_equal(self.indices, other.indices)
             and np.array_equal(self.l_era, other.l_era)
-            and np.array_equal(self.squaring_count, other.squaring_count)
             and np.array_equal(self.source_pocket, other.source_pocket)
             and self.params == other.params
         )
@@ -246,7 +261,6 @@ def select_classical(
         z0=root.z0,
         indices=chosen.astype(np.uint64) + 1,
         l_era=le[chosen],
-        squaring_count=_popcount(chosen),
         source_pocket=np.zeros(chosen.size, dtype=np.int64),
         params=params,
     )
@@ -259,9 +273,9 @@ def _check_classical(n: int, rate: float | None) -> None:
     size = 1 << n
     count = _round_nearest(rate * size) if rate is not None and 0.0 <= rate <= 1.0 else size
     # the table (16 bytes a channel) beside the larger of the sort or partition
-    # (16 a channel) and the chosen columns, later the union bound (41 a chosen
+    # (16 a channel) and the chosen columns, later the union bound (33 a chosen
     # one; budget mode may choose all), and one chunk's temporaries
-    need = 16 * size + max(16 * size, 41 * count) + 48 * min(size, _CHUNK_CHANNELS)
+    need = 16 * size + max(16 * size, 33 * count) + 48 * min(size, _CHUNK_CHANNELS)
     _check_memory(need, f"the classical code at level {n}")
 
 
@@ -278,10 +292,6 @@ def _best_by_threshold(le: np.ndarray, count: int) -> np.ndarray:
     ties = np.flatnonzero(le == cut)
     keep[ties[: count - int(np.count_nonzero(keep))]] = True
     return np.flatnonzero(keep)
-
-
-def _popcount(paths: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(paths.astype(np.uint64)).astype(np.int64)
 
 
 def pocket_levels(n0: int, pockets: int) -> list[int]:
@@ -433,10 +443,10 @@ def _train_and_retain(
     counts = [r.members.size for r in recruits]
     widest = [_quota_count(n - r.level, quota) for r in recruits]
     cap = sum(w * c for w, c in zip(widest, counts))
-    # 32 bytes a slot for the columns, beside the union bound's 18 (the final
+    # 24 bytes a slot for the columns, beside the union bound's 18 (the final
     # filter copies one column at a time, 10 at most); 80 a recruit; 48 a
     # channel of the walk's live chunks, which hold _CHUNK_CHANNELS at most
-    need = 50 * cap + 80 * sum(counts) + 48 * min(1 << n, _CHUNK_CHANNELS)
+    need = 42 * cap + 80 * sum(counts) + 48 * min(1 << n, _CHUNK_CHANNELS)
     _check_memory(need, f"the level-{n} code of up to {cap:,} channels")
     bound = np.repeat(widest, counts)
     order = np.argsort(np.concatenate([r.members << (n - r.level) for r in recruits]))
@@ -445,7 +455,6 @@ def _train_and_retain(
     del bound, order
     indices = np.empty(cap, dtype=np.uint64)
     l_era = np.empty(cap)
-    squarings = np.empty(cap, dtype=np.int64)
     source = np.empty(cap, dtype=np.int64)
     # Each recruit's subtree is walked as rows of 2**t channels below the
     # level n - t; a row's quota-meeting channels fill a slot range that
@@ -454,10 +463,10 @@ def _train_and_retain(
     layouts = []
     for r, first_slot in zip(recruits, np.split(slots, np.cumsum(counts)[:-1])):
         t = min(n - r.level, bits)
-        above = _popcount(np.arange(1 << (n - r.level - t)))
+        above = np.bitwise_count(np.arange(1 << (n - r.level - t)))
         widths = np.array([_quota_count(t, quota - h) for h in above.tolist()])
         layouts.append((r, t, above, first_slot, np.cumsum(widths) - widths))
-    sq_low = _popcount(np.arange(1 << max(t for _, t, *_ in layouts)))
+    sq_low = np.bitwise_count(np.arange(1 << max(t for _, t, *_ in layouts)))
 
     def train(g, a, b, desc):
         r, t, above, first_slot, row_slot = layouts[g]
@@ -477,7 +486,6 @@ def _train_and_retain(
             shape = (d - c, cols.size)
             np.take(desc[c:d], cols, axis=1, mode="clip", out=l_era[dst].reshape(shape))
             np.add(first[c:d, None], cols.astype(np.uint64), out=indices[dst].reshape(shape))
-            squarings[dst].reshape(shape)[...] = sq_low[cols] + h
             source[dst] = r.level
             kept += shape[0] * shape[1]
             if final_le_min is not None:
@@ -492,12 +500,12 @@ def _train_and_retain(
     retained = [sum(kept for kept, _ in chunks) for chunks in trained]
     missed = [lost for chunks in trained for _, misses in chunks for lost in misses]
     del trained
-    columns = dict(indices=indices, l_era=l_era, squaring_count=squarings, source_pocket=source)
+    columns = dict(indices=indices, l_era=l_era, source_pocket=source)
     if missed:
         passed = np.ones(cap, dtype=bool)
         for lost in missed:
             passed[lost] = False
-        del indices, l_era, squarings, source, missed  # so each copy frees its original
+        del indices, l_era, source, missed  # so each copy frees its original
         for name, column in columns.items():
             columns[name] = column[passed]
     return columns, retained
@@ -525,6 +533,7 @@ _LINES_PER_WRITE = 1 << 16
 
 def save_codespec(spec: CodeSpec, path: str) -> None:
     params = " ".join(f"{k}={v}" for k, v in spec.params.items())
+    squarings = spec.squaring_count
     with _atomic_write(path) as fh:
         fh.write(f"n={spec.n}\nz0={spec.z0!r}\nparams={params}\n")
         for lo in range(0, len(spec), _LINES_PER_WRITE):
@@ -534,7 +543,7 @@ def save_codespec(spec: CodeSpec, path: str) -> None:
                 for j, m, sq, lera in zip(
                     spec.indices[rows].tolist(),
                     spec.source_pocket[rows].tolist(),
-                    spec.squaring_count[rows].tolist(),
+                    squarings[rows].tolist(),
                     spec.l_era[rows].tolist(),
                 )
             ))
@@ -578,12 +587,14 @@ def _header_value(path: str, line: tuple[int, str], parse):
 
 def load_codespec(path: str) -> CodeSpec:
     """Read a code file; a malformed header value or channel line raises
-    ValueError naming the file and the line.
+    ValueError naming the file and the line; an sq= other than the count
+    that j and m give raises one naming the file and the channel.
 
     One pass parses the lines into typed columns that the spec wraps uncopied.
     """
     with open(path) as fh:
-        # a channel line is at least 20 bytes and becomes 32 bytes of columns
+        # 25 bytes of columns a channel line, and 8 more for the sq check: a
+        # line is at least 20 bytes, and 25 once j passes 10**5 (j increases)
         _check_memory(32 * (os.fstat(fh.fileno()).st_size // 20 + 1), f"the code file {path}")
         lines = ((k, ln.rstrip("\n")) for k, ln in enumerate(fh, 1) if not ln.isspace())
         header = list(itertools.islice(lines, 3))
@@ -596,7 +607,7 @@ def load_codespec(path: str) -> CodeSpec:
         n = _header_value(path, header[0], int)
         z0 = _header_value(path, header[1], float)
         params = dict(_parse_param(tok) for tok in header[2][1][len("params="):].split())
-        js, ms, sqs, les = array("Q"), array("q"), array("q"), array("d")
+        js, ms, sqs, les = array("Q"), array("q"), array("B"), array("d")
         for lineno, ln in lines:
             canonical = _CHANNEL_LINE.fullmatch(ln)
             j, m, sq, lera = canonical.groups() if canonical else _channel_fields(path, lineno, ln)
@@ -604,18 +615,27 @@ def load_codespec(path: str) -> CodeSpec:
                 js.append(int(j))
                 ms.append(int(m))
                 sqs.append(int(sq))
-            except OverflowError as exc:  # out of a column's 64 bits
+            except OverflowError as exc:  # out of a column's 64 bits, or sq out of its byte
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
             les.append(float(lera))
     try:
-        return CodeSpec(
+        spec = CodeSpec(
             n=n,
             z0=z0,
             indices=np.frombuffer(js, dtype=np.uint64),
             l_era=np.frombuffer(les, dtype=np.float64),
-            squaring_count=np.frombuffer(sqs, dtype=np.int64),
             source_pocket=np.frombuffer(ms, dtype=np.int64),
             params=params,
         )
     except ValueError as exc:  # a bad spec
         raise ValueError(f"{path}: {exc}") from None
+    sq, derived = np.frombuffer(sqs, dtype=np.uint8), spec.squaring_count
+    for lo in range(0, len(spec), _CHUNK_CHANNELS):
+        wrong = np.flatnonzero(derived[lo : lo + _CHUNK_CHANNELS] != sq[lo : lo + _CHUNK_CHANNELS])
+        if wrong.size:
+            k = lo + int(wrong[0])
+            raise ValueError(
+                f"{path}: channel j={spec.indices[k]} m={spec.source_pocket[k]} has sq={sq[k]},"
+                f" but j and m give sq={derived[k]}"
+            )
+    return spec

@@ -139,7 +139,9 @@ def is_achievable(beta_p, mu_p, mu_star: float) -> AchievabilityResult:
         # s* as u/(1 + u) with u = 2**-K, which underflows to 0 where 2**K
         # would overflow; -K is -inf at beta_p = 0.  The mapped pi is read
         # only where s* > s0 >= 0, so its division by s* = 0 goes unused.
-        u = np.exp2((1.0 / mu_p - 1.0 / mu_star) / beta_p)
+        # -K with 1/mu_p - 1/mu_star read as (mu_star - mu_p)/(mu_star mu_p),
+        # whose difference is exact near mu_p = mu_star (Sterbenz)
+        u = np.exp2((mu_star - mu_p) / (mu_star * mu_p) / beta_p)
         s_star = u / (1.0 + u)
         pi = np.clip((mu_p - beta_p * mu_p / s_star) / mu_star, 0.0, 1.0)
     s_one = beta_p * mu_p / (mu_p - mu_star)
@@ -177,10 +179,12 @@ def max_beta(mu_p, mu_star: float):
     c = 1.0 / mu_star + ACHIEVABILITY_SLACK
     s_star = 1.0 - 2.0 ** (c - 1.0)
     s_lo = binary_entropy_inv(1.0 - 1.0 / mu_p - ACHIEVABILITY_SLACK)
+    # 1 - mu_star/mu_p and 1/mu_star - 1/mu_p with mu_p - mu_star, exact near
+    # mu_p = mu_star, in place of the difference that cancels there
     if binary_entropy(s_star) >= 1.0 - ACHIEVABILITY_SLACK:
-        below = binary_entropy_inv(1.0 - ACHIEVABILITY_SLACK) * (1.0 - mu_star / mu_p)
+        below = binary_entropy_inv(1.0 - ACHIEVABILITY_SLACK) * (mu_p - mu_star) / mu_p
     else:
-        below = (1.0 / mu_star - 1.0 / mu_p) / _theta(c)
+        below = (mu_p - mu_star) / (mu_star * mu_p) / _theta(c)
     out = np.where(s_lo >= s_star, s_lo, below)
     return out if out.ndim else float(out)
 

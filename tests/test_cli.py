@@ -365,6 +365,7 @@ def test_simulate_seed_out_of_range_exits_2(capsys, tmp_path):
         "j=1 m=0 sq=0 lera=1.0 j=2",  # repeated key
         "j=one m=0 sq=0 lera=1.0",  # non-integer j
         "j=18446744073709551616 m=0 sq=0 lera=1.0",  # j past 64 bits
+        "j=1 m=0 sq=256 lera=1.0",  # sq past its byte
     ],
 )
 def test_simulate_bad_code_line_exits_2(capsys, tmp_path, line):
@@ -388,6 +389,25 @@ def test_simulate_bad_code_header_value_exits_2(capsys, tmp_path, header, lineno
     code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
     assert code == 2 and out is None and err["error"] == "ValueError"
     assert err["message"] == f"{code_file}, line {lineno}: {detail}"
+
+
+@pytest.mark.parametrize(
+    ("line", "detail"),
+    [
+        # sq= counts the squarings below level m only: 1 for j - 1 = 0b11
+        # below m = 3, not the path's 2
+        ("j=4 m=3 sq=2 lera=1.0", "channel j=4 m=3 has sq=2, but j and m give sq=1"),
+        ("j=4 m=5 sq=0 lera=1.0", "source pocket outside [0, 4]"),
+    ],
+)
+def test_simulate_code_with_a_wrong_squaring_count_or_pocket_exits_2(
+    capsys, tmp_path, line, detail
+):
+    code_file = tmp_path / "code.txt"
+    code_file.write_text(f"n=4\nz0=0.5\nparams=mode=classical\nj=1 m=0 sq=0 lera=1.0\n{line}\n")
+    code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
+    assert code == 2 and out is None and err["error"] == "ValueError"
+    assert err["message"] == f"{code_file}: {detail}"
 
 
 def test_simulate_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch, workers):
@@ -581,7 +601,7 @@ def test_construct_levels_and_level_fractions_exit_2(capsys, tmp_path):
 
 
 def test_construct_multipocket_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch):
-    # 50 bytes a slot of the code, 80 a recruit and one chunk's 48 bytes a
+    # 42 bytes a slot of the code, 80 a recruit and one chunk's 48 bytes a
     # channel (3 MiB at n = 16), against a budget of 1 MiB
     argv = ["construct", "--n", "16", "--code-out"]
     code, fits, _ = run_cli(capsys, *argv, str(tmp_path / "fits.txt"))
@@ -643,7 +663,7 @@ def test_construct_heals_truncated_cache(capsys, tmp_path, monkeypatch):
 
 def test_construct_classical_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch):
     # The classical plan is checked before its table is built or read: 16
-    # bytes a channel for the table, 41 a chosen channel for the code (1.3
+    # bytes a channel for the table, 33 a chosen channel for the code (1.0
     # MiB at n = 16, rate 1/2) and 48 a channel of one chunk's temporaries,
     # against a budget of 0.5 MiB.  The cache read keeps its own check: the
     # level-15 read needs exactly its two 256 KiB columns, so one byte less
@@ -675,7 +695,7 @@ def test_construct_classical_over_memory_budget_exits_2(capsys, tmp_path, monkey
     code, _, err = run_cli(capsys, *argv, "30")
     assert code == 2 and err["error"] == "LevelTooLargeError"
     assert err["message"] == (
-        "the classical code at level 30 would need about 37,424 MiB, over the budget "
+        "the classical code at level 30 would need about 33,328 MiB, over the budget "
         "of 1,024 MiB (half of physical memory)"
     )
 

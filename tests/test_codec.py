@@ -35,7 +35,6 @@ def _spec_single(n: int, j: int, z0: float = 0.5) -> co.CodeSpec:
         z0=z0,
         indices=np.array([j], dtype=np.uint64),
         l_era=np.array([le.l_era]),
-        squaring_count=np.array([bin(j - 1).count("1")], dtype=np.uint64),
         source_pocket=np.zeros(1, dtype=np.int64),
         params={},
     )
@@ -49,7 +48,6 @@ def _bare_spec(n: int, indices, z0: float = 0.5) -> co.CodeSpec:
         z0=z0,
         indices=np.asarray(indices, dtype=np.uint64),
         l_era=np.zeros(m),
-        squaring_count=np.zeros(m, dtype=np.uint64),
         source_pocket=np.zeros(m, dtype=np.int64),
         params={},
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import ChannelPath, channel_erasure, classical_rate_reference, level_erasures
 
@@ -126,7 +126,6 @@ def test_union_bound_examples():
         z0=0.5,
         indices=np.array([3, 9], dtype=np.uint64),
         l_era=np.array([10.0, 10.0]),
-        squaring_count=np.array([1, 1], dtype=np.uint64),
         source_pocket=np.zeros(2, dtype=np.int64),
         params={},
     )
@@ -142,7 +141,6 @@ def _spec_with_l_era(l_era):
         z0=0.5,
         indices=np.arange(1, len(l_era) + 1, dtype=np.uint64),
         l_era=np.array(l_era),
-        squaring_count=np.zeros(len(l_era), dtype=np.int64),
         source_pocket=np.zeros(len(l_era), dtype=np.int64),
     )
 
@@ -615,9 +613,9 @@ def test_codespec_file_lines_and_token_fallback(tmp_path, monkeypatch):
     rows = path.read_text().splitlines()[3:]
     assert rows == [
         "j=1 m=0 sq=0 lera=inf",
-        "j=2 m=0 sq=0 lera=1e+300",
-        "j=3 m=0 sq=0 lera=256.54118673355",
-        "j=4 m=0 sq=0 lera=0.5",
+        "j=2 m=0 sq=1 lera=1e+300",
+        "j=3 m=0 sq=1 lera=256.54118673355",
+        "j=4 m=0 sq=2 lera=0.5",
     ]
     # Lines the writer never makes go through the token parse and load the
     # same values: reordered fields, extra spaces, CRLF, a sign, an
@@ -625,9 +623,9 @@ def test_codespec_file_lines_and_token_fallback(tmp_path, monkeypatch):
     path.write_bytes(
         b"n=4\nz0=0.5\nparams=\n\n"
         b"j=1 m=0 sq=0 lera=inf\r\n"
-        b"  lera=1E+300   sq=+0 m=0 j=2\n"
-        b"j=3 m=0 sq=0 lera=256.541_18673355\n"
-        b"j=4 m=-0 sq=0 lera=.5\n"
+        b"  lera=1E+300   sq=+1 m=0 j=2\n"
+        b"j=3 m=0 sq=1 lera=256.541_18673355\n"
+        b"j=4 m=-0 sq=2 lera=.5\n"
     )
     loaded = co.load_codespec(str(path))
     assert loaded == spec
@@ -659,10 +657,56 @@ def test_codespec_validates_indices():
             z0=0.5,
             indices=np.array([3, 2], dtype=np.uint64),
             l_era=np.ones(2),
-            squaring_count=np.ones(2, dtype=np.uint64),
             source_pocket=np.zeros(2, dtype=np.int64),
             params={},
         )
+
+
+def test_codespec_refuses_a_pocket_outside_its_levels():
+    # the squaring count shifts by n - m, so a pocket below 0 or above n
+    # would derive it from a wrapped mask
+    for pocket in (-1, 5, np.iinfo(np.int64).min, np.iinfo(np.int64).max):
+        with pytest.raises(ValueError, match=r"source pocket outside \[0, 4\]"):
+            co.CodeSpec(
+                n=4,
+                z0=0.5,
+                indices=np.array([3, 9], dtype=np.uint64),
+                l_era=np.ones(2),
+                source_pocket=np.array([0, pocket], dtype=np.int64),
+            )
+
+
+def _code_rows(n):
+    """Strictly increasing indices in [1, 2**n], each with a pocket in [0, n]."""
+    rows = st.tuples(st.integers(1, 1 << n), st.integers(0, n))
+    return st.lists(rows, max_size=40, unique_by=lambda r: r[0]).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    code=st.integers(0, 63).flatmap(lambda n: st.tuples(st.just(n), _code_rows(n))),
+    chunk=st.sampled_from([1, 3, 7, 1 << 20]),
+)
+@example(code=(63, [(1, 0), (2, 63), (1 << 62, 1), ((1 << 63) - 1, 0), (1 << 63, 0)]), chunk=2)
+@example(code=(63, [(1 << 63, 63)]), chunk=1)
+@example(code=(0, [(1, 0)]), chunk=1)
+@example(code=(5, []), chunk=3)
+def test_squaring_count_is_the_popcount_below_the_pocket(code, chunk):
+    # the derived column against Python ints, with chunks small enough that
+    # their edges fall inside the code
+    n, rows = code
+    spec = co.CodeSpec(
+        n=n,
+        z0=0.5,
+        indices=np.array([j for j, _ in rows], dtype=np.uint64),
+        l_era=np.zeros(len(rows)),
+        source_pocket=np.array([m for _, m in rows], dtype=np.int64),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(co, "_CHUNK_CHANNELS", chunk)
+        got = spec.squaring_count
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert got.tolist() == [bin((j - 1) & ((1 << (n - m)) - 1)).count("1") for j, m in rows]
 
 
 def test_gap_decay_script_runs():

@@ -131,6 +131,35 @@ def test_is_achievable_keeps_its_digits_near_mu_star():
         assert err <= Decimal("1e-15") * max(1, abs(lhs)), (b, mp, ms, got)
 
 
+def test_max_beta_keeps_its_digits_near_mu_star():
+    # mu_p within a relative 1e-12 .. 1e-4 of mu_star, where 1/mu_star -
+    # 1/mu_p cancels.  Read as (mu_p - mu_star)/(mu_star mu_p), the straight
+    # segment stays within 1e-15 of its 50-digit value, and so does the
+    # pi = 1 end's (mu_p - mu_star)/mu_p at mu_star = 1e6; the differences
+    # of reciprocals read up to 1.4e-4 off.
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ln2 = Decimal(2).ln()
+        for ms in (2.5, 3.0, MU, 5.0, 8.0):
+            c = 1 / Decimal(ms) + Decimal(fr.ACHIEVABILITY_SLACK)
+            theta = -(((1 - c) * ln2).exp() - 1).ln() / ln2
+            mu_p = ms * (1.0 + np.logspace(-12.0, -4.0, 50))
+            for mp, got in zip(mu_p.tolist(), fr.max_beta(mu_p, ms).tolist()):
+                want = (1 / Decimal(ms) - 1 / Decimal(mp)) / theta
+                assert abs(Decimal(got) - want) <= Decimal("1e-15") * want, (ms, mp, got)
+        ms = 1e6
+        h = Decimal(binary_entropy_inv(1.0 - fr.ACHIEVABILITY_SLACK))
+        mu_p = ms * (1.0 + np.logspace(-12.0, -4.0, 50))
+        for mp, got in zip(mu_p.tolist(), fr.max_beta(mu_p, ms).tolist()):
+            want = h * (Decimal(mp) - Decimal(ms)) / Decimal(mp)
+            assert abs(Decimal(got) - want) <= Decimal("1e-15") * want, (ms, mp, got)
+    # The frontier's top point (mu_p = mu_star (1 + 1e-9)) lies on the edge
+    # of the region it bounds: at mu_star = 5 its margin read -1.83e-10.
+    top = fr.trace_frontier(5.0)[0]
+    res = fr.is_achievable(top.beta_p, 1.0 / top.inv_mu_p, 5.0)
+    assert abs(res.worst_margin - fr.ACHIEVABILITY_SLACK) < 1e-14, res
+
+
 @pytest.mark.parametrize(
     "beta_p, mu_p",
     [
