@@ -36,7 +36,6 @@ from .errors import (
     DegenerateFitError,
     EmptyCodeError,
     InfeasibleTargetError,
-    InvalidCandidateError,
     LevelTooLargeError,
     PolarBECError,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "FrontierPoint",
     "GridFunction",
     "InfeasibleTargetError",
-    "InvalidCandidateError",
     "LevelTooLargeError",
     "PolarBECError",
     "RootChannel",

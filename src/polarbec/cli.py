@@ -35,7 +35,6 @@ from .errors import (
     DegenerateFitError,
     EmptyCodeError,
     InfeasibleTargetError,
-    InvalidCandidateError,
     LevelTooLargeError,
 )
 
@@ -139,13 +138,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def cmd_criterion(config: dict) -> dict:
-    if config["h_table"] is not None:
-        table = np.loadtxt(config["h_table"], delimiter=",", ndmin=2)
-        if table.shape[1] != 2:
-            raise ValueError("h table must have two columns: xi,value")
-        h = criterion.GridFunction(table[:, 0], table[:, 1])
-    else:
-        h = criterion.CandidateH.power(config["alpha"])
+    h = criterion.CandidateH.power(config["alpha"])
     result = criterion.sup_ratio(h, grid_size=config["grid"])
     polarizes = result.ratio < 1.0
     above_2 = polarizes and result.ratio > 2.0 ** -0.5
@@ -322,7 +315,6 @@ MULTIPOCKET, CLASSICAL = ("multipocket",), ("classical",)
 SUBCOMMANDS = {
     "criterion": (cmd_criterion, "sup-ratio check for a candidate h and the implied mu*", (
         ("alpha", 0.64, _real, "power-family exponent"),
-        ("h_table", None, _text, "CSV xi,value table for a custom candidate"),
         ("grid", 4096, _integer, "ratio grid size"),
         ("ratio_csv", None, _text, "write the sampled ratio curve here"),
     )),
@@ -423,7 +415,7 @@ def entrypoint(argv=None) -> int:
         report = {"config": {"subcommand": sub, **config}}
         report.update(SUBCOMMANDS[sub][0](config))
         _write_json(report, args.output)
-    except (ValueError, OSError, InvalidCandidateError, LevelTooLargeError) as exc:
+    except (ValueError, OSError, LevelTooLargeError) as exc:
         return _fail(exc, EXIT_USAGE)
     except (InfeasibleTargetError, EmptyCodeError, DegenerateFitError) as exc:
         return _fail(exc, EXIT_INFEASIBLE)

@@ -14,10 +14,6 @@ class LevelTooLargeError(PolarBECError):
     """A level enumeration or materialization exceeded the memory budget."""
 
 
-class InvalidCandidateError(PolarBECError):
-    """A candidate decay function violates its endpoint/positivity contract."""
-
-
 class DegenerateFitError(PolarBECError):
     """Too few usable decay samples to fit an exponent."""
 

@@ -4,15 +4,19 @@ import csv
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from polarbec import codec, criterion, errors
 from polarbec.cli import SUBCOMMANDS, _float_list, _real, entrypoint
 from polarbec.erasure import RootChannel, cached_level_table
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -41,34 +45,44 @@ def test_criterion_alpha_half(capsys):
     assert out["mu_star"] == pytest.approx(4.818841679306406, abs=1e-6)
 
 
-def test_criterion_dipped_table_does_not_polarize(capsys, tmp_path):
-    # parabola with its center node crushed: the ratio at xi = 1/2 blows up
-    table = tmp_path / "dipped.csv"
-    rows = []
-    for k in range(65):
-        x = k / 64
-        scale = 0.1 if k == 32 else 1.0
-        rows.append(f"{x},{x * (1.0 - x) * scale}\n")
-    table.write_text("".join(rows))
-    code, out, _ = run_cli(capsys, "criterion", "--h-table", str(table))
-    assert code == 0
-    assert out["sup_ratio"] >= 7.0
-    assert out["polarizes"] is False
-    assert out["mu_star_above_2"] is False and out["mu_star"] is None
-
-
-def test_criterion_table_must_vanish_at_ends(capsys, tmp_path):
-    table = tmp_path / "flat.csv"
-    table.write_text("".join(f"{x / 64},1.0\n" for x in range(65)))
-    code, _, err = run_cli(capsys, "criterion", "--h-table", str(table))
-    assert code == 2 and err["error"] == "InvalidCandidateError"
-
-
 def test_criterion_bad_alpha_exits_2(capsys):
     code, out, err = run_cli(capsys, "criterion", "--alpha", "1.5")
     assert code == 2 and out is None
     assert err["exit_code"] == 2 and err["error"] == "ValueError"
     assert "alpha" in err["message"]
+
+
+def test_criterion_h_table_is_gone(capsys, tmp_path):
+    # there is no tabulated candidate: --h-table is a flag argparse does not know,
+    # and h_table a config key resolve_config does not know
+    with pytest.raises(SystemExit) as refused:
+        entrypoint(["criterion", "--h-table", str(tmp_path / "h.csv")])
+    assert refused.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"h_table": str(tmp_path / "h.csv")}))
+    code, out, err = run_cli(capsys, "criterion", "--config", str(cfg))
+    assert code == 2 and out is None and err["error"] == "ValueError"
+    assert err["message"] == "unknown config keys for criterion: h_table"
+
+
+def test_criterion_over_memory_budget_exits_2(capsys, monkeypatch):
+    # 56 bytes a ratio point and 4 KiB: one byte less than the default
+    # grid's estimate is refused, before any point is allocated
+    need = 56 * 4096 + 4096
+    monkeypatch.setattr(errors, "_memory_budget", lambda: need - 1)
+    code, out, err = run_cli(capsys, "criterion")
+    assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
+    assert err["message"] == (
+        "the ratio curve on 4,096 points would need about 233,472 bytes, over the "
+        "budget of 233,471 bytes (half of physical memory)"
+    )
+    monkeypatch.setattr(errors, "_memory_budget", lambda: need)
+    assert run_cli(capsys, "criterion")[0] == 0
+    # a grid of 10**12 points would need some 56 TB: refused at the real budget
+    monkeypatch.undo()
+    code, out, err = run_cli(capsys, "criterion", "--grid", "1000000000000")
+    assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
 
 
 def test_criterion_ratio_csv(capsys, tmp_path):
@@ -136,14 +150,12 @@ def _every_key_args(tmp_path):
         ["construct", "--mode", "classical", "--n", "2", "--rate", "0.5",
          "--code-out", str(code_file), "--output", str(tmp_path / "tiny.json")]
     ) == 0
-    table = tmp_path / "h.csv"
-    table.write_text("".join(f"{k / 64},{(k / 64) * (1 - k / 64)}\n" for k in range(65)))
     out = str(tmp_path / "side.csv")
     code_out = str(tmp_path / "c.txt")
     # each construct mode reads some of its keys, and pockets, levels and
     # level_fractions exclude each other; the four runs give them all
     return [
-        ("criterion", {"alpha": 0.5, "h_table": str(table), "grid": 1000, "ratio_csv": out}),
+        ("criterion", {"alpha": 0.5, "grid": 1000, "ratio_csv": out}),
         ("mu-estimate", {"a": 0.02, "b": 0.98, "steps": 10, "grid": 4096, "z0": 0.5,
                          "fit_fraction": 0.5, "iterates_csv": out}),
         ("construct", {"mode": "classical", "n": 3, "z0": 0.4, "rate": 0.5, "budget": None,
@@ -901,3 +913,23 @@ def test_non_finite_float_options_are_refused_or_give_valid_json(capsys, tmp_pat
     else:
         assert code in (2, 3) and captured.out == ""
         assert json.loads(captured.err)["exit_code"] == code
+
+
+def _readme_examples() -> list[str]:
+    # the polarbec lines of the sh block after "## Command line"
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("polarbec ")]
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    # in order, in one directory: simulate reads the code.txt that the
+    # classical construct before it writes
+    monkeypatch.setenv("POLARBEC_CACHE_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_examples()
+    assert len(lines) == 7
+    for line in lines:
+        code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0 and err is None, (line, err)
+        assert out["config"]["subcommand"] == shlex.split(line)[1]
