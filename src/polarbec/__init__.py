@@ -17,7 +17,6 @@ from .construction import (
 )
 from .criterion import (
     CandidateH,
-    GridFunction,
     binary_entropy,
     binary_entropy_inv,
     estimate_mu,
@@ -61,7 +60,6 @@ __all__ = [
     "DegenerateFitError",
     "EmptyCodeError",
     "FrontierPoint",
-    "GridFunction",
     "InfeasibleTargetError",
     "LevelTooLargeError",
     "PolarBECError",

@@ -186,9 +186,7 @@ def cmd_construct(config: dict) -> dict:
     root = RootChannel(config["z0"])
     n = config["n"]
     if config["mode"] == "classical":
-        if config["rate"] is None and config["budget"] is None:
-            raise ValueError("classical mode needs --rate or --budget")
-        _check_classical(n, config["rate"])
+        _check_classical(n, config["rate"], config["budget"])
         spec = select_classical(
             root,
             n,

@@ -62,8 +62,7 @@ def _to_mask(bits: np.ndarray) -> int:
 
 
 def _resolve(
-    known: int, value: int, width: int, base: int, frozen: int, forced: int,
-    memo: dict | None,
+    known: int, value: int, width: int, base: int, frozen: int, forced: int, memo: dict
 ) -> tuple[int, int] | int:
     """Decode the subtree whose inputs are channels base .. base + width - 1.
 
@@ -71,11 +70,12 @@ def _resolve(
     for offset t; value bits are zero outside known.  frozen, forced:
     bitmasks over the whole code's input positions, marking the frozen
     channels and their values.  memo: outcomes of the child subtrees, valid
-    for one (frozen, forced) pair (see _subtree), or None to decode every
-    child afresh.  Returns the re-encoded block and the decided inputs,
-    both as bitmasks over the subtree, or, where a selected input stays
-    unknown, the position of the first such input as a plain int (0 is a
-    position, so test the outcome's type, not its truth).
+    for one (frozen, forced) pair (see _subtree).  One decode visits each
+    (width, base) once, so a fresh dict never hits.  Returns the re-encoded
+    block and the decided inputs, both as bitmasks over the subtree, or,
+    where a selected input stays unknown, the position of the first such
+    input as a plain int (0 is a position, so test the outcome's type, not
+    its truth).
     """
     if width == 1:
         if frozen >> base & 1:
@@ -93,9 +93,8 @@ def _resolve(
     kl, kr = known & low, known >> half
     vl, vr = value & low, value >> half
     both = kl & kr
-    child = _resolve if memo is None else _subtree
     # check node: parity known only when both halves are
-    out = child(both, (vl ^ vr) & both, half, base, frozen, forced, memo)
+    out = _subtree(both, (vl ^ vr) & both, half, base, frozen, forced, memo)
     if isinstance(out, int):
         return out
     cx, cu = out
@@ -105,7 +104,7 @@ def _resolve(
         t = (conflict & -conflict).bit_length() - 1
         raise DecodingInconsistencyError(f"inconsistent pair at codeword offset {t}")
     # variable node: either side pins the value
-    out = child(kl | kr, vr | (from_left & ~kr), half, base + half, frozen, forced, memo)
+    out = _subtree(kl | kr, vr | (from_left & ~kr), half, base + half, frozen, forced, memo)
     if isinstance(out, int):
         return out
     dx, du = out

@@ -162,9 +162,8 @@ class CodeSpec:
 
 
 def union_bound(spec: CodeSpec) -> float:
-    """-log2 of the summed erasure probabilities, max-shifted and summed exactly."""
-    if len(spec) == 0:
-        raise ValueError("union bound of an empty selection")
+    """-log2 of the summed erasure probabilities, max-shifted and summed exactly;
+    +inf when that sum is 0, as for an empty selection."""
     le = spec.l_era[np.isfinite(spec.l_era)]
     if le.size == 0:
         return math.inf
@@ -224,29 +223,20 @@ def select_classical(
     smallest-erasure channels; budget mode adds channels in increasing
     erasure order while the running erasure sum stays within the budget.
     Ties prefer the smaller channel index.  A precomputed (l_era, l_rel)
-    level table may be supplied to skip the enumeration.
+    level table may be supplied to skip the enumeration; the target, n and
+    the memory estimate are checked first either way.
     """
-    if (rate is None) == (max_sum_erasure is None):
-        raise ValueError("specify exactly one of rate or max_sum_erasure")
+    _check_classical(n, rate, max_sum_erasure)
     if table is None:
-        _check_classical(n, rate)
         le, lr = level_log_table(root, n)
     else:
         le, lr = table
         if le.shape != (1 << n,) or lr.shape != (1 << n,):
             raise ValueError("supplied table does not match level n")
     if rate is not None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"rate must lie in [0, 1], got {rate!r}")
         count = _round_nearest(rate * (1 << n))
         params = {"mode": "classical", "rate": rate}
     else:
-        if math.isnan(max_sum_erasure):
-            raise ValueError(f"erasure budget must be a number, got {max_sum_erasure!r}")
-        if max_sum_erasure <= 0.0:
-            raise InfeasibleTargetError(
-                f"erasure budget must be positive, got {max_sum_erasure!r}"
-            )
         running = np.cumsum(np.exp2(-np.sort(le)[::-1]))  # erasure ascending
         count = int(np.searchsorted(running, max_sum_erasure, side="right"))
         del running  # not held beside the chosen columns
@@ -266,12 +256,26 @@ def select_classical(
     )
 
 
-def _check_classical(n: int, rate: float | None) -> None:
-    """Refuse a classical plan over the memory budget before its table exists."""
+def _check_classical(n: int, rate: float | None, max_sum_erasure: float | None) -> None:
+    """Refuse a classical plan's target, or a plan over the memory budget,
+    before its table exists."""
+    if (rate is None) == (max_sum_erasure is None):
+        raise ValueError(
+            "specify exactly one target: rate (--rate) or max_sum_erasure (--budget)"
+        )
+    if rate is not None and not 0.0 <= rate <= 1.0:  # False for NaN
+        raise ValueError(f"rate must lie in [0, 1], got {rate!r}")
+    if max_sum_erasure is not None:
+        if math.isnan(max_sum_erasure):
+            raise ValueError(f"erasure budget must be a number, got {max_sum_erasure!r}")
+        if max_sum_erasure <= 0.0:
+            raise InfeasibleTargetError(
+                f"erasure budget must be positive, got {max_sum_erasure!r}"
+            )
     if not 0 <= n < 64:
         raise ValueError(f"level {n} is outside [0, 64): channel indices are 64-bit")
     size = 1 << n
-    count = _round_nearest(rate * size) if rate is not None and 0.0 <= rate <= 1.0 else size
+    count = size if rate is None else _round_nearest(rate * size)
     # the table (16 bytes a channel) beside the larger of the sort or partition
     # (16 a channel) and the chosen columns, later the union bound (33 a chosen
     # one; budget mode may choose all), and one chunk's temporaries

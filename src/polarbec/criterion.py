@@ -92,38 +92,16 @@ def golden_section_max(f: Callable[[float], float], a: float, b: float) -> tuple
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Piecewise-linear function on [0, 1] given by samples at grid nodes.
-
-    A call is np.interp(x, grid, values).
-    """
+    """One iterate of iterate_g, piecewise linear on [0, 1] through its
+    samples at the grid nodes: a call is np.interp(x, grid, values)."""
 
     grid: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.grid, dtype=np.float64)
-        v = np.asarray(self.values, dtype=np.float64)
-        if g.ndim != 1 or g.shape != v.shape:
-            raise ValueError("grid and values must be 1-d arrays of equal length")
-        if g.size < 2 or np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be strictly increasing with >= 2 nodes")
-        if g[0] != 0.0 or g[-1] != 1.0:
-            raise ValueError("grid must cover [0, 1] endpoint to endpoint")
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
 
     def __call__(self, x):
         """np.interp(x, grid, values); 0-d input gives a float."""
         out = np.interp(x, self.grid, self.values)
         return out if out.ndim else float(out)
-
-
-def _on_checked_grid(grid: np.ndarray, values: np.ndarray) -> GridFunction:
-    # iterate_g's iterates share one grid, checked once by the first of them
-    out = object.__new__(GridFunction)
-    object.__setattr__(out, "grid", grid)
-    object.__setattr__(out, "values", values)
-    return out
 
 
 @dataclass(frozen=True)
@@ -279,7 +257,7 @@ def iterate_g(
                 r += t
             np.add(parts[0, : e - i], parts[1, : e - i], out=values[i:e])
             values[i:e] *= 0.5
-        out.append(_on_checked_grid(grid, values))
+        out.append(GridFunction(grid, values))
     return out
 
 

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criterion import _entropy_inside, binary_entropy, binary_entropy_inv
+from .criterion import binary_entropy, binary_entropy_inv
 from .errors import _check_memory
 
 # Proxy for "no constraint on the gap exponent" when sweeping 1/mu_p to 0.
@@ -90,11 +90,8 @@ def _check_exponents(mu_star: float, mu_p=()) -> None:
 
 def _entropy_term(args):
     # Arguments above 1 leave H2's domain; penalize linearly so the
-    # condition stays total and monotone in beta_p.  Inside (0, 1) H2 needs
-    # no domain check; an argument of 0 (beta_p = 0) or 1 takes the checked
-    # binary_entropy, which gives it the limit value 0.
-    if np.all((args > 0.0) & (args < 1.0)):
-        return _entropy_inside(args)
+    # condition stays total and monotone in beta_p.  An argument of 0
+    # (beta_p = 0) or 1 takes H2's limit value 0.
     return np.where(args > 1.0, args, binary_entropy(np.minimum(args, 1.0)))
 
 
@@ -250,8 +247,7 @@ def conjectured_intercept(mu_star: float) -> float:
     power-of-log behavior of the eigenfunction near 0; for mu_star = 3.627
     this evaluates to about 0.44696.
     """
-    if mu_star <= 1.0 or not math.isfinite(mu_star):  # NaN fails isfinite
-        raise ValueError(f"mu_star must exceed 1 and be finite, got {mu_star!r}")
+    _check_exponents(mu_star)
     return 1.0 / (mu_star * _theta(1.0 / mu_star))
 
 

@@ -340,7 +340,7 @@ def sc_decode_bec(erased, received, spec: CodeSpec, frozen_values) -> DecodeResu
         0,
         _to_mask(is_frozen),
         _to_mask(template),
-        None,  # each subtree state occurs once in one decode: no memo
+        {},  # each subtree state occurs once in one decode: a fresh memo
     )
     if isinstance(out, int):  # position 0 is channel 1
         return DecodeResult(info_bits=None, first_failure=out + 1)

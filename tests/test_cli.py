@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from polarbec import codec, criterion, errors
+from polarbec import cli, codec, construction, criterion, errors
 from polarbec.cli import SUBCOMMANDS, _float_list, _real, entrypoint
 from polarbec.erasure import RootChannel, cached_level_table
 
@@ -536,9 +537,30 @@ def test_construct_empty_code_blames_n_below_max_beta(capsys):
     assert "n=4 is too small" in err["message"]
 
 
-def test_construct_classical_needs_target(capsys):
-    code, _, err = run_cli(capsys, "construct", "--mode", "classical", "--n", "4")
-    assert code == 2 and "rate" in err["message"]
+def _refuse_tables(monkeypatch, tmp_path):
+    # a refused classical plan reads, builds and caches no level table
+    def no_table(*args, **kwargs):
+        raise AssertionError("a level table was requested")
+
+    monkeypatch.setattr(cli, "cached_level_table", no_table)
+    monkeypatch.setattr(construction, "level_log_table", no_table)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("POLARBEC_CACHE_DIR", str(cache))
+    return cache
+
+
+def test_construct_classical_needs_target(capsys, tmp_path, monkeypatch):
+    cache = _refuse_tables(monkeypatch, tmp_path)
+    classical = ["construct", "--mode", "classical", "--n", "22"]
+    for extra, words in (
+        ([], ["rate (--rate)", "max_sum_erasure (--budget)"]),
+        (["--rate", "0.5", "--budget", "0.1"], ["exactly one target"]),
+        (["--rate", "1.5"], ["rate must lie in [0, 1], got 1.5"]),
+    ):
+        code, out, err = run_cli(capsys, *classical, *extra)
+        assert code == 2 and out is None and err["error"] == "ValueError"
+        assert all(w in err["message"] for w in words), err["message"]
+    assert not cache.exists()
 
 
 def test_construct_tight_budget_exits_3(capsys):
@@ -559,10 +581,31 @@ def test_construct_tight_budget_exits_3(capsys):
     "budget, code, error",
     [("nan", 2, "ValueError"), ("0", 3, "InfeasibleTargetError"), ("-inf", 3, "InfeasibleTargetError")],
 )
-def test_construct_nan_budget_exits_2_and_a_budget_of_0_or_below_exits_3(capsys, budget, code, error):
-    got, out, err = run_cli(capsys, "construct", "--mode", "classical", "--n", "8", f"--budget={budget}")
-    assert got == code and out is None
-    assert err["error"] == error and "budget" in err["message"]
+def test_construct_nan_budget_exits_2_and_a_budget_of_0_or_below_exits_3(
+    capsys, tmp_path, monkeypatch, budget, code, error
+):
+    cache = _refuse_tables(monkeypatch, tmp_path)
+    for n in ("8", "22"):
+        got, out, err = run_cli(capsys, "construct", "--mode", "classical", "--n", n, f"--budget={budget}")
+        assert got == code and out is None
+        assert err["error"] == error and "budget" in err["message"]
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("rate", ["0", "0.001"])
+def test_construct_empty_classical_code_is_a_report(capsys, tmp_path, rate):
+    # round(0.001 * 256) = 0 channels: size 0, rate 0, the whole capacity as
+    # gap and an infinite union bound; the header-only code file simulates
+    code_file = tmp_path / "code.txt"
+    code, out, err = run_cli(
+        capsys, "construct", "--mode", "classical", "--n", "8", "--rate", rate,
+        "--code-out", str(code_file),
+    )
+    assert code == 0 and err is None
+    assert out["size"] == 0 and out["rate"] == 0.0 and out["gap"] == out["capacity"]
+    assert out["union_bound_log"] == math.inf
+    code, out, err = run_cli(capsys, "simulate", "--code", str(code_file), "--trials", "64")
+    assert code == 0 and err is None and out["block_errors"] == 0
 
 
 def test_construct_infinite_budget_takes_every_channel(capsys):

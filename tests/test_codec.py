@@ -311,11 +311,11 @@ def test_exact_block_error_counts_profile_failures(n, data):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_memoized_outcomes_equal_memo_free_decodes(n):
-    # One memo for the whole enumeration, as exact_block_error keeps it; the
-    # outcome is the decoded pair or the unresolved position (an int).  Each
-    # selection also sends a random input block, so value bits and frozen
-    # ones are not all zero.
+def test_shared_memo_outcomes_equal_fresh_memo_decodes(n):
+    # One memo for the whole enumeration, as exact_block_error keeps it,
+    # against a fresh memo per decode; the outcome is the decoded pair or the
+    # unresolved position (an int).  Each selection also sends a random
+    # input block, so value bits and frozen ones are not all zero.
     size = 1 << n
     full = (1 << size) - 1
     rng = np.random.default_rng(n)
@@ -332,7 +332,7 @@ def test_memoized_outcomes_equal_memo_free_decodes(n):
                 known = full ^ pattern
                 args = (known, sent & known, size, 0, frozen, values)
                 out = codec._resolve(*args, memo)
-                assert out == codec._resolve(*args, None)
+                assert out == codec._resolve(*args, {})
                 kinds.add(type(out))
             assert kinds == {int, tuple}
 

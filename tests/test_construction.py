@@ -8,8 +8,8 @@ but the scalar polarization step.
 import functools
 import itertools
 import math
-import os
-import subprocess
+import re
+import runpy
 import sys
 import tracemalloc
 from pathlib import Path
@@ -99,12 +99,20 @@ def test_classical_nan_budget_raises_and_infinite_budget_takes_all():
     assert co.select_classical(root, 3, max_sum_erasure=math.inf).indices.tolist() == list(range(1, 9))
 
 
-def test_classical_needs_exactly_one_target():
+def test_classical_needs_exactly_one_target(monkeypatch):
     root = er.RootChannel(0.5)
     with pytest.raises(ValueError):
         co.select_classical(root, 3)
     with pytest.raises(ValueError):
         co.select_classical(root, 3, rate=0.5, max_sum_erasure=0.1)
+    # every target is refused before the level-22 table is built
+    monkeypatch.setattr(co, "level_log_table", lambda *a: pytest.fail("table built"))
+    with pytest.raises(ValueError, match="rate must lie in"):
+        co.select_classical(root, 22, rate=1.5)
+    with pytest.raises(ValueError, match="budget must be a number"):
+        co.select_classical(root, 22, max_sum_erasure=math.nan)
+    with pytest.raises(InfeasibleTargetError, match="budget must be positive"):
+        co.select_classical(root, 22, max_sum_erasure=0.0)
 
 
 def test_classical_accepts_precomputed_table():
@@ -133,6 +141,9 @@ def test_union_bound_examples():
 
     classical = co.select_classical(er.RootChannel(0.5), 3, rate=0.5)
     assert co.union_bound(classical) == pytest.approx(-math.log2(0.6328125), abs=1e-12)
+
+    empty = co.select_classical(er.RootChannel(0.5), 3, rate=0.0)
+    assert len(empty) == 0 and co.union_bound(empty) == math.inf  # nothing summed
 
 
 def _spec_with_l_era(l_era):
@@ -709,20 +720,23 @@ def test_squaring_count_is_the_popcount_below_the_pocket(code, chunk):
     assert got.tolist() == [bin((j - 1) & ((1 << (n - m)) - 1)).count("1") for j, m in rows]
 
 
-def test_gap_decay_script_runs():
-    root = Path(__file__).resolve().parents[1]
-    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "gap_decay.py"),
-         "--levels", "10", "12", "14", "--betas", "0.0", "0.1"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 3
-    for beta, line in zip(("0.0", "0.1"), lines[1:]):
-        assert line.startswith(f"beta'={beta}: n=[10, 12, 14] gaps=[")
+def test_gap_decay_script_runs(capsys, monkeypatch):
+    # scripts/gap_decay.py at its default z0, mu', mu*, pockets and p_ub
+    script = Path(__file__).resolve().parents[1] / "scripts" / "gap_decay.py"
+    levels, betas = [12, 14, 16], [0.0, 0.25]
+    argv = ["gap_decay.py", "--levels", *map(str, levels), "--betas", *map(str, betas)]
+    monkeypatch.setattr(sys, "argv", argv)
+    runpy.run_path(str(script), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert len(lines) == len(betas)
+    root = er.RootChannel(0.5)
+    for beta_p, line in zip(betas, lines):
+        want = [
+            co.construct_multipocket(root, n, beta_p, 8.0, 3.8, pockets=4, p_ub=2.0**-10)[1].gap
+            for n in levels
+        ]
+        assert line.startswith(f"beta'={beta_p}: n={levels} gaps=")
+        printed = re.search(r"gaps=\[(.*?)\]", line).group(1)
+        assert printed == ", ".join(f"{g:.5f}" for g in want)
         assert "log2-slope=" in line
+    assert "gaps=[0.48975, 0.46106, 0.44229]" in lines[1]

@@ -167,13 +167,6 @@ def test_mu_star_from_ratio():
             cr.mu_star_from_ratio(bad)
 
 
-def test_grid_function_validation():
-    with pytest.raises(ValueError):
-        cr.GridFunction(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros(4))  # not strictly increasing
-    with pytest.raises(ValueError):
-        cr.GridFunction(np.array([0.0, 1.0]), np.zeros(3))  # length mismatch
-
-
 def test_iterate_g_start_is_indicator():
     its = cr.iterate_g(0.1, 0.9, 0, 4096)
     g0 = its[0]

@@ -335,8 +335,9 @@ def test_conjectured_intercept():
         0.44695516582129113, rel=1e-12
     )
     assert fr.conjectured_intercept(MU) == pytest.approx(0.4469, abs=1e-4)
-    with pytest.raises(ValueError):
-        fr.conjectured_intercept(0.9)
+    for bad in (0.9, 1.5):
+        with pytest.raises(ValueError, match="mu_star must exceed 2"):
+            fr.conjectured_intercept(bad)
 
 
 def test_verify_corollaries_pass_and_margins():
