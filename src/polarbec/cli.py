@@ -23,7 +23,6 @@ from . import criterion, frontier
 from .codec import simulate, wilson_interval
 from .construction import (
     _check_classical,
-    _round_nearest,
     construct_multipocket,
     load_codespec,
     save_codespec,
@@ -153,8 +152,8 @@ def cmd_criterion(config: dict) -> dict:
     return {
         "sup_ratio": result.ratio,
         "argmax": result.argmax,
-        "left_limit": result.left_limit,
-        "right_limit": result.right_limit,
+        "left_limit": result.end_limit,
+        "right_limit": result.end_limit,
         "polarizes": polarizes,
         "mu_star": mu_star,
         "mu_star_above_2": above_2,
@@ -196,12 +195,6 @@ def cmd_construct(config: dict) -> dict:
         )
         report = {"union_bound_log": union_bound(spec), "pockets": []}
     elif config["mode"] == "multipocket":
-        levels = config["levels"]
-        if config["level_fractions"] is not None:
-            if not np.all(np.isfinite(config["level_fractions"])):
-                raise ValueError(f"level_fractions must be finite, got {config['level_fractions']}")
-            rounded = [_round_nearest(f * n) for f in config["level_fractions"]]
-            levels = sorted(set(rounded))
         spec, cons = construct_multipocket(
             root,
             n,
@@ -210,7 +203,7 @@ def cmd_construct(config: dict) -> dict:
             config["mu_star"],
             pockets=config["pockets"],
             p_ub=config["p_ub"],
-            levels=levels,
+            levels=config["levels"],
         )
         report = {
             "union_bound_log": cons.union_bound_log,
@@ -303,7 +296,7 @@ def cmd_corollaries(config: dict) -> dict:
 
 # Per subcommand, options of which at most one may be given: an explicit
 # level list sets the pockets and their count.
-EXCLUSIVE = {"construct": ("levels", "level_fractions", "pockets")}
+EXCLUSIVE = {"construct": ("levels", "pockets")}
 
 # Per subcommand: handler, help line, and (key, default, type, help) rows,
 # with the modes that read the option appended where only some modes do.
@@ -335,8 +328,6 @@ SUBCOMMANDS = {
         ("pockets", 8, _integer, "pocket count D", MULTIPOCKET),
         ("p_ub", 2.0 ** -10, _real, "recruit tail budget", MULTIPOCKET),
         ("levels", None, _int_list, "explicit pocket levels, e.g. 2,4,6,8", MULTIPOCKET),
-        ("level_fractions", None, _float_list, "pocket levels as fractions of n, e.g. 0.7,0.9",
-         MULTIPOCKET),
         ("rate", None, _real, "classical mode: target rate", CLASSICAL),
         ("budget", None, _real, "classical mode: union-bound budget", CLASSICAL),
         ("code_out", None, _text, "write the selected channel file here"),

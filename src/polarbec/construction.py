@@ -83,16 +83,11 @@ class PocketStats:
 
 @dataclass(frozen=True)
 class ConstructionReport:
-    capacity: float
-    rate: float
+    gap: float
     union_bound_log: float
     pocket_stats: tuple[PocketStats, ...]
     n0: int
     quota: int
-
-    @property
-    def gap(self) -> float:
-        return self.capacity - self.rate
 
 
 @dataclass(eq=False)
@@ -115,6 +110,15 @@ class CodeSpec:
     def __post_init__(self) -> None:
         if not 0 <= self.n < 64:
             raise ValueError(f"n={self.n} is outside [0, 64): channel indices are 64-bit")
+        # by kind, so that narrower columns stay legal
+        for name, kinds, what in (
+            ("indices", "u", "unsigned integers"),
+            ("l_era", "f", "floats"),
+            ("source_pocket", "iu", "integers"),
+        ):
+            dtype = getattr(self, name).dtype
+            if dtype.kind not in kinds:
+                raise ValueError(f"column {name} must hold {what}, not {dtype}")
         m = self.indices.size
         for name in ("l_era", "source_pocket"):
             if getattr(self, name).shape != (m,):
@@ -401,8 +405,7 @@ def construct_multipocket(
         },
     )
     report = ConstructionReport(
-        capacity=root.capacity,
-        rate=spec.rate,
+        gap=root.capacity - spec.rate,
         union_bound_log=union_bound(spec),
         pocket_stats=tuple(
             PocketStats(
@@ -499,8 +502,12 @@ def _train_and_retain(
                     kept -= missed.size
         return kept, misses
 
-    groups = [(r.l_era, r.l_rel, n - r.level) for r in recruits]
-    trained = _walk_subtrees(groups, bits, train, quota=quota)
+    # a pocket whose recruits have no extension that meets the quota walks nothing
+    groups = [
+        (r.l_era, r.l_rel, n - r.level) if w else (r.l_era[:0], r.l_rel[:0], 0)
+        for r, w in zip(recruits, widest)
+    ]
+    trained = _walk_subtrees(groups, bits, train)
     retained = [sum(kept for kept, _ in chunks) for chunks in trained]
     missed = [lost for chunks in trained for _, misses in chunks for lost in misses]
     del trained
@@ -606,6 +613,7 @@ def load_codespec(path: str) -> CodeSpec:
             len(header) < 3
             or not header[0][1].startswith("n=")
             or not header[1][1].startswith("z0=")
+            or not header[2][1].startswith("params=")
         ):
             raise ValueError(f"{path}: malformed header")
         n = _header_value(path, header[0], int)

@@ -128,8 +128,7 @@ class CandidateH:
 class SupRatio(NamedTuple):
     ratio: float
     argmax: float
-    left_limit: float
-    right_limit: float
+    end_limit: float
 
 
 def _ratio_at(h: CandidateH, xi):
@@ -166,7 +165,7 @@ def sup_ratio(h: CandidateH, grid_size: int = 4096) -> SupRatio:
     # the first of the largest, so a tie keeps the refined point
     candidates = [(refined, at), (float(ratios[k]), float(xi[k])), (limit, 0.0)]
     best, argmax = max(candidates, key=lambda c: c[0])
-    return SupRatio(ratio=best, argmax=argmax, left_limit=limit, right_limit=limit)
+    return SupRatio(ratio=best, argmax=argmax, end_limit=limit)
 
 
 def mu_star_from_ratio(r: float) -> float:

@@ -137,7 +137,7 @@ def _chunk_bits(chunk: int) -> int:
     return max(1, chunk // _worker_count()).bit_length() - 1
 
 
-def _walk_subtrees(groups, bits: int, visit=None, *, quota: int = 0, out=None) -> list[list]:
+def _walk_subtrees(groups, bits: int, visit=None, *, out=None) -> list[list]:
     """Expand groups of nodes to their descendants, a chunk at a time, on
     up to two threads.
 
@@ -145,11 +145,9 @@ def _walk_subtrees(groups, bits: int, visit=None, *, quota: int = 0, out=None) -
     expanded s = steps - t levels at once, t = min(steps, bits); each of
     those level-s rows then roots a subtree of 2**t channels.  A chunk is a
     run of rows in index order whose subtrees hold at most 2**bits channels
-    together (one row where s > 0).  A row is skipped where no channel of
-    its subtree can have `quota` better steps below the group's node.
-    Chunks run through _run_chunks on _worker_count() threads, but on no
-    more threads than the walk holds full chunks; each writes only its own
-    channels:
+    together (one row where s > 0).  Chunks run through _run_chunks on
+    _worker_count() threads, but on no more threads than the walk holds
+    full chunks; each writes only its own channels:
 
     - out, when given, is two columns holding every group's descendants end
       to end, and a chunk's last doubling writes straight into its slice;
@@ -167,10 +165,7 @@ def _walk_subtrees(groups, bits: int, visit=None, *, quota: int = 0, out=None) -
         plans.append((le, lr, t, offset))
         offset += le.size << t
         rows = 1 << (bits - t)
-        for a in range(0, le.size, rows):
-            # a chunk of many rows lies at s = 0, where every row counts 0
-            if (a & ((1 << (steps - t)) - 1)).bit_count() + t >= quota:
-                chunks.append((g, a, min(a + rows, le.size)))
+        chunks += [(g, a, min(a + rows, le.size)) for a in range(0, le.size, rows)]
 
     def expand(g, a, b):
         le, lr, t, first = plans[g]

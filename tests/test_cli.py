@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -44,6 +45,8 @@ def test_criterion_alpha_half(capsys):
     assert out["sup_ratio"] == pytest.approx(3.0**0.5 / 2.0, abs=1e-9)
     assert out["polarizes"] is True and out["mu_star_above_2"] is True
     assert out["mu_star"] == pytest.approx(4.818841679306406, abs=1e-6)
+    # the ratio's one end limit, under the key of either end
+    assert out["left_limit"] == out["right_limit"] == 2.0**-0.5
 
 
 def test_criterion_bad_alpha_exits_2(capsys):
@@ -108,10 +111,17 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
 
 
 def test_unknown_config_key_exits_2(capsys, tmp_path):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    code, _, err = run_cli(capsys, "criterion", "--config", str(cfg))
-    assert code == 2 and "bogus" in err["message"]
+    # level_fractions is gone, as a key and as a flag: --levels is the one
+    # explicit pocket list
+    for sub, key in (("criterion", "bogus"), ("construct", "level_fractions")):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: 1}))
+        code, _, err = run_cli(capsys, sub, "--config", str(cfg))
+        assert code == 2 and err["message"] == f"unknown config keys for {sub}: {key}"
+    with pytest.raises(SystemExit) as refused:
+        entrypoint(["construct", "--level-fractions", "0.7,0.9"])
+    assert refused.value.code == 2
+    capsys.readouterr()
 
 
 def test_missing_config_file_exits_2(capsys, tmp_path):
@@ -153,8 +163,8 @@ def _every_key_args(tmp_path):
     ) == 0
     out = str(tmp_path / "side.csv")
     code_out = str(tmp_path / "c.txt")
-    # each construct mode reads some of its keys, and pockets, levels and
-    # level_fractions exclude each other; the four runs give them all
+    # each construct mode reads some of its keys, and pockets and levels
+    # exclude each other; the three runs give them all
     return [
         ("criterion", {"alpha": 0.5, "grid": 1000, "ratio_csv": out}),
         ("mu-estimate", {"a": 0.02, "b": 0.98, "steps": 10, "grid": 4096, "z0": 0.5,
@@ -164,7 +174,6 @@ def _every_key_args(tmp_path):
         ("construct", {"mode": "multipocket", "n": 9, "z0": 0.4, "beta_p": 0.01, "mu_p": 8,
                        "mu_star": 3.8, "pockets": 4, "p_ub": 0.5, "code_out": code_out}),
         ("construct", {"n": 6, "levels": [2, 4], "p_ub": 0.5, "beta_p": 0.01}),
-        ("construct", {"n": 6, "level_fractions": [0.5, 0.9], "p_ub": 0.5, "beta_p": 0.01}),
         ("frontier", {"mu_star": 3.627, "samples": 3, "csv": out}),
         ("simulate", {"code": str(code_file), "z0": 0.3, "trials": 64, "seed": 5,
                       "batch": 32, "csv": out}),
@@ -198,7 +207,7 @@ def test_config_with_every_key_echoes_like_flags(capsys, tmp_path):
 # per construct mode, a value for each option that only the other mode reads
 UNREAD = {
     "classical": {"beta_p": 0.3, "mu_p": 8, "mu_star": 3.8, "pockets": 3, "p_ub": 0.5,
-                  "levels": [2, 4], "level_fractions": [0.5, 0.9]},
+                  "levels": [2, 4]},
     "multipocket": {"rate": 0.5, "budget": 0.1},
 }
 
@@ -227,7 +236,7 @@ def test_construct_defaults_and_nulls_of_unread_options_pass(capsys, tmp_path):
     # a default is never refused, nor a null for an option whose default is
     # null; the second run is the default multi-pocket build
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"levels": None, "level_fractions": None}))
+    cfg.write_text(json.dumps({"levels": None}))
     argv = ["construct", "--mode", "classical", "--n", "4", "--rate", "0.5"]
     code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
     assert code == 0 and out["config"]["pockets"] == 8 and out["config"]["levels"] is None
@@ -394,6 +403,9 @@ def test_simulate_bad_code_line_exits_2(capsys, tmp_path, line):
     [
         ("n=abc\nz0=0.5\n", 1, "invalid literal for int() with base 10: 'abc'"),
         ("\nn=4\nz0=half\n", 3, "could not convert string to float: 'half'"),
+        # a channel line in place of params= would be read as the params,
+        # and the code would lose that channel
+        ("n=2\nz0=0.5\nj=1 m=0 sq=0 lera=1.0 ", None, "malformed header"),
     ],
 )
 def test_simulate_bad_code_header_value_exits_2(capsys, tmp_path, header, lineno, detail):
@@ -401,7 +413,8 @@ def test_simulate_bad_code_header_value_exits_2(capsys, tmp_path, header, lineno
     code_file.write_text(f"{header}params=mode=classical\nj=1 m=0 sq=0 lera=1.0\n")
     code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
     assert code == 2 and out is None and err["error"] == "ValueError"
-    assert err["message"] == f"{code_file}, line {lineno}: {detail}"
+    where = code_file if lineno is None else f"{code_file}, line {lineno}"
+    assert err["message"] == f"{where}: {detail}"
 
 
 @pytest.mark.parametrize(
@@ -613,37 +626,10 @@ def test_construct_infinite_budget_takes_every_channel(capsys):
     assert code == 0 and out["size"] == 256 and out["rate"] == 1.0
 
 
-def test_construct_level_fractions(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "construct",
-        "--n",
-        "20",
-        "--beta-p",
-        "0.01",
-        "--level-fractions",
-        "0.7,0.9",
-    )
-    assert code == 0
-    assert [p["level"] for p in out["pockets"]] == [14, 18]
-    code, out, _ = run_cli(
-        capsys,
-        "construct",
-        "--n",
-        "20",
-        "--beta-p",
-        "0.01",
-        "--level-fractions",
-        "0.5,0.7,0.9",
-    )
-    assert code == 0
-    assert [p["level"] for p in out["pockets"]] == [10, 14, 18]
-
-
-def test_construct_levels_and_level_fractions_exit_2(capsys, tmp_path):
-    # An explicit level list sets the pockets, so a second of these options,
+def test_construct_levels_and_pockets_exit_2(capsys, tmp_path):
+    # An explicit level list sets the pockets, so the other of these options,
     # by flag or by file, is refused rather than ignored.
-    values = {"levels": "14,18", "level_fractions": "0.7,0.9", "pockets": "3"}
+    values = {"levels": "14,18", "pockets": "3"}
     for first, second in itertools.combinations(values, 2):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({second: values[second]}))
@@ -876,7 +862,7 @@ def test_subcommand_help_lists_flags(capsys):
         entrypoint(["construct", "--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    for flag in ("--beta-p", "--mu-p", "--pockets", "--level-fractions", "--code-out"):
+    for flag in ("--beta-p", "--mu-p", "--pockets", "--levels", "--code-out"):
         assert flag in text
 
 
@@ -906,7 +892,6 @@ _NON_FINITE_RUNS = [
     (["criterion"], ["alpha"]),
     (["mu-estimate", "--steps", "11", "--grid", "4096"], ["a", "b", "z0", "fit_fraction"]),
     (_MULTIPOCKET + ["--levels", "2,4"], ["z0", "beta_p", "mu_p", "mu_star", "p_ub"]),
-    (_MULTIPOCKET, ["level_fractions"]),
     (["construct", "--mode", "classical", "--n", "8"], ["rate", "budget"]),
     (["frontier", "--samples", "5"], ["mu_star"]),
     (["simulate", "--trials", "64"], ["z0"]),
@@ -944,7 +929,7 @@ def test_non_finite_float_options_are_refused_or_give_valid_json(capsys, tmp_pat
         capsys.readouterr()
         argv = argv + ["--code", str(code_file)]
     flag = f"--{key.replace('_', '-')}"
-    text = ("0.25," if key in ("level_fractions", "gammas") else "") + value
+    text = ("0.25," if key == "gammas" else "") + value
     code = entrypoint(argv + [f"{flag}={text}"])
     captured = capsys.readouterr()
     # a separate value, -inf among them, reads as the joined one
@@ -963,6 +948,15 @@ def _readme_examples() -> list[str]:
     text = README.read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("polarbec ")]
+
+
+def test_readme_names_only_flags_the_cli_has():
+    # test_readme_examples_run runs only the sh block; this reads the prose too
+    known = {"--config", "--output", "--no-build-isolation"} | {
+        "--" + key.replace("_", "-") for _, _, options in SUBCOMMANDS.values() for key, *_ in options
+    }
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
+    assert named <= known, sorted(named - known)
 
 
 def test_readme_examples_run(capsys, tmp_path, monkeypatch):

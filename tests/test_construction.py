@@ -277,9 +277,10 @@ def test_memory_estimates_cover_the_traced_peak(monkeypatch, workers, build):
         dict(n=18, beta_p=0.30, p_ub=0.99, levels=[3]),
         dict(n=18, beta_p=0.0, p_ub=0.99, levels=[6, 17]),
         dict(n=12, beta_p=0.10, p_ub=0.9, levels=[3, 5, 7]),
+        dict(n=8, beta_p=0.25, p_ub=0.9, levels=[4, 8]),
     ],
     ids=["mp16", "mp18-low-beta", "mp18-filter-drops", "mp18-recruit-level-17",
-         "mp12-three-pockets"],
+         "mp12-three-pockets", "mp8-rows-below-the-quota"],
 )
 def test_multipocket_is_the_same_for_any_worker_count(monkeypatch, workers, short_switch, config):
     # With 2**10-channel chunks every pocket splits into many chunks, which
@@ -357,6 +358,9 @@ def test_multipocket_equals_brute_force_reference_run():
     ),
     chunk_bits=st.sampled_from([None, 3, 6]),
 )
+# pocket 8 has no step left for the quota of 2, and pocket 4's rows below
+# the chunk level start at s = 2 with some rows that cannot reach it
+@example(z0=0.5, n=8, beta_p=0.25, mu_p=8.0, p_ub=0.9, pockets=1, levels=[4, 8], chunk_bits=3)
 def test_multipocket_equals_brute_force_property(
     z0, n, beta_p, mu_p, p_ub, pockets, levels, chunk_bits
 ):
@@ -671,6 +675,25 @@ def test_codespec_validates_indices():
             source_pocket=np.zeros(2, dtype=np.int64),
             params={},
         )
+
+
+@pytest.mark.parametrize(
+    "column, values",
+    [
+        ("indices", np.array([1, 2, 4])),  # int64: the squaring count needs uint64
+        ("l_era", np.array([1, 2, 3])),
+        ("source_pocket", np.array([0.0, 1.7, 2.0])),
+    ],
+)
+def test_codespec_refuses_a_column_of_the_wrong_kind(column, values):
+    columns = dict(
+        indices=np.array([1, 2, 4], dtype=np.uint64),
+        l_era=np.ones(3),
+        source_pocket=np.zeros(3, dtype=np.int64),
+    )
+    columns[column] = values
+    with pytest.raises(ValueError, match=f"column {column} must hold"):
+        co.CodeSpec(n=2, z0=0.5, **columns)
 
 
 def test_codespec_refuses_a_pocket_outside_its_levels():

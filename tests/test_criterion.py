@@ -103,8 +103,7 @@ def test_sup_ratio_one_sided_limits():
     for alpha in (0.01, 0.1, 0.64):
         got = cr.sup_ratio(cr.CandidateH.power(alpha), 100000)
         want = 2.0 ** (alpha - 1.0)
-        assert got.left_limit == want
-        assert got.right_limit == want
+        assert got.end_limit == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -117,9 +116,9 @@ def test_sup_ratio_is_at_least_its_limit_and_every_sample(alpha):
     h = cr.CandidateH.power(alpha)
     got = cr.sup_ratio(h, 4096)
     _, ratios = cr.ratio_curve(h, 4096)
-    assert got.ratio >= got.left_limit == got.right_limit
+    assert got.ratio >= got.end_limit
     assert got.ratio >= ratios.max()
-    if got.ratio == got.left_limit > ratios.max():
+    if got.ratio == got.end_limit > ratios.max():
         assert got.argmax == 0.0
 
 
