@@ -18,15 +18,18 @@ on up to two threads (its docstring states the stream).  The run is
 profiled in slabs of whole 64-trial word rows, about 2**18 words or one
 row, so the memory it holds besides the tally depends on n alone.
 exact_block_error() deliberately does not, running the actual
-message-passing decoder on every pattern so the two stay independent; it
-memoizes subtree outcomes for one enumeration by (known, value, width,
-base), never the root's.
+message-passing decoder so the two stay independent: once for each class
+of patterns that the root's own rule cannot tell apart, 3**(2**(n-1)) in
+all, weighting each failure by its class's pattern count.  It memoizes
+subtree outcomes for one enumeration by (known, value, width, base), never
+the root's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .errors import (
 # two-sided 95% normal quantile
 WILSON_Z95 = 1.959963984540054
 
-# exact_block_error enumerates 2**(2**n) patterns
+# exact_block_error covers 2**(2**n) patterns, in 3**(2**(n-1)) root classes
 EXACT_ENUM_MAX_LEVEL = 4
 
 # words of one draw group, the unit of simulate's stream at every n
@@ -152,21 +155,50 @@ def _resolution_profile(known: np.ndarray) -> np.ndarray:
     return known
 
 
+def _root_classes(size: int) -> Iterator[tuple[int, int, int]]:
+    """The erasure patterns of a size-position block that the root's decode
+    cannot tell apart when every value is 0, as (known, received, patterns).
+
+    The check node sees the halves kl, kr only through both = kl & kr and
+    the variable node only through either = kl | kr, so a class is a pair
+    both <= either (as submask), and known = either | both << half stands
+    for its 2**(|either| - |both|) patterns, each of |both| + |either|
+    received positions.  A single position has no halves: each of its two
+    patterns is its own class.
+    """
+    if size == 1:
+        yield from ((0, 0, 1), (1, 1, 1))
+        return
+    half = size >> 1
+    for either in range(1 << half):
+        both = either
+        while True:  # every submask of either, down to 0
+            split = either.bit_count() - both.bit_count()
+            yield either | both << half, both.bit_count() + either.bit_count(), 1 << split
+            if not both:
+                break
+            both = (both - 1) & either
+
+
 def exact_block_error(spec: CodeSpec, root: RootChannel) -> float:
     """Block error probability by full erasure-pattern enumeration.
 
-    Runs the real decoder on each of the 2**(2**n) patterns, sending the
-    all-zero codeword with every frozen input zero, and counts a pattern as
-    failed when the decoder returns an unresolved position (an int) rather
-    than a decoded pair; no exception is raised or caught per pattern.  The
-    failures are weighted by z0**erased * (1-z0)**received and summed with
-    compensation.  Failure is pattern-determined, so the per-popcount
-    failure counts are exact integers and the only rounding is in the final
-    weighting.  Below the root, subtree outcomes, pairs and positions
-    alike, are memoized for this one enumeration by (known, value, width,
-    base), so each distinct subtree state is decoded once; the root itself
-    is decoded afresh for every pattern and never stored.  The resolution
-    profile is never read.
+    Sends the all-zero codeword with every frozen input zero, so every
+    value the decoder sees is 0, and the root's check and variable nodes
+    see the halves only through their AND and their OR.  The 2**(2**n)
+    patterns thus fall into 3**(2**(n-1)) root classes (see _root_classes;
+    n = 0 has no halves, and its two patterns are their own classes).  The
+    real decoder runs once on one pattern of each class, and a class fails
+    whole when the decoder returns an unresolved position (an int) rather
+    than a decoded pair; no exception is raised or caught per class.  The
+    failures are counted per received count, weighted by z0**erased *
+    (1-z0)**received and summed with compensation.  Failure is
+    pattern-determined, so those counts are exact integers and the only
+    rounding is in the final weighting.  Below the root, subtree outcomes,
+    pairs and positions alike, are memoized for this one enumeration by
+    (known, value, width, base), so each distinct subtree state is decoded
+    once; the root itself is decoded afresh for every class and never
+    stored.  The resolution profile is never read.
     """
     if spec.n > EXACT_ENUM_MAX_LEVEL:
         raise LevelTooLargeError(
@@ -177,15 +209,14 @@ def exact_block_error(spec: CodeSpec, root: RootChannel) -> float:
     if len(spec) == 0:
         return 0.0
     # the all-zero codeword with every frozen input zero
-    full = (1 << size) - 1
     is_frozen = np.ones(size, dtype=bool)
     is_frozen[spec.indices.astype(np.int64) - 1] = False
     frozen = _to_mask(is_frozen)
     fail_by_received = [0] * (size + 1)
     memo: dict = {}
-    for pattern in range(1 << size):
-        if isinstance(_resolve(full ^ pattern, 0, size, 0, frozen, 0, memo), int):
-            fail_by_received[size - pattern.bit_count()] += 1
+    for known, received, patterns in _root_classes(size):
+        if isinstance(_resolve(known, 0, size, 0, frozen, 0, memo), int):
+            fail_by_received[received] += patterns
     terms = [
         count * z0 ** (size - k) * (1.0 - z0) ** k
         for k, count in enumerate(fail_by_received)

@@ -36,6 +36,7 @@ import os
 import re
 from array import array
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -177,15 +178,16 @@ def union_bound(spec: CodeSpec) -> float:
     # exp2(m0 - l) is exactly 0.0 once l - m0 >= _UNDERFLOW_BITS, and a zero
     # adds nothing to the sum, so only the terms below that bound are summed.
     exponents = exponents[exponents > -_UNDERFLOW_BITS]
-    return m0 - math.log2(_exact_sum(np.exp2(exponents, out=exponents)))
+    # one rounding, to the float math.fsum gives
+    return m0 - math.log2(float(_exact_sum(np.exp2(exponents, out=exponents))))
 
 
 # Bits per piece of a 53-bit mantissa in _exact_sum.
 _PIECE_BITS = 18
 
 
-def _exact_sum(terms: np.ndarray) -> float:
-    """The correctly rounded sum of float64 terms in [0, 1], as math.fsum.
+def _exact_sum(terms: np.ndarray) -> Fraction:
+    """The exact sum of float64 terms in [0, 1].
 
     Each term is a 53-bit integer mantissa times 2**(e - 53), with frexp's
     exponent e in [-1073, 1].  The mantissa is cut into three 18-bit pieces,
@@ -194,7 +196,7 @@ def _exact_sum(terms: np.ndarray) -> float:
     3 * 2**18 * len(terms), exact in float64 for up to 2**33 terms.  Every
     bin fits a 64-bit word, so the bins 64 apart, read as one little-endian
     Python int, never overlap.  The total of the 64 shifted ints over a power
-    of two rounds once, in int true division.
+    of two is the sum.
     """
     low = -1073
     # room for the top piece of a term of 1, in whole rows of 64 bins
@@ -210,7 +212,7 @@ def _exact_sum(terms: np.ndarray) -> float:
             bins += np.bincount(shift + bits, weights=piece, minlength=size)
     rows = bins.astype("<u8").reshape(-1, 64)  # row j, column r: bin 64 j + r
     total = sum(int.from_bytes(rows[:, r].tobytes(), "little") << r for r in range(64))
-    return total / (1 << 53 - low)
+    return Fraction(total, 1 << 53 - low)
 
 
 def select_classical(
@@ -225,7 +227,7 @@ def select_classical(
 
     Exactly one target may be given.  Rate mode keeps the <rate * 2**n>
     smallest-erasure channels; budget mode adds channels in increasing
-    erasure order while the running erasure sum stays within the budget.
+    erasure order while their exact erasure sum stays within the budget.
     Ties prefer the smaller channel index.  A precomputed (l_era, l_rel)
     level table may be supplied to skip the enumeration; the target, n and
     the memory estimate are checked first either way.
@@ -241,23 +243,53 @@ def select_classical(
         count = _round_nearest(rate * (1 << n))
         params = {"mode": "classical", "rate": rate}
     else:
-        running = np.cumsum(np.exp2(-np.sort(le)[::-1]))  # erasure ascending
-        count = int(np.searchsorted(running, max_sum_erasure, side="right"))
-        del running  # not held beside the chosen columns
+        count = _budget_count(le, max_sum_erasure)
         if count == 0:
             raise InfeasibleTargetError(
                 f"best channel already exceeds the budget {max_sum_erasure!r}"
             )
         params = {"mode": "classical", "max_sum_erasure": max_sum_erasure}
     chosen = _best_by_threshold(le, count)
+    l_era = le[chosen]
+    indices = chosen.view(np.uint64)  # 0-based positions become 1-based indices in place
+    indices += 1
     return CodeSpec(
         n=n,
         z0=root.z0,
-        indices=chosen.astype(np.uint64) + 1,
-        l_era=le[chosen],
-        source_pocket=np.zeros(chosen.size, dtype=np.int64),
+        indices=indices,
+        l_era=l_era,
+        source_pocket=np.zeros(indices.size, dtype=np.int64),
         params=params,
     )
+
+
+def _budget_count(le: np.ndarray, budget: float) -> int:
+    """The most channels, in increasing erasure order, whose exact erasure
+    sum is at most budget.
+
+    np.cumsum adds the terms one by one, so its k-th prefix of nonnegative
+    terms is within a relative (k - 1) * 2**-53 (to first order) of the
+    exact one.  A count whose float prefix lies more than twice the largest
+    such bound below the budget surely fits, and one that lies as far above
+    it surely does not; the counts between are settled by exact sums.  The
+    terms ascend, so each of those is at least about budget / 2**n and they
+    number at most about 2**(2n - 51) + 1.
+    """
+    terms = np.sort(le)[::-1]  # erasure ascending
+    np.exp2(np.negative(terms, out=terms), out=terms)
+    running = np.cumsum(terms)
+    slack = terms.size * 2.0**-52
+    count = int(np.searchsorted(running, budget * (1.0 - slack), side="left"))
+    stop = int(np.searchsorted(running, budget * (1.0 + slack), side="right"))
+    del running  # not held beside the exact sum
+    if count < stop:
+        total = _exact_sum(terms[:count])
+        for term in terms[count:stop].tolist():
+            total += Fraction(term)
+            if total > budget:
+                break
+            count += 1
+    return count
 
 
 def _check_classical(n: int, rate: float | None, max_sum_erasure: float | None) -> None:
@@ -281,8 +313,9 @@ def _check_classical(n: int, rate: float | None, max_sum_erasure: float | None) 
     size = 1 << n
     count = size if rate is None else _round_nearest(rate * size)
     # the table (16 bytes a channel) beside the larger of the sort or partition
-    # (16 a channel) and the chosen columns, later the union bound (33 a chosen
-    # one; budget mode may choose all), and one chunk's temporaries
+    # (16 a channel; budget mode's terms and their running sum, then the terms
+    # beside the exact sum) and the chosen columns, later the union bound (33
+    # a chosen one; budget mode may choose all), and one chunk's temporaries
     need = 16 * size + max(16 * size, 33 * count) + 48 * min(size, _CHUNK_CHANNELS)
     _check_memory(need, f"the classical code at level {n}")
 

@@ -8,8 +8,12 @@ butterfly encoder with a one-block successive-cancellation decoder.
 Tests compare the vectorized level tables, constructions, kernels and
 closed forms against these; the package itself never calls them.  The
 decoder runs the package's message-passing core, codec._resolve, which
-exact_block_error also runs; tests check it against the vectorized
-resolution profile, which shares no code with it.
+exact_block_error also runs, there once per root class of erasure patterns
+rather than once per pattern.  Tests check both against the vectorized
+resolution profile, which shares no code with them: exact_block_error by
+its failed patterns at z0 = 1/2, where all weigh the same, and by its
+failures per received count at z0 = 0.2, where a class booked under the
+wrong count shows.
 """
 
 from __future__ import annotations

@@ -252,6 +252,9 @@ def test_exact_block_error_repetition():
 
 def test_exact_block_error_empty_and_too_large():
     assert codec.exact_block_error(_empty_spec(2), er.RootChannel(0.5)) == 0.0
+    # n = 0 has no halves to class by: the one position fails when erased
+    assert codec.exact_block_error(_bare_spec(0, [1], 0.2), er.RootChannel(0.2)) == 0.2
+    assert codec.exact_block_error(_empty_spec(0, 0.2), er.RootChannel(0.2)) == 0.0
     with pytest.raises(LevelTooLargeError):
         codec.exact_block_error(_spec_single(5, 32), er.RootChannel(0.5))
 
@@ -308,6 +311,28 @@ def test_exact_block_error_counts_profile_failures(n, data):
         failures = int((~profile[:, info].all(axis=1)).sum())
         spec = _bare_spec(n, [i + 1 for i in info])
         assert codec.exact_block_error(spec, er.RootChannel(0.5)) * 2**size == failures
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4), data=st.data())
+def test_exact_block_error_weighs_profile_failures_by_received_count(n, data):
+    # At z0 = 0.2 patterns weigh by their received count, so a root class
+    # booked under the wrong count changes the value: the profile's
+    # failures per received count, weighted and summed as exact_block_error
+    # states it, match it bit for bit.
+    z0, size = 0.2, 1 << n
+    profile = _profiles_of_all_patterns(n)
+    received = size - np.bitwise_count(np.arange(1 << size))
+    info = data.draw(st.lists(st.integers(0, size - 1), min_size=1, unique=True).map(sorted))
+    failed = ~profile[:, info].all(axis=1)
+    fail_by_received = np.bincount(received[failed], minlength=size + 1).tolist()
+    terms = [
+        count * z0 ** (size - k) * (1.0 - z0) ** k
+        for k, count in enumerate(fail_by_received)
+        if count
+    ]
+    spec = _bare_spec(n, [i + 1 for i in info], z0)
+    assert codec.exact_block_error(spec, er.RootChannel(z0)) == math.fsum(terms)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -372,8 +397,8 @@ def test_inconsistency_in_a_memoized_subtree_propagates_unstored():
 
 
 def test_exact_block_error_memory_stays_small():
-    # subtree states number in the hundreds at n = 4; storing the 2**16 root
-    # outcomes as well would hold about 10 MB
+    # subtree states number in the hundreds at n = 4, about 64 kB traced;
+    # storing the outcomes of the 3**8 root classes as well takes about 1 MB
     root = er.RootChannel(0.5)
     spec = co.select_classical(root, 4, rate=0.5)
     tracemalloc.start()

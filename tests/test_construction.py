@@ -12,6 +12,7 @@ import re
 import runpy
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,58 @@ def test_classical_budget_infeasible():
         co.select_classical(er.RootChannel(0.5), 3, max_sum_erasure=0.001)
     with pytest.raises(InfeasibleTargetError):
         co.select_classical(er.RootChannel(0.5), 3, max_sum_erasure=-1.0)
+
+
+def _exact_prefixes(terms) -> list[Fraction]:
+    """The exact running sums of nonnegative float terms.
+
+    Every finite float is an integer multiple of 2**-1074, so each term is
+    added as an integer count of 2**-1074 and only the results are divided.
+    """
+    units = (p << 1075 - q.bit_length() for p, q in map(float.as_integer_ratio, terms))
+    return [Fraction(total, 1 << 1074) for total in itertools.accumulate(units)]
+
+
+def test_classical_budget_stops_at_the_budget_by_the_exact_sum():
+    # np.cumsum of the 204,365 smallest erasures at n = 20, z0 = 1/2 reads
+    # within this budget, but their exact sum is 9.322656560121186e-307
+    budget = 9.322656560121183e-307
+    root = er.RootChannel(0.5)
+    table = er.level_log_table(root, 20)
+    spec = co.select_classical(root, 20, max_sum_erasure=budget, table=table)
+    terms = np.sort(np.exp2(-table[0]))
+    assert np.cumsum(terms)[204_364] <= budget
+    prefixes = _exact_prefixes(terms[: len(spec) + 1].tolist())
+    assert len(spec) == 204_364
+    assert prefixes[-2] <= budget < prefixes[-1]
+    assert float(prefixes[-1]) == 9.322656560121186e-307
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=8),
+    z0=st.floats(min_value=0.01, max_value=0.99),
+    data=st.data(),
+)
+def test_classical_budget_count_is_the_largest_exact_prefix_within(n, z0, data):
+    root = er.RootChannel(z0)
+    table = er.level_log_table(root, n)
+    terms = np.sort(np.exp2(-table[0]))
+    prefixes = _exact_prefixes(terms.tolist())
+    # budgets at a float or exact prefix and one ulp either side, where the
+    # float running sum and the exact one part, or anywhere
+    k = data.draw(st.integers(0, terms.size - 1))
+    near = data.draw(st.sampled_from([float(np.cumsum(terms)[k]), float(prefixes[k])]))
+    edges = [near, float(np.nextafter(near, 0.0)), float(np.nextafter(near, math.inf))]
+    anywhere = st.floats(min_value=5e-324, max_value=float(1 << n))
+    budget = data.draw(st.sampled_from([b for b in edges if b > 0.0]) | anywhere)
+    want = sum(prefix <= budget for prefix in prefixes)  # the prefixes ascend
+    if want == 0:
+        with pytest.raises(InfeasibleTargetError):
+            co.select_classical(root, n, max_sum_erasure=budget, table=table)
+    else:
+        spec = co.select_classical(root, n, max_sum_erasure=budget, table=table)
+        assert len(spec) == want
 
 
 def test_classical_nan_budget_raises_and_infinite_budget_takes_all():
@@ -470,9 +523,10 @@ def test_classical_rate_equals_lexsort_on_tie_blocks(values, count, budget):
     le = np.array(values)
     root, table = er.RootChannel(0.5), (le, np.zeros(64))
     _check_classical_rate(root, 6, table, count)
-    # budget mode: the count is the lexsort-ordered running sum's
-    running = np.cumsum(np.exp2(-le[np.lexsort((np.arange(64), -le))]))
-    budget_count = int(np.searchsorted(running, budget, side="right"))
+    # budget mode: the count is the longest lexsort-ordered prefix whose
+    # exact erasure sum is within the budget
+    prefixes = _exact_prefixes(np.exp2(-le[np.lexsort((np.arange(64), -le))]).tolist())
+    budget_count = sum(prefix <= budget for prefix in prefixes)
     if budget_count == 0:
         with pytest.raises(InfeasibleTargetError):
             co.select_classical(root, 6, max_sum_erasure=budget, table=table)
