@@ -11,12 +11,14 @@ a plain int; only a received value that contradicts a frozen input raises
 
 On the BEC the decoder never guesses, so whether a block decodes depends on
 the erasure pattern alone.  simulate() exploits that through a vectorized
-resolution profile, bit-sliced over 64 trials per uint64 word, and a draw
-bit-sliced the same way: one raw Philox word decides one bit of the
-Knuth-Yao comparison for 64 trials, about 8.5 words per 64 trial positions,
-on up to two threads (its docstring states the stream).  The run is
-profiled in slabs of whole 64-trial word rows, about 2**18 words or one
-row, so the memory it holds besides the tally depends on n alone.
+resolution profile, bit-sliced over 64 trials per uint64 word and run in
+cache-sized pieces of 2**15 words (256 KiB), and a draw bit-sliced the
+same way: one raw Philox word decides one bit of the Knuth-Yao comparison
+for 64 trials, about 8.5 words per 64 trial positions, on up to two
+threads (its docstring states the stream).  The run is profiled in slabs
+of whole 64-trial word rows, about 2**18 words or one row, and the
+profile's own scratch is half a piece whatever the slab, so the memory the
+run holds besides the tally depends on n alone.
 exact_block_error() deliberately does not, running the actual
 message-passing decoder so the two stay independent: once for each class
 of patterns that the root's own rule cannot tell apart, 3**(2**(n-1)) in
@@ -56,6 +58,16 @@ _GROUP_WORDS = 1 << 16
 _DENSE_ROUNDS = 8
 # words of the bit-sliced table profiled at once, unless one row needs more
 _SLAB_WORDS = 1 << 18
+# elements of the resolution profile's cache blocks, a power of two: 256 KiB
+# of uint64 words
+_PROFILE_WORDS = 1 << 15
+# the least half that a profile level runs as one (..., 2, half) view
+_LANE_HALF = 16
+# elements of numpy's ufunc buffers while the profile's (..., 2, half) views
+# run: numpy buffers a two-dimensional operand whose rows are shorter than
+# about half its buffer size, which at the default 8192 doubled the cost of
+# halves 32 to 2048 (numpy 2.4)
+_PROFILE_BUFFER = 512
 _ALL_LANES = np.uint64(2**64 - 1)
 
 
@@ -129,6 +141,14 @@ def _subtree(
     return out
 
 
+def _pair_up(worse: np.ndarray, better: np.ndarray, scratch: np.ndarray) -> None:
+    """One butterfly step in place: worse becomes worse & better, and better
+    worse | better; scratch holds at least worse.size elements."""
+    both = np.bitwise_and(worse, better, out=scratch[: worse.size].reshape(worse.shape))
+    better |= worse
+    worse[...] = both
+
+
 def _resolution_profile(known: np.ndarray) -> np.ndarray:
     """Which inputs resolve, given each earlier input as decoded correctly.
 
@@ -140,18 +160,45 @@ def _resolution_profile(known: np.ndarray) -> np.ndarray:
     abort, but vectorized across leading axes.  The AND/OR butterfly runs
     lane by lane, so a bool array profiles one pattern per row and a
     uint64 array 64 bit-sliced patterns per word.
+
+    The butterfly is cache-blocked over the flat array in pieces of
+    _PROFILE_WORDS elements (a power of two), with one scratch of half a
+    piece.  A level whose pairs span more than a piece runs over slices of
+    half a piece of each pair's two halves.  Once pairs fit in a piece,
+    every remaining level runs on one piece before the next, so the piece
+    stays in cache.  Below half = _LANE_HALF a level runs as half strided
+    lanes, whose inner loops are long, rather than as a (..., 2, half)
+    view, whose inner loop is half elements long.  The in-piece levels run
+    with numpy's ufunc buffers cut to _PROFILE_BUFFER elements, restored on
+    return.  AND and OR are exact, so the order of the pieces does not
+    change the result.
     """
     if not known.flags.c_contiguous:
         raise ValueError("profile input must be C-contiguous")
+    flat = known.reshape(-1)
     half = known.shape[-1] // 2
-    scratch = np.empty(known.size // 2, dtype=known.dtype)  # one half table, reused
-    while half:
-        pairs = known.reshape(-1, 2, half)
-        worse, better = pairs[:, 0], pairs[:, 1]
-        both = np.bitwise_and(worse, better, out=scratch.reshape(worse.shape))
-        better |= worse
-        worse[...] = both
+    piece = _PROFILE_WORDS
+    scratch = np.empty(min(piece, flat.size) // 2, dtype=known.dtype)
+    step = piece // 2
+    while 2 * half > piece:  # pairs span more than a piece
+        for start in range(0, flat.size, 2 * half):
+            for i in range(start, start + half, step):
+                _pair_up(flat[i : i + step], flat[i + half : i + half + step], scratch)
         half //= 2
+    # every pair lies in one piece, since a piece is a multiple of its span
+    with np.errstate():  # restores numpy's buffer size on exit
+        np.setbufsize(_PROFILE_BUFFER)
+        for start in range(0, flat.size, piece):
+            block = flat[start : start + piece]
+            h = half
+            while h >= _LANE_HALF:
+                pairs = block.reshape(-1, 2, h)
+                _pair_up(pairs[:, 0], pairs[:, 1], scratch)
+                h //= 2
+            while h:
+                for o in range(h):
+                    _pair_up(block[o :: 2 * h], block[o + h :: 2 * h], scratch)
+                h //= 2
     return known
 
 
@@ -310,16 +357,18 @@ def simulate(
     fail exactly where a T-trial run's do.
 
     The run is profiled in slabs of whole rows and groups, at most about
-    2**18 words or one row, so its memory besides the tally (a row per
-    batch) depends on n alone.  A slab's groups are drawn through
-    _run_chunks, on one thread per CPU in the process's affinity mask, at
-    most two, the calling thread among them, and fewer where the memory
-    budget cannot hold their buffers.  batch only splits the tally: the
-    tally is independent of batch, slab and worker count.
+    2**18 words or one row, and the profile works in pieces with a fixed
+    scratch of half a piece, so its memory besides the tally (a row per
+    batch) is about one slab and depends on n alone.  A slab's groups are
+    drawn through _run_chunks, on one thread per CPU in the process's
+    affinity mask, at most two, the calling thread among them, and fewer
+    where the memory budget cannot hold their buffers.  batch only splits
+    the tally: the tally is independent of batch, slab and worker count.
 
     Failures are detected with the resolution profile, which agrees with
     the message-passing decoder by construction (and by test), run
-    bit-sliced on 64 trials per uint64 word.
+    bit-sliced on 64 trials per uint64 word and cache-blocked; its result
+    is bit-identical to a level-by-level butterfly.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -334,12 +383,16 @@ def simulate(
     slab = min(rows, unit * max(1, _SLAB_WORDS // unit) // size)  # rows profiled at once
     # info positions whose rows are gathered at once by the failure reduction
     cols = max(1, _GROUP_WORDS // slab)
-    # The slab's word table and the larger of the profile's half table and
+    # The slab's word table and the larger of the profile's working set and
     # the failure reduction (its gather, one index piece, two tally rows and
-    # the slab's prefix counts); beside them, per worker, three times a
-    # draw's two group-sized buffers, because a worker's freed buffers stay
-    # in its malloc arena while the profile runs.  Workers the budget cannot
-    # hold are dropped, so more CPUs never refuse a run that one CPU would.
+    # the slab's prefix counts).  The profile holds a scratch of half a
+    # piece, numpy's buffers for its two-dimensional levels (three operands
+    # of _PROFILE_BUFFER elements) and the iterator's own state and views
+    # (about 2.4 KiB traced, counted as 4 KiB).  Beside them, per worker,
+    # three times a draw's two group-sized buffers, because a worker's freed
+    # buffers stay in its malloc arena while the profile runs.  Workers the
+    # budget cannot hold are dropped, so more CPUs never refuse a run that
+    # one CPU would.
     # The tally holds about 58 bytes a batch at batch 1 (tracemalloc): the
     # edge and count columns, the divmod columns and the failed-bit count's
     # temporaries over them; the (errors, trials) array is made after the
@@ -348,7 +401,8 @@ def simulate(
     reduction = 8 * ((slab + 2) * min(cols, len(spec)) + 4 * slab)
     per_worker = 3 * 16 * min(_GROUP_WORDS, slab * size)
     tally = 64 * (-(-trials // batch) + 1)
-    base = table + max(table // 2, reduction) + tally
+    profile = 8 * (_PROFILE_WORDS // 2 + 3 * _PROFILE_BUFFER) + 4096
+    base = table + max(profile, reduction) + tally
     room = (errors._memory_budget() - base) // per_worker
     workers = max(1, min(_worker_count(), -(-slab * size // _GROUP_WORDS), room))
     need = base + workers * per_worker

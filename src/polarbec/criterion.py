@@ -202,7 +202,9 @@ def iterate_g(
     slope[j] * offset + v[j]; a query at the last node reads slope 0 and so
     v[-1].  Every operation is a separate numpy pass, as in np.interp, so
     each iterate equals the np.interp iteration bit for bit.  The step works
-    in buffers allocated once per call, a block of queries at a time.
+    in buffers allocated once per call, a block of queries at a time.  The
+    iterates share one buffer: each GridFunction's values are a row of one
+    (n_steps + 1, grid_size + 1) array, allocated once.
     """
     if not 0.0 < a < b < 1.0:
         raise ValueError("require 0 < a < b < 1")
@@ -228,21 +230,23 @@ def iterate_g(
         np.subtract(x, grid[j], out=x)  # the offsets, written over x
         queries.append((x, j.astype(bracket)))
         del j  # 8 bytes a node, freed before the next search
-    values = ((grid > a) & (grid < b)).astype(np.float64)
+    table = np.empty((n_steps + 1, grid_size + 1))  # row k holds g_k
+    values = table[0]
+    values[...] = (grid > a) & (grid < b)
     out = [GridFunction(grid, values)]
     slope = np.zeros(grid_size + 1)  # the last node's entry stays 0
     width = np.empty(_BLOCK)
     index = np.empty(_BLOCK, dtype=np.intp)
     parts = np.empty((2, _BLOCK))
     gathered = np.empty(_BLOCK)
-    for _ in range(n_steps):
+    for k in range(1, n_steps + 1):
         v = values
         for i in range(0, grid_size, _BLOCK):
             e = min(i + _BLOCK, grid_size)
             np.subtract(v[i + 1 : e + 1], v[i:e], out=slope[i:e])
             np.subtract(grid[i + 1 : e + 1], grid[i:e], out=width[: e - i])
             np.divide(slope[i:e], width[: e - i], out=slope[i:e])
-        values = np.empty_like(grid)
+        values = table[k]
         for i in range(0, grid_size + 1, _BLOCK):
             e = min(i + _BLOCK, grid_size + 1)
             j, t = index[: e - i], gathered[: e - i]

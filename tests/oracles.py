@@ -2,18 +2,19 @@
 the complement computed through a mask per branch, the linear-domain
 erasures of a table, rate-mode classical selection by a full lexsort, H2
 inverted by a scalar bisection loop, the functional iteration through
-np.interp, the achievable region's condition by a dense pi scan, and the
+np.interp, the achievable region's condition by a dense pi scan, the
+resolution profile's butterfly run one whole level at a time, and the
 butterfly encoder with a one-block successive-cancellation decoder.
 
-Tests compare the vectorized level tables, constructions, kernels and
-closed forms against these; the package itself never calls them.  The
-decoder runs the package's message-passing core, codec._resolve, which
-exact_block_error also runs, there once per root class of erasure patterns
-rather than once per pattern.  Tests check both against the vectorized
-resolution profile, which shares no code with them: exact_block_error by
-its failed patterns at z0 = 1/2, where all weigh the same, and by its
-failures per received count at z0 = 0.2, where a class booked under the
-wrong count shows.
+Tests compare the vectorized level tables, constructions, kernels, the
+cache-blocked resolution profile and closed forms against these; the
+package itself never calls them.  The decoder runs the package's
+message-passing core, codec._resolve, which exact_block_error also runs,
+there once per root class of erasure patterns rather than once per
+pattern.  Tests check both against the vectorized resolution profile,
+which shares no code with them: exact_block_error by its failed patterns
+at z0 = 1/2, where all weigh the same, and by its failures per received
+count at z0 = 0.2, where a class booked under the wrong count shows.
 """
 
 from __future__ import annotations
@@ -260,6 +261,24 @@ def region_scan(beta_p: float, mu_p: float, mu_star: float) -> AchievabilityResu
         pi, worst = float(pis[k]), float(values[k])
     margin = 1.0 - worst
     return AchievabilityResult(margin > ACHIEVABILITY_SLACK, margin, pi)
+
+
+def resolution_profile_reference(known: np.ndarray) -> np.ndarray:
+    """codec._resolution_profile one whole level at a time, over a half-table
+    scratch: known, a C-contiguous (..., 2**n) bool or uint64 array, is
+    overwritten with the profile, which is also returned."""
+    if not known.flags.c_contiguous:
+        raise ValueError("profile input must be C-contiguous")
+    half = known.shape[-1] // 2
+    scratch = np.empty(known.size // 2, dtype=known.dtype)  # one half table, reused
+    while half:
+        pairs = known.reshape(-1, 2, half)
+        worse, better = pairs[:, 0], pairs[:, 1]
+        both = np.bitwise_and(worse, better, out=scratch.reshape(worse.shape))
+        better |= worse
+        worse[...] = both
+        half //= 2
+    return known
 
 
 def _as_bits(seq, what: str) -> np.ndarray:

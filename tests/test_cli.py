@@ -451,8 +451,10 @@ def test_simulate_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch, work
     assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
     assert "n=4" in err["message"]
     # On one worker, n = 26 needs its 512 MiB slab of one word row, the
-    # 256 MiB half table, three times a draw's two 2**16-word buffers, and
-    # 64 bytes for each of the 3 batches of 10,000 trials and the end.
+    # profile's scratch of half a 2**15-word piece, numpy's three buffers of
+    # 512 words and 4 KiB for the iterator, three times a draw's two
+    # 2**16-word buffers, and 64 bytes for each of the 3 batches of 10,000
+    # trials and the end.
     # One byte less is refused; the estimate itself is admitted, and the
     # first draw stops the run, as it would stop a run that an estimate too
     # small let through.
@@ -461,12 +463,12 @@ def test_simulate_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch, work
 
     monkeypatch.setattr(codec, "_draw_group", stop)
     workers(1)
-    need = 3 * 2**28 + 3 * 2 * 2**19 + 64 * 4
+    need = 2**29 + 8 * (2**14 + 3 * 512) + 4096 + 3 * 2 * 2**19 + 64 * 4
     code_file.write_text("n=26\nz0=0.5\nparams=mode=classical\nj=1 m=0 sq=0 lera=1.0\n")
     monkeypatch.setattr(errors, "_memory_budget", lambda: need - 1)
     code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
     assert code == 2 and out is None and err["error"] == "LevelTooLargeError"
-    assert err["message"].startswith("simulate at n=26, 64 trials a slab would need about 771 MiB")
+    assert err["message"].startswith("simulate at n=26, 64 trials a slab would need about 515 MiB")
     monkeypatch.setattr(errors, "_memory_budget", lambda: need)
     for count in (1, 2):
         # on two CPUs the worker the budget cannot hold is dropped

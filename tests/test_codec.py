@@ -9,9 +9,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import ChannelPath, channel_erasure, polar_encode, polarize_prob, sc_decode_bec
+from oracles import (
+    ChannelPath,
+    channel_erasure,
+    polar_encode,
+    polarize_prob,
+    resolution_profile_reference,
+    sc_decode_bec,
+)
 
 from polarbec import codec, construction as co, erasure as er, errors
 from polarbec.errors import DecodingInconsistencyError, LevelTooLargeError
@@ -206,6 +213,54 @@ def test_profile_matches_decoder(n, rate_idx, data):
         else:
             want = int(spec.indices[int(np.argmin(profile[info_pos]))])
             assert res.first_failure == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    piece=st.sampled_from([2, 8, 64, codec._PROFILE_WORDS]),
+    n=st.sampled_from([*range(13), 17]),
+    rows=st.integers(min_value=1, max_value=70),
+    dtype=st.sampled_from([np.uint64, np.bool_]),
+    density=st.sampled_from([1, 4, 7]),  # eighths of the bits set
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# slices, both in-piece forms and a short last piece, at each piece size
+@example(piece=64, n=12, rows=3, dtype=np.uint64, density=4, seed=1)
+@example(piece=64, n=5, rows=7, dtype=np.uint64, density=1, seed=2)
+@example(piece=2, n=12, rows=2, dtype=np.bool_, density=7, seed=3)
+@example(piece=codec._PROFILE_WORDS, n=17, rows=3, dtype=np.uint64, density=4, seed=4)
+@example(piece=codec._PROFILE_WORDS, n=10, rows=70, dtype=np.bool_, density=1, seed=5)
+def test_blocked_profile_matches_level_by_level_reference(piece, n, rows, dtype, density, seed):
+    # Small pieces run most levels as slices and the rest as strided lanes;
+    # pieces of 64 and more also run two-dimensional levels in each piece.
+    # A short last piece is left wherever rows * 2**n is not a multiple of
+    # the piece.  The table is capped at 2**11 pieces and 2**20 elements to
+    # bound the Python loop and the run time, which drops n = 17 for pieces
+    # below 64.
+    cap = min(piece << 11, 1 << 20)
+    assume(1 << n <= cap)
+    rows = min(rows, cap >> n)
+    rng = np.random.default_rng(seed)
+    if dtype is np.bool_:
+        table = rng.random((rows, 1 << n)) < density / 8
+    else:  # a word sets half its bits, the AND of three an eighth, their OR seven
+        words = rng.integers(0, 2**64, (3, rows, 1 << n), dtype=np.uint64, endpoint=False)
+        if density == 4:
+            table = words[0]
+        else:
+            table = (np.bitwise_and if density == 1 else np.bitwise_or).reduce(words)
+    want = resolution_profile_reference(table.copy())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_PROFILE_WORDS", piece)
+        got = codec._resolution_profile(table)
+    assert got is table and np.array_equal(got, want)
+
+
+def test_profile_restores_the_callers_numpy_buffer_size():
+    with np.errstate():
+        np.setbufsize(4096)
+        codec._resolution_profile(np.ones((3, 1 << 6), dtype=np.uint64))
+        assert np.getbufsize() == 4096
 
 
 def _rational_erasures(z0: Fraction, n: int) -> list[Fraction]:
