@@ -31,7 +31,6 @@ from .erasure import (
     level_log_table,
 )
 from .errors import (
-    DecodingInconsistencyError,
     DegenerateFitError,
     EmptyCodeError,
     InfeasibleTargetError,
@@ -56,7 +55,6 @@ __all__ = [
     "CodeSpec",
     "ConstructionReport",
     "CorollaryReport",
-    "DecodingInconsistencyError",
     "DegenerateFitError",
     "EmptyCodeError",
     "FrontierPoint",

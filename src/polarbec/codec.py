@@ -2,54 +2,41 @@
 
 An erasure pattern marks the codeword positions lost.  Input position i
 feeds the synthetic channel with index j = i + 1: the first half of the
-input block rides the worse subtree.  The decoder's core, _resolve, holds a
-block as a pair of Python-int bitmasks, known and value, with bit t
-standing for position t.  It returns the re-encoded block and the decided
-inputs, or, when a selected input stays unknown, that input's position as
-a plain int; only a received value that contradicts a frozen input raises
-(DecodingInconsistencyError).
+input block rides the worse subtree.
 
 On the BEC the decoder never guesses, so whether a block decodes depends on
-the erasure pattern alone.  simulate() exploits that through a vectorized
-resolution profile, bit-sliced over 64 trials per uint64 word and run in
-cache-sized pieces of 2**15 words (256 KiB), and a draw bit-sliced the
-same way: one raw Philox word decides one bit of the Knuth-Yao comparison
-for 64 trials, about 8.5 words per 64 trial positions, on up to two
-threads (its docstring states the stream).  The run is profiled in slabs
-of whole 64-trial word rows, about 2**18 words or one row, and the
-profile's own scratch is half a piece whatever the slab, so the memory the
-run holds besides the tally depends on n alone.
-exact_block_error() deliberately does not, running the actual
-message-passing decoder so the two stay independent: once for each class
-of patterns that the root's own rule cannot tell apart, 3**(2**(n-1)) in
-all, weighting each failure by its class's pattern count.  It memoizes
-subtree outcomes for one enumeration by (known, value, width, base), never
-the root's.
+the erasure pattern alone: it fails where the resolution profile, which
+inputs resolve given each earlier input as decoded correctly, leaves a
+selected input unresolved.  Both routes run that one rule, bit-sliced over
+64 patterns per uint64 word and profiled in cache-sized pieces of 2**15
+words (256 KiB).  simulate() draws its trials bit-sliced the same way: one
+raw Philox word decides one bit of the Knuth-Yao comparison for 64 trials,
+about 8.5 words per 64 trial positions, on up to two threads (its
+docstring states the stream).  The run is profiled in slabs of whole
+64-trial word rows, about 2**18 words or one row, and the profile's own
+scratch is half a piece whatever the slab, so the memory the run holds
+besides the tally depends on n alone.  exact_block_error() profiles all
+2**(2**n) patterns of a code at n <= 4 in one table.  The message-passing
+decoder that the profile stands for is a test oracle, independent of this
+module, and the tests check both routes against it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from . import errors
 from .construction import CodeSpec
 from .erasure import RootChannel
-from .errors import (
-    DecodingInconsistencyError,
-    LevelTooLargeError,
-    _check_memory,
-    _run_chunks,
-    _worker_count,
-)
+from .errors import LevelTooLargeError, _check_memory, _run_chunks, _worker_count
 
 # two-sided 95% normal quantile
 WILSON_Z95 = 1.959963984540054
 
-# exact_block_error covers 2**(2**n) patterns, in 3**(2**(n-1)) root classes
+# exact_block_error profiles all 2**(2**n) erasure patterns at once
 EXACT_ENUM_MAX_LEVEL = 4
 
 # words of one draw group, the unit of simulate's stream at every n
@@ -69,76 +56,16 @@ _LANE_HALF = 16
 # halves 32 to 2048 (numpy 2.4)
 _PROFILE_BUFFER = 512
 _ALL_LANES = np.uint64(2**64 - 1)
-
-
-def _to_mask(bits: np.ndarray) -> int:
-    """Bit t of the result is bits[t]."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _resolve(
-    known: int, value: int, width: int, base: int, frozen: int, forced: int, memo: dict
-) -> tuple[int, int] | int:
-    """Decode the subtree whose inputs are channels base .. base + width - 1.
-
-    known, value: bitmasks over the subtree's codeword-domain block, bit t
-    for offset t; value bits are zero outside known.  frozen, forced:
-    bitmasks over the whole code's input positions, marking the frozen
-    channels and their values.  memo: outcomes of the child subtrees, valid
-    for one (frozen, forced) pair (see _subtree).  One decode visits each
-    (width, base) once, so a fresh dict never hits.  Returns the re-encoded
-    block and the decided inputs, both as bitmasks over the subtree, or,
-    where a selected input stays unknown, the position of the first such
-    input as a plain int (0 is a position, so test the outcome's type, not
-    its truth).
-    """
-    if width == 1:
-        if frozen >> base & 1:
-            bit = forced >> base & 1
-            if known and value != bit:
-                raise DecodingInconsistencyError(
-                    f"channel {base + 1} observed {value} but is frozen to {bit}"
-                )
-            return bit, bit
-        if not known:
-            return base
-        return value, value
-    half = width >> 1
-    low = (1 << half) - 1
-    kl, kr = known & low, known >> half
-    vl, vr = value & low, value >> half
-    both = kl & kr
-    # check node: parity known only when both halves are
-    out = _subtree(both, (vl ^ vr) & both, half, base, frozen, forced, memo)
-    if isinstance(out, int):
-        return out
-    cx, cu = out
-    from_left = (vl ^ cx) & kl
-    conflict = both & (from_left ^ vr)
-    if conflict:
-        t = (conflict & -conflict).bit_length() - 1
-        raise DecodingInconsistencyError(f"inconsistent pair at codeword offset {t}")
-    # variable node: either side pins the value
-    out = _subtree(kl | kr, vr | (from_left & ~kr), half, base + half, frozen, forced, memo)
-    if isinstance(out, int):
-        return out
-    dx, du = out
-    return (cx ^ dx) | (dx << half), cu | (du << half)
-
-
-def _subtree(
-    known: int, value: int, width: int, base: int, frozen: int, forced: int, memo: dict
-) -> tuple[int, int] | int:
-    """_resolve, looked up in memo by (known, value, width, base) first.
-
-    memo holds whatever _resolve returned, the pair or the unresolved
-    position.  Inconsistencies are never stored: they end the whole decode.
-    """
-    key = (known, value, width, base)
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = _resolve(known, value, width, base, frozen, forced, memo)
-    return out
+# exact_block_error's first six columns: lane l is set in column t where
+# bit t of l is
+_LANE_COLUMNS = (
+    0xAAAAAAAAAAAAAAAA,
+    0xCCCCCCCCCCCCCCCC,
+    0xF0F0F0F0F0F0F0F0,
+    0xFF00FF00FF00FF00,
+    0xFFFF0000FFFF0000,
+    0xFFFFFFFF00000000,
+)
 
 
 def _pair_up(worse: np.ndarray, better: np.ndarray, scratch: np.ndarray) -> None:
@@ -156,8 +83,8 @@ def _resolution_profile(known: np.ndarray) -> np.ndarray:
     symbol arrived; overwritten with the result, which is also returned.
     The worse-side input of a pair needs both observations; once it is
     supplied, the better side needs either.  Equivalent to running the
-    message-passing decoder (_resolve) on every input without the early
-    abort, but vectorized across leading axes.  The AND/OR butterfly runs
+    message-passing decoder on every input without the early abort, but
+    vectorized across leading axes.  The AND/OR butterfly runs
     lane by lane, so a bool array profiles one pattern per row and a
     uint64 array 64 bit-sliced patterns per word.
 
@@ -202,50 +129,33 @@ def _resolution_profile(known: np.ndarray) -> np.ndarray:
     return known
 
 
-def _root_classes(size: int) -> Iterator[tuple[int, int, int]]:
-    """The erasure patterns of a size-position block that the root's decode
-    cannot tell apart when every value is 0, as (known, received, patterns).
-
-    The check node sees the halves kl, kr only through both = kl & kr and
-    the variable node only through either = kl | kr, so a class is a pair
-    both <= either (as submask), and known = either | both << half stands
-    for its 2**(|either| - |both|) patterns, each of |both| + |either|
-    received positions.  A single position has no halves: each of its two
-    patterns is its own class.
-    """
-    if size == 1:
-        yield from ((0, 0, 1), (1, 1, 1))
-        return
-    half = size >> 1
-    for either in range(1 << half):
-        both = either
-        while True:  # every submask of either, down to 0
-            split = either.bit_count() - both.bit_count()
-            yield either | both << half, both.bit_count() + either.bit_count(), 1 << split
-            if not both:
-                break
-            both = (both - 1) & either
+def _failed_lanes(resolved: np.ndarray, indices: np.ndarray, cols: int) -> np.ndarray:
+    """The lanes of each row of a bit-sliced profile whose pattern fails: a
+    pattern fails where some info position is unresolved.  indices are the
+    code's 1-based channel indices, converted to positions and gathered
+    cols at a time, so no copy of the whole column is held."""
+    ok = np.full(len(resolved), _ALL_LANES)
+    for k in range(0, len(indices), cols):
+        info_pos = indices[k : k + cols].astype(np.int64) - 1
+        ok &= np.bitwise_and.reduce(resolved[:, info_pos], axis=1)
+    return ~ok
 
 
 def exact_block_error(spec: CodeSpec, root: RootChannel) -> float:
     """Block error probability by full erasure-pattern enumeration.
 
-    Sends the all-zero codeword with every frozen input zero, so every
-    value the decoder sees is 0, and the root's check and variable nodes
-    see the halves only through their AND and their OR.  The 2**(2**n)
-    patterns thus fall into 3**(2**(n-1)) root classes (see _root_classes;
-    n = 0 has no halves, and its two patterns are their own classes).  The
-    real decoder runs once on one pattern of each class, and a class fails
-    whole when the decoder returns an unresolved position (an int) rather
-    than a decoded pair; no exception is raised or caught per class.  The
-    failures are counted per received count, weighted by z0**erased *
-    (1-z0)**received and summed with compensation.  Failure is
+    Sends the all-zero codeword, so a pattern fails exactly where the
+    resolution profile leaves a selected input unresolved.  All 2**(2**n)
+    patterns are profiled at once, bit-sliced as simulate's trials are:
+    pattern p is lane p % 64 of word row p // 64, and bit t of p marks
+    position t received.  Column t < 6 of every row is thus the lane mask
+    _LANE_COLUMNS[t], and column t >= 6 of row w is all ones or all zeros by
+    bit t - 6 of w; at n <= 2 the lanes from 2**(2**n) on are padding, and
+    are dropped.  The failures are counted per received count, weighted by
+    z0**erased * (1-z0)**received and summed with compensation.  Failure is
     pattern-determined, so those counts are exact integers and the only
-    rounding is in the final weighting.  Below the root, subtree outcomes,
-    pairs and positions alike, are memoized for this one enumeration by
-    (known, value, width, base), so each distinct subtree state is decoded
-    once; the root itself is decoded afresh for every class and never
-    stored.  The resolution profile is never read.
+    rounding is in the final weighting.  The table is 128 KiB at n = 4, and
+    the traced peak about 0.5 MiB.
     """
     if spec.n > EXACT_ENUM_MAX_LEVEL:
         raise LevelTooLargeError(
@@ -255,15 +165,19 @@ def exact_block_error(spec: CodeSpec, root: RootChannel) -> float:
     size = 1 << spec.n
     if len(spec) == 0:
         return 0.0
-    # the all-zero codeword with every frozen input zero
-    is_frozen = np.ones(size, dtype=bool)
-    is_frozen[spec.indices.astype(np.int64) - 1] = False
-    frozen = _to_mask(is_frozen)
-    fail_by_received = [0] * (size + 1)
-    memo: dict = {}
-    for known, received, patterns in _root_classes(size):
-        if isinstance(_resolve(known, 0, size, 0, frozen, 0, memo), int):
-            fail_by_received[received] += patterns
+    patterns = 1 << size
+    rows = -(-patterns // 64)
+    known = np.empty((rows, size), dtype=np.uint64)
+    known[:, :6] = np.array(_LANE_COLUMNS[:size], dtype=np.uint64)
+    row = np.arange(rows, dtype=np.uint64)
+    for t in range(6, size):
+        known[:, t] = (row >> (t - 6) & 1) * _ALL_LANES
+    lanes = _failed_lanes(_resolution_profile(known), spec.indices, size)
+    failed = np.unpackbits(lanes.astype("<u8").view(np.uint8), bitorder="little")[:patterns]
+    # one count per received value: bincount would take an intp copy, 8
+    # bytes a failed pattern
+    received = np.bitwise_count(np.arange(patterns, dtype=np.uint32))[failed.view(bool)]
+    fail_by_received = [int(np.count_nonzero(received == k)) for k in range(size + 1)]
     terms = [
         count * z0 ** (size - k) * (1.0 - z0) ** k
         for k, count in enumerate(fail_by_received)
@@ -368,7 +282,8 @@ def simulate(
     Failures are detected with the resolution profile, which agrees with
     the message-passing decoder by construction (and by test), run
     bit-sliced on 64 trials per uint64 word and cache-blocked; its result
-    is bit-identical to a level-by-level butterfly.
+    is bit-identical to a level-by-level butterfly.  A trial fails by the
+    rule exact_block_error applies to every pattern (_failed_lanes).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -426,12 +341,7 @@ def simulate(
             ]
             _run_chunks(lambda known, g: _draw_group(known, seed, digits, g), chunks, workers)
         resolved = _resolution_profile(words)
-        # a trial fails where some info position is unresolved
-        ok = np.full(len(words), _ALL_LANES)
-        for k in range(0, len(spec), cols):
-            info_pos = spec.indices[k : k + cols].astype(np.int64) - 1
-            ok &= np.bitwise_and.reduce(resolved[:, info_pos], axis=1)
-        failed = np.append(~ok, np.uint64(0))
+        failed = np.append(_failed_lanes(resolved, spec.indices, cols), np.uint64(0))
         at = np.cumsum(np.bitwise_count(failed), dtype=np.int64)  # failures up to each row
         # the slab's failed bits below each edge; bits past the run's last
         # trial are padding, above every edge

@@ -26,10 +26,6 @@ class EmptyCodeError(PolarBECError):
     """A construction produced no surviving channels."""
 
 
-class DecodingInconsistencyError(PolarBECError):
-    """A resolved message contradicts a known value; indicates a harness bug."""
-
-
 # threads that one threaded step runs on at most; more were not measured
 _MAX_WORKERS = 2
 

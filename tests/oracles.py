@@ -3,18 +3,18 @@ the complement computed through a mask per branch, the linear-domain
 erasures of a table, rate-mode classical selection by a full lexsort, H2
 inverted by a scalar bisection loop, the functional iteration through
 np.interp, the achievable region's condition by a dense pi scan, the
-resolution profile's butterfly run one whole level at a time, and the
-butterfly encoder with a one-block successive-cancellation decoder.
+resolution profile's butterfly run one whole level at a time, the butterfly
+encoder with a one-block successive-cancellation decoder, and the exact
+block error by that decoder run on every erasure pattern.
 
 Tests compare the vectorized level tables, constructions, kernels, the
 cache-blocked resolution profile and closed forms against these; the
-package itself never calls them.  The decoder runs the package's
-message-passing core, codec._resolve, which exact_block_error also runs,
-there once per root class of erasure patterns rather than once per
-pattern.  Tests check both against the vectorized resolution profile,
-which shares no code with them: exact_block_error by its failed patterns
-at z0 = 1/2, where all weigh the same, and by its failures per received
-count at z0 = 0.2, where a class booked under the wrong count shows.
+package itself never calls them.  The decoder's message-passing core,
+_resolve, holds a block as a pair of Python-int bitmasks and shares no code
+with the package's resolution profile, which both simulate and
+codec.exact_block_error run: tests check simulate's failures against
+sc_decode_bec pattern by pattern, and codec.exact_block_error against
+exact_block_error_reference bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Iterator
 
 import numpy as np
 
-from polarbec.codec import _resolve, _to_mask
 from polarbec.construction import CodeSpec
 from polarbec.criterion import binary_entropy, golden_section_max
 from polarbec.erasure import (
@@ -279,6 +278,108 @@ def resolution_profile_reference(known: np.ndarray) -> np.ndarray:
         worse[...] = both
         half //= 2
     return known
+
+
+class DecodingInconsistencyError(Exception):
+    """A resolved message contradicts a known value; indicates a harness bug."""
+
+
+def _to_mask(bits: np.ndarray) -> int:
+    """Bit t of the result is bits[t]."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _resolve(
+    known: int, value: int, width: int, base: int, frozen: int, forced: int, memo: dict
+) -> tuple[int, int] | int:
+    """Decode the subtree whose inputs are channels base .. base + width - 1.
+
+    known, value: bitmasks over the subtree's codeword-domain block, bit t
+    for offset t; value bits are zero outside known.  frozen, forced:
+    bitmasks over the whole code's input positions, marking the frozen
+    channels and their values.  memo: outcomes of the child subtrees, valid
+    for one (frozen, forced) pair (see _subtree).  One decode visits each
+    (width, base) once, so a fresh dict never hits.  Returns the re-encoded
+    block and the decided inputs, both as bitmasks over the subtree, or,
+    where a selected input stays unknown, the position of the first such
+    input as a plain int (0 is a position, so test the outcome's type, not
+    its truth).  Only a received value that contradicts a frozen input
+    raises (DecodingInconsistencyError).
+    """
+    if width == 1:
+        if frozen >> base & 1:
+            bit = forced >> base & 1
+            if known and value != bit:
+                raise DecodingInconsistencyError(
+                    f"channel {base + 1} observed {value} but is frozen to {bit}"
+                )
+            return bit, bit
+        if not known:
+            return base
+        return value, value
+    half = width >> 1
+    low = (1 << half) - 1
+    kl, kr = known & low, known >> half
+    vl, vr = value & low, value >> half
+    both = kl & kr
+    # check node: parity known only when both halves are
+    out = _subtree(both, (vl ^ vr) & both, half, base, frozen, forced, memo)
+    if isinstance(out, int):
+        return out
+    cx, cu = out
+    from_left = (vl ^ cx) & kl
+    conflict = both & (from_left ^ vr)
+    if conflict:
+        t = (conflict & -conflict).bit_length() - 1
+        raise DecodingInconsistencyError(f"inconsistent pair at codeword offset {t}")
+    # variable node: either side pins the value
+    out = _subtree(kl | kr, vr | (from_left & ~kr), half, base + half, frozen, forced, memo)
+    if isinstance(out, int):
+        return out
+    dx, du = out
+    return (cx ^ dx) | (dx << half), cu | (du << half)
+
+
+def _subtree(
+    known: int, value: int, width: int, base: int, frozen: int, forced: int, memo: dict
+) -> tuple[int, int] | int:
+    """_resolve, looked up in memo by (known, value, width, base) first.
+
+    memo holds whatever _resolve returned, the pair or the unresolved
+    position.  Inconsistencies are never stored: they end the whole decode.
+    """
+    key = (known, value, width, base)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _resolve(known, value, width, base, frozen, forced, memo)
+    return out
+
+
+def exact_block_error_reference(spec: CodeSpec, root: RootChannel) -> float:
+    """codec.exact_block_error by its definition: the message-passing
+    decoder run on every erasure pattern of the all-zero codeword, frozen
+    inputs zero, with one memo of subtree outcomes for the whole
+    enumeration (the root's own outcome is never stored).  A pattern fails
+    where the decoder returns an unresolved position; the failures are
+    counted per received count and weighted and summed as exact_block_error
+    states it.
+    """
+    z0 = root.z0
+    size = 1 << spec.n
+    is_frozen = np.ones(size, dtype=bool)
+    is_frozen[spec.indices.astype(np.int64) - 1] = False
+    frozen = _to_mask(is_frozen)
+    fail_by_received = [0] * (size + 1)
+    memo: dict = {}
+    for known in range(1 << size):
+        if isinstance(_resolve(known, 0, size, 0, frozen, 0, memo), int):
+            fail_by_received[known.bit_count()] += 1
+    terms = [
+        count * z0 ** (size - k) * (1.0 - z0) ** k
+        for k, count in enumerate(fail_by_received)
+        if count
+    ]
+    return math.fsum(terms)
 
 
 def _as_bits(seq, what: str) -> np.ndarray:

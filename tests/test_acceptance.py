@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import test_construction
-from oracles import linear_erasures, polarize_prob
+from oracles import exact_block_error_reference, linear_erasures, polarize_prob
 
 from polarbec import codec, construction as co, criterion as cr, erasure as er
 from polarbec import frontier as fr
@@ -205,6 +205,7 @@ def test_acceptance_7_oracle_equivalence(record):
         root = er.RootChannel(z0)
         spec = co.select_classical(root, 4, rate=0.5)
         exact = codec.exact_block_error(spec, root)
+        assert exact == exact_block_error_reference(spec, root)
         sim = codec.simulate(spec, root, trials=100_000, seed=7)
         lo3, hi3 = codec.wilson_interval(sim.block_errors, sim.trials, z=3.0)
         in_band = lo3 <= exact <= hi3

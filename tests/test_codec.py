@@ -1,6 +1,5 @@
 """Encoder algebra, SC decoding on erasure patterns, and the two error routes."""
 
-import functools
 import itertools
 import math
 import tracemalloc
@@ -13,7 +12,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     ChannelPath,
+    DecodingInconsistencyError,
+    _resolve,
+    _to_mask,
     channel_erasure,
+    exact_block_error_reference,
     polar_encode,
     polarize_prob,
     resolution_profile_reference,
@@ -21,7 +24,7 @@ from oracles import (
 )
 
 from polarbec import codec, construction as co, erasure as er, errors
-from polarbec.errors import DecodingInconsistencyError, LevelTooLargeError
+from polarbec.errors import LevelTooLargeError
 
 LEVEL3_HALF = [
     0.99609375,
@@ -344,58 +347,56 @@ def test_exact_block_error_pinned_level4(rate, z0, want):
     assert codec.exact_block_error(spec, root) == want
 
 
-@functools.cache
-def _profiles_of_all_patterns(n: int) -> np.ndarray:
-    """Row p is the resolution profile when bit t of p erases position t."""
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=4),
+    z0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    data=st.data(),
+)
+def test_exact_block_error_equals_message_passing_reference(n, z0, data):
+    # the bit-sliced profile of every pattern against the message-passing
+    # decoder run on every pattern: the two share no code
     size = 1 << n
-    known = (np.arange(1 << size)[:, None] >> np.arange(size) & 1) == 0
-    return codec._resolution_profile(known)
+    info = data.draw(st.lists(st.integers(1, size), min_size=1, unique=True).map(sorted))
+    spec, root = _bare_spec(n, info, z0), er.RootChannel(z0)
+    assert codec.exact_block_error(spec, root) == exact_block_error_reference(spec, root)
 
 
 @settings(max_examples=8, deadline=None)
 @given(n=st.integers(min_value=1, max_value=4), data=st.data())
 def test_exact_block_error_counts_profile_failures(n, data):
-    # the two oracles share no code: message passing against the AND/OR profile
+    # At z0 = 1/2 every pattern weighs 2**-size, so both values are counts
+    # of failed patterns: message passing against the AND/OR profile.
     size = 1 << n
-    profile = _profiles_of_all_patterns(n)
     info_sets = st.lists(st.integers(0, size - 1), min_size=1, unique=True).map(sorted)
     first = data.draw(info_sets)
     second = data.draw(info_sets.filter(lambda info: info != first))
     # the first set again: no memo may carry over from the calls before it
     for info in (first, second, first):
-        failures = int((~profile[:, info].all(axis=1)).sum())
-        spec = _bare_spec(n, [i + 1 for i in info])
-        assert codec.exact_block_error(spec, er.RootChannel(0.5)) * 2**size == failures
+        spec, root = _bare_spec(n, [i + 1 for i in info]), er.RootChannel(0.5)
+        failures = codec.exact_block_error(spec, root) * 2**size
+        assert failures.is_integer()
+        assert exact_block_error_reference(spec, root) * 2**size == failures
 
 
 @settings(max_examples=8, deadline=None)
 @given(n=st.integers(min_value=1, max_value=4), data=st.data())
 def test_exact_block_error_weighs_profile_failures_by_received_count(n, data):
-    # At z0 = 0.2 patterns weigh by their received count, so a root class
-    # booked under the wrong count changes the value: the profile's
-    # failures per received count, weighted and summed as exact_block_error
-    # states it, match it bit for bit.
+    # At z0 = 0.2 patterns weigh by their received count, so a failure
+    # booked under the wrong count, or a padding lane counted, changes the
+    # value: message passing and the profile match bit for bit.
     z0, size = 0.2, 1 << n
-    profile = _profiles_of_all_patterns(n)
-    received = size - np.bitwise_count(np.arange(1 << size))
-    info = data.draw(st.lists(st.integers(0, size - 1), min_size=1, unique=True).map(sorted))
-    failed = ~profile[:, info].all(axis=1)
-    fail_by_received = np.bincount(received[failed], minlength=size + 1).tolist()
-    terms = [
-        count * z0 ** (size - k) * (1.0 - z0) ** k
-        for k, count in enumerate(fail_by_received)
-        if count
-    ]
-    spec = _bare_spec(n, [i + 1 for i in info], z0)
-    assert codec.exact_block_error(spec, er.RootChannel(z0)) == math.fsum(terms)
+    info = data.draw(st.lists(st.integers(1, size), min_size=1, unique=True).map(sorted))
+    spec, root = _bare_spec(n, info, z0), er.RootChannel(z0)
+    assert codec.exact_block_error(spec, root) == exact_block_error_reference(spec, root)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_shared_memo_outcomes_equal_fresh_memo_decodes(n):
-    # One memo for the whole enumeration, as exact_block_error keeps it,
-    # against a fresh memo per decode; the outcome is the decoded pair or the
-    # unresolved position (an int).  Each selection also sends a random
-    # input block, so value bits and frozen ones are not all zero.
+    # One memo for the whole enumeration, as exact_block_error_reference
+    # keeps it, against a fresh memo per decode; the outcome is the decoded
+    # pair or the unresolved position (an int).  Each selection also sends a
+    # random input block, so value bits and frozen ones are not all zero.
     size = 1 << n
     full = (1 << size) - 1
     rng = np.random.default_rng(n)
@@ -404,26 +405,27 @@ def test_shared_memo_outcomes_equal_fresh_memo_decodes(n):
         is_frozen = np.ones(size, dtype=bool)
         is_frozen[info] = False
         u = rng.integers(0, 2, size=size).astype(np.int8)
-        frozen, forced = codec._to_mask(is_frozen), codec._to_mask(is_frozen & (u == 1))
-        x = codec._to_mask(polar_encode(u))
+        frozen, forced = _to_mask(is_frozen), _to_mask(is_frozen & (u == 1))
+        x = _to_mask(polar_encode(u))
         for sent, values in ((0, 0), (x, forced)):
             memo, kinds = {}, set()
             for pattern in range(1 << size):
                 known = full ^ pattern
                 args = (known, sent & known, size, 0, frozen, values)
-                out = codec._resolve(*args, memo)
-                assert out == codec._resolve(*args, {})
+                out = _resolve(*args, memo)
+                assert out == _resolve(*args, {})
                 kinds.add(type(out))
             assert kinds == {int, tuple}
 
 
 def test_first_channel_unresolved_is_a_failure():
     # The unresolved position of channel 1 is 0, which is false as a truth
-    # value: the code must fail on it all the same.  Input 0 is the parity
-    # of the whole block, so any erasure leaves it unknown.
+    # value: the reference must fail on it all the same.  Input 0 is the
+    # parity of the whole block, so any erasure leaves it unknown.
     size = 4
     spec = _bare_spec(2, [1])
-    assert codec.exact_block_error(spec, er.RootChannel(0.5)) == 1.0 - 0.5**size
+    for exact in (codec.exact_block_error, exact_block_error_reference):
+        assert exact(spec, er.RootChannel(0.5)) == 1.0 - 0.5**size
     full = _bare_spec(2, [1, 2, 3, 4])
     for pattern in range(1, 1 << size):
         erased = _bits(pattern, size).astype(bool)
@@ -441,19 +443,20 @@ def test_inconsistency_in_a_memoized_subtree_propagates_unstored():
     size = 4
     every = (1 << size) - 1  # every position received, every input frozen
     memo = {}
-    assert codec._resolve(every, 0, size, 0, every, 0, memo) == (0, 0)
+    assert _resolve(every, 0, size, 0, every, 0, memo) == (0, 0)
     before = dict(memo)
-    x = codec._to_mask(polar_encode([1, 0, 0, 0]))
+    x = _to_mask(polar_encode([1, 0, 0, 0]))
     assert x == 0b0001
     with pytest.raises(DecodingInconsistencyError, match="channel 1"):
-        codec._resolve(every, x, size, 0, every, 0, memo)
+        _resolve(every, x, size, 0, every, 0, memo)
     assert memo == before
     assert (0b11, 0b01, 2, 0) not in memo and (0b1, 0b1, 1, 0) not in memo
 
 
 def test_exact_block_error_memory_stays_small():
-    # subtree states number in the hundreds at n = 4, about 64 kB traced;
-    # storing the outcomes of the 3**8 root classes as well takes about 1 MB
+    # The bit-sliced table of the 2**16 patterns is 128 KiB, and the traced
+    # peak about 0.5 MiB with the received count of every pattern; a bool
+    # table of the patterns' profiles alone would be 1 MiB.
     root = er.RootChannel(0.5)
     spec = co.select_classical(root, 4, rate=0.5)
     tracemalloc.start()
@@ -599,7 +602,9 @@ def test_simulate_agrees_with_exact_block_error(n, z0):
     spec = co.select_classical(root, n, rate=0.5)
     got = codec.simulate(spec, root, 20_000, seed=17)
     lo, hi = codec.wilson_interval(got.block_errors, got.trials, z=5.0)
-    assert lo <= codec.exact_block_error(spec, root) <= hi
+    exact = codec.exact_block_error(spec, root)
+    assert exact == exact_block_error_reference(spec, root)
+    assert lo <= exact <= hi
 
 
 @pytest.mark.parametrize("n, z0, short, long", [(10, 0.4, 5000, 12_000), (17, 0.45, 100, 150)])
