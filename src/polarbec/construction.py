@@ -30,14 +30,14 @@ the error decay of the squaring quota.
 
 from __future__ import annotations
 
-import itertools
+import io
 import math
 import os
 import re
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -168,19 +168,43 @@ class CodeSpec:
 
 def union_bound(spec: CodeSpec) -> float:
     """-log2 of the summed erasure probabilities, max-shifted and summed exactly;
-    +inf when that sum is 0, as for an empty selection."""
-    le = spec.l_era[np.isfinite(spec.l_era)]
-    if le.size == 0:
-        return math.inf
-    m0 = float(np.min(le))
-    exponents = np.subtract(m0, le, out=le)
-    del le  # the filter below copies; the unfiltered column is not kept
-    # exp2(m0 - l) is exactly 0.0 once l - m0 >= _UNDERFLOW_BITS, and a zero
-    # adds nothing to the sum, so only the terms below that bound are summed.
-    exponents = exponents[exponents > -_UNDERFLOW_BITS]
-    # one rounding, to the float math.fsum gives
-    return m0 - math.log2(float(_exact_sum(np.exp2(exponents, out=exponents))))
+    +inf when that sum is 0, as for an empty selection.
 
+    Only the head, the terms within _UNION_HEAD_BITS bits of the largest, is
+    summed exactly at first.  Each of the c other terms is at most
+    2**-_UNION_HEAD_BITS, so the sum lies between the head's and the head's
+    plus c * 2**-_UNION_HEAD_BITS.  Rounding is monotone: where both ends
+    round to one float, the sum rounds to it too.  Otherwise every term is
+    summed exactly.  Either way the value is the correctly rounded sum.
+    """
+    le = spec.l_era
+    m0 = float(np.fmin.reduce(le, initial=math.inf))  # NaN is skipped
+    if m0 == -math.inf:  # left out, like every entry that is not finite
+        le = le[np.isfinite(le)]
+        m0 = float(np.fmin.reduce(le, initial=math.inf))
+    if m0 == math.inf:
+        return math.inf
+    # exp2(m0 - l) is exactly 0.0 once l - m0 >= _UNDERFLOW_BITS, and a zero
+    # adds nothing to the sum, so only the terms below that bound count.
+    # Each has l below m0 + _UNDERFLOW_BITS plus a rounding, so it is copied
+    # here; inf and NaN are not.
+    exponents = le[le <= m0 + (_UNDERFLOW_BITS + 1.0)]
+    del le  # a filtered copy is not kept beside the exponents
+    np.subtract(m0, exponents, out=exponents)
+    head = exponents[exponents > -_UNION_HEAD_BITS]
+    count = head.size
+    total = _exact_sum(np.exp2(head, out=head))
+    del head
+    tail = int(np.count_nonzero(exponents > -_UNDERFLOW_BITS)) - count
+    if tail and float(total) != float(total + Fraction(tail, 2**_UNION_HEAD_BITS)):
+        every = exponents[exponents > -_UNDERFLOW_BITS]
+        total = _exact_sum(np.exp2(every, out=every))
+    # one rounding, to the float math.fsum gives
+    return m0 - math.log2(float(total))
+
+
+# Bits below the largest term within which union_bound sums exactly first.
+_UNION_HEAD_BITS = 128
 
 # Bits per piece of a 53-bit mantissa in _exact_sum.
 _PIECE_BITS = 18
@@ -629,19 +653,189 @@ def _header_value(path: str, line: tuple[int, str], parse):
         raise ValueError(f"{path}, line {lineno}: {exc}") from None
 
 
+# Bytes of the file read at a time; a piece is the whole lines among them.
+_PIECE_BYTES = 1 << 17
+
+# Bytes of zeros around a piece, so that a field's window never leaves it.
+_PAD = 32
+
+# The most digits a j= (below 10**19, inside uint64) and an m= (below
+# 10**18, inside int64) have on the columns' path, and the most bytes of a
+# lera= field: repr never writes more than 24.  sq= has at most 3 digits.
+_J_DIGITS, _M_DIGITS, _SQ_DIGITS, _LERA_BYTES = 19, 18, 3, 24
+
+
+def _lera_automaton() -> np.ndarray:
+    """The automaton of a lera= field and its newline, as save_codespec
+    writes them: -?(inf|D+(.D+)?(e[-+]D+)?) with D a digit.
+
+    Entry 256 s + b is the state after byte b from state s, times 256, so
+    that the next entry's index is that plus the next byte.  State 1 starts,
+    state 12 has read the newline and takes any byte after it, and state 0
+    has read a byte that no such field has there.
+    """
+    digits = b"0123456789"
+    moves = [
+        {},
+        {b"-": 2, b"i": 9, digits: 3},
+        {b"i": 9, digits: 3},
+        {digits: 3, b".": 4, b"e": 6, b"\n": 12},
+        {digits: 5},
+        {digits: 5, b"e": 6, b"\n": 12},
+        {b"+-": 7},
+        {digits: 8},
+        {digits: 8, b"\n": 12},
+        {b"n": 10},
+        {b"f": 11},
+        {b"\n": 12},
+        {bytes(range(256)): 12},
+    ]
+    table = np.zeros((len(moves), 256), dtype=np.uint16)
+    for state, step in enumerate(moves):
+        for chars, to in step.items():
+            table[state, list(chars)] = to << 8
+    return table.ravel()
+
+
+_LERA_STEPS = _lera_automaton()
+
+# The key before each field of a channel line, and each as a little-endian
+# word that ends with it, with the mask of its bytes.
+_KEYS = (b"j=", b" m=", b" sq=", b" lera=")
+_KEY_WORDS = np.array([int.from_bytes(k.rjust(8, b"\0"), "little") for k in _KEYS], np.uint64)
+_KEY_MASKS = np.array(
+    [int.from_bytes(bytes(8 - len(k)) + b"\xff" * len(k), "little") for k in _KEYS], np.uint64
+)
+_KEY_LENGTHS = np.array([len(k) for k in _KEYS])
+
+
+def _digit_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, most: int):
+    """The decimal values of the fields buf[lo:hi] in uint64, or None if a
+    field is empty, longer than `most` digits, or holds a non-digit."""
+    size = hi - lo
+    width = int(size.max())
+    if size.min() < 1 or width > most:
+        return None
+    # each field right-aligned in a row of `width` bytes
+    digits = np.lib.stride_tricks.sliding_window_view(buf, width)[hi - width]
+    digits -= np.uint8(ord("0"))  # a byte below "0" wraps past 9
+    digits *= np.arange(width) >= (width - size)[:, None]  # zero the bytes before the field
+    if digits.max() > 9:
+        return None
+    values = np.zeros(size.size, dtype=np.uint64)
+    for column in digits.T:
+        values *= 10
+        values += column
+    return values
+
+
+def _canonical_columns(piece) -> tuple[np.ndarray, ...] | None:
+    """The (j, m, sq, lera) columns of a piece of whole lines, or None unless
+    every line is a channel line exactly as save_codespec writes it.
+
+    The newlines and spaces place every field, and every byte of a line is
+    checked: the keys, the digits of j, m and sq, and the lera= field by
+    _LERA_STEPS.  The digits are read in uint64 and the lera= bytes cast
+    by numpy, which gives the double that float() gives.
+    """
+    text = np.frombuffer(piece, dtype=np.uint8)
+    if text[-1] != ord("\n"):
+        return None
+    buf = np.zeros(text.size + 2 * _PAD, dtype=np.uint8)
+    buf[_PAD : _PAD + text.size] = text
+    ends = np.flatnonzero(text == ord("\n"))
+    spaces = np.flatnonzero(text == ord(" "))
+    if spaces.size != 3 * ends.size:
+        return None
+    ends += _PAD
+    spaces += _PAD
+    spaces = spaces.reshape(-1, 3)
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = _PAD, ends[:-1] + 1
+    # each field starts right after its key, at the line's start or a space
+    lo = np.column_stack([starts, spaces]) + _KEY_LENGTHS
+    # the word of the 8 bytes at every offset, unaligned
+    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))[lo - 8]
+    if np.any((words & _KEY_MASKS) != _KEY_WORDS):
+        return None
+    j = _digit_column(buf, lo[:, 0], spaces[:, 0], _J_DIGITS)
+    m = _digit_column(buf, lo[:, 1], spaces[:, 1], _M_DIGITS)
+    sq = _digit_column(buf, lo[:, 2], spaces[:, 2], _SQ_DIGITS)
+    if j is None or m is None or sq is None or sq.max() > 255:
+        return None
+    size = ends - lo[:, 3]
+    width = int(size.max())
+    if size.min() < 1 or width > _LERA_BYTES:
+        return None
+    field = np.lib.stride_tricks.sliding_window_view(buf, width + 1)[lo[:, 3]]
+    state = np.full(ends.size, 1 << 8, dtype=np.uint16)
+    for column in field.T:
+        state |= column
+        state = _LERA_STEPS[state]
+    if not np.all(state == 12 << 8):
+        return None
+    field *= np.arange(width + 1) < size[:, None]  # zero the newline and what follows
+    with np.errstate(over="ignore"):  # a long exponent parses to inf, as in float()
+        lera = field.view(f"S{width + 1}")[:, 0].astype(np.float64)
+    return j, m.view(np.int64), sq.astype(np.uint8), lera
+
+
+def _pieces(fh) -> Iterator[memoryview]:
+    """The rest of a binary file in pieces of whole lines, about _PIECE_BYTES
+    each; a last line with no newline is a piece of its own."""
+    rest = b""
+    while chunk := fh.read(_PIECE_BYTES):
+        data = rest + chunk
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield memoryview(data)[:cut]
+        rest = data[cut:]
+    if rest:
+        yield memoryview(rest)
+
+
+def _text_lines(data) -> io.TextIOWrapper:
+    """The lines of data as a file opened in text mode reads them."""
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
 def load_codespec(path: str) -> CodeSpec:
     """Read a code file; a malformed header value or channel line raises
     ValueError naming the file and the line; an sq= other than the count
     that j and m give raises one naming the file and the channel.
 
-    One pass parses the lines into typed columns that the spec wraps uncopied.
+    The channel lines are read a piece of about _PIECE_BYTES at a time.  A
+    piece whose every line is as save_codespec writes it is parsed whole into
+    typed columns; any other piece is read as text, line by line, with its
+    tokens in any order and spacing.  The columns grow in place, and the
+    spec wraps them uncopied.
     """
-    with open(path) as fh:
+    js, ms, sqs, les = columns = array("Q"), array("q"), array("B"), array("d")
+
+    def add_line(lineno: int, ln: str) -> None:
+        canonical = _CHANNEL_LINE.fullmatch(ln)
+        j, m, sq, lera = canonical.groups() if canonical else _channel_fields(path, lineno, ln)
+        try:
+            js.append(int(j))
+            ms.append(int(m))
+            sqs.append(int(sq))
+        except OverflowError as exc:  # out of a column's 64 bits, or sq out of its byte
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+        les.append(float(lera))
+
+    with open(path, "rb") as fh:
         # 25 bytes of columns a channel line, and 8 more for the sq check: a
-        # line is at least 20 bytes, and 25 once j passes 10**5 (j increases)
-        _check_memory(32 * (os.fstat(fh.fileno()).st_size // 20 + 1), f"the code file {path}")
-        lines = ((k, ln.rstrip("\n")) for k, ln in enumerate(fh, 1) if not ln.isspace())
-        header = list(itertools.islice(lines, 3))
+        # line is at least 20 bytes, and 25 once j passes 10**5 (j increases);
+        # and 8 bytes for each byte of the piece being parsed
+        size = os.fstat(fh.fileno()).st_size
+        _check_memory(32 * (size // 20 + 1) + 8 * min(size, _PIECE_BYTES), f"the code file {path}")
+        lineno, lines = 0, []  # the numbered lines that are not blank
+        while len(lines) < 3 and (raw := fh.readline()):
+            for text in _text_lines(raw):
+                lineno += 1
+                if not text.isspace():
+                    lines.append((lineno, text.rstrip("\n")))
+        header = lines[:3]
         if (
             len(header) < 3
             or not header[0][1].startswith("n=")
@@ -652,17 +846,19 @@ def load_codespec(path: str) -> CodeSpec:
         n = _header_value(path, header[0], int)
         z0 = _header_value(path, header[1], float)
         params = dict(_parse_param(tok) for tok in header[2][1][len("params="):].split())
-        js, ms, sqs, les = array("Q"), array("q"), array("B"), array("d")
-        for lineno, ln in lines:
-            canonical = _CHANNEL_LINE.fullmatch(ln)
-            j, m, sq, lera = canonical.groups() if canonical else _channel_fields(path, lineno, ln)
-            try:
-                js.append(int(j))
-                ms.append(int(m))
-                sqs.append(int(sq))
-            except OverflowError as exc:  # out of a column's 64 bits, or sq out of its byte
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            les.append(float(lera))
+        for numbered in lines[3:]:
+            add_line(*numbered)
+        for piece in _pieces(fh):
+            parsed = _canonical_columns(piece)
+            if parsed is None:
+                for text in _text_lines(piece):
+                    lineno += 1
+                    if not text.isspace():
+                        add_line(lineno, text.rstrip("\n"))
+            else:
+                for column, values in zip(columns, parsed):
+                    column.frombytes(values.view(np.uint8))
+                lineno += parsed[0].size
     try:
         spec = CodeSpec(
             n=n,

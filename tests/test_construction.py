@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import ChannelPath, channel_erasure, classical_rate_reference, level_erasures
 
@@ -273,6 +273,58 @@ def test_union_bound_by_small_chunks_is_the_correctly_rounded_sum(monkeypatch):
         gaps = rng.choice(UNION_GAPS + [0.0] * 4, size) + rng.random(size) * 60.0
         l_era = 2.0 + np.where(rng.random(size) < 0.3, 0.0, gaps)
         assert co.union_bound(_spec_with_l_era(l_era)) == _fsum_union_bound(l_era)
+
+
+def test_union_bound_head_sum_is_the_full_sum(monkeypatch):
+    # union_bound first sums only the terms within _UNION_HEAD_BITS bits of
+    # the largest.  With that many bits set to _UNDERFLOW_BITS it sums every
+    # term that counts, as its fallback does; at any head width both give the
+    # same float, bit for bit.  _exact_sum runs once on the certified path
+    # and twice on the fallback, and both must run.
+    sizes = []
+    exact_sum = co._exact_sum
+    monkeypatch.setattr(co, "_exact_sum", lambda terms: sizes.append(terms.size) or exact_sum(terms))
+    paths = {"certified": 0, "fallback": 0}
+
+    def bound(spec, bits):
+        sizes.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(co, "_UNION_HEAD_BITS", bits)
+            return co.union_bound(spec), list(sizes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bits=st.sampled_from([1, 2, 8, 60, 128]),
+        base=st.floats(min_value=0.0, max_value=3e3),
+        gaps=st.lists(
+            st.sampled_from(UNION_GAPS) | st.floats(min_value=0.0, max_value=1074.9),
+            min_size=1,
+            max_size=40,
+        ),
+        repeat=st.integers(min_value=1, max_value=5000),
+    )
+    # the head 1 + 2**-53 is a tie that rounds down, and any tail rounds it up
+    @example(bits=128, base=0.0, gaps=[0.0, 53.0, 200.0], repeat=1)
+    @example(bits=128, base=0.0, gaps=[0.0, 200.0], repeat=1)
+    # 200 tail terms of 2**-60 each, 2**-52.4 in all, move the head 1 up by
+    # an ulp: the tail bound must not be any smaller than c * 2**-60
+    @example(bits=60, base=0.0, gaps=[60.0, 0.0], repeat=200)
+    # a -inf entry is left out, as inf and NaN are
+    @example(bits=8, base=5.0, gaps=[3.0, -np.inf, 0.0, np.nan, 20.0], repeat=2)
+    def check(bits, base, gaps, repeat):
+        l_era = np.array([base + gaps[0]] * repeat + [base + g for g in gaps[1:]])
+        spec = _spec_with_l_era(l_era)
+        full, every = bound(spec, er._UNDERFLOW_BITS)  # no sum when no term is finite
+        got, head = bound(spec, bits)
+        assert got.hex() == full.hex() == _fsum_union_bound(l_era).hex()
+        if len(head) == 2:
+            paths["fallback"] += 1
+            assert head[1:] == every
+        elif head and head[0] < every[0]:
+            paths["certified"] += 1
+
+    check()
+    assert paths["certified"] and paths["fallback"], paths
 
 
 def _traced_needs(monkeypatch, workers, build):
@@ -717,6 +769,147 @@ def test_codespec_load_peak_is_its_columns(monkeypatch, tmp_path):
     assert loaded == spec and len(spec) == 1 << 16
     (need,) = needs
     assert peak < 64 * len(spec) and peak <= need, (peak, need)
+
+
+def _per_line_load(path):
+    """load_codespec with every piece read as text, line by line."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(co, "_canonical_columns", lambda piece: None)
+        return co.load_codespec(path)
+
+
+def _load_or_message(load, path):
+    try:
+        spec = load(path)
+    except ValueError as exc:
+        return str(exc)
+    columns = spec.indices, spec.l_era.view(np.uint64), spec.source_pocket
+    return spec.n, spec.z0, spec.params, [(c.dtype, c.tolist()) for c in columns]
+
+
+# Ways to write a channel line that save_codespec never writes, each read as
+# the same channel: the variants of test_codespec_file_lines_and_token_fallback
+# and a zero-padded m.
+_LINE_VARIANTS = [
+    "canonical", "reordered", "spaced", "crlf", "signed sq", "underscore",
+    "upper case", "bare point", "signed zero m", "padded m",
+]
+
+
+def _channel_line(variant, j, m, sq, lera):
+    if variant == "signed zero m" and m == 0:
+        m = "-0"
+    elif variant == "padded m":
+        m = f"0{m}"
+    if variant == "signed sq":
+        sq = f"+{sq}"
+    if variant == "underscore":
+        lera = re.sub(r"(\d)(\d)", r"\1_\2", lera, count=1)
+    elif variant == "upper case":
+        lera = lera.upper()
+    elif variant == "bare point":
+        lera = re.sub(r"^(-?)0\.", r"\1.", lera)
+    if variant == "reordered":
+        return f"lera={lera} sq={sq} m={m} j={j}"
+    if variant == "spaced":
+        return f"  j={j}   m={m} sq={sq}\tlera={lera} "
+    return f"j={j} m={m} sq={sq} lera={lera}" + ("\r" if variant == "crlf" else "")
+
+
+# Channel lines that no reading takes, each as test_simulate_bad_code_line_exits_2 has it.
+_BAD_LINES = [
+    "j=1 m=0 lera=1.0",
+    "j=1 m=0 sq=0 lera=1.0 x=2",
+    "j=1 m=0 sq=0 lera=1.0 j=2",
+    "j=one m=0 sq=0 lera=1.0",
+    "j=18446744073709551616 m=0 sq=0 lera=1.0",
+    "j=1 m=0 sq=256 lera=1.0",
+]
+
+
+@st.composite
+def _code_file(draw):
+    """The text of a level-63 code file: channel lines canonical or in a
+    variant, blank lines between them, and at most one malformed line."""
+    rows = draw(st.lists(
+        st.tuples(
+            st.integers(1, 1 << 63) | st.integers(1, 1 << 20),
+            st.integers(0, 63),
+            st.floats(allow_nan=True) | st.sampled_from([math.inf, 5e-324, 1e300, 0.5]),
+            st.sampled_from(_LINE_VARIANTS),
+        ),
+        max_size=12,
+        unique_by=lambda row: row[0],
+    ).map(sorted))
+    if rows and draw(st.booleans()):  # a j past 2**63: out of range, or past 2**64
+        rows[-1] = (draw(st.integers((1 << 63) + 1, 1 << 64)), *rows[-1][1:])
+    lines = []
+    for j, m, lera, variant in rows:
+        lines += [""] * draw(st.integers(0, 1))
+        sq = bin((j - 1) & ((1 << (63 - m)) - 1)).count("1")
+        lines.append(_channel_line(variant, j, m, sq, repr(lera)))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BAD_LINES)))
+    return "n=63\nz0=0.5\nparams=mode=classical\n" + "".join(f"{ln}\n" for ln in lines)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_code_file(), piece=st.integers(1, 200) | st.just(1 << 17))
+@example(
+    text="n=63\nz0=0.5\nparams=\n\nj=9223372036854775808 m=63 sq=0 lera=1e+300\n"
+    "j=9223372036854775809 m=0 sq=63 lera=inf\n",
+    piece=1 << 17,
+)
+def test_codespec_pieces_load_as_the_per_line_loop(tmp_path, text, piece):
+    # Pieces of one to a few lines put every variant on a piece edge.  The
+    # columns, or the error with its file and line, are the per-line loop's.
+    path = tmp_path / "code.txt"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(co, "_PIECE_BYTES", piece)
+        got = _load_or_message(co.load_codespec, str(path))
+    assert got == _load_or_message(_per_line_load, str(path))
+    for bad in _BAD_LINES:
+        if bad in text:
+            lineno = text.splitlines().index(bad) + 1
+            assert got.startswith(f"{path}, line {lineno}: "), got
+
+
+def test_codespec_files_the_writer_makes_load_by_columns(tmp_path, monkeypatch):
+    # every line save_codespec writes is taken whole into the columns; the
+    # per-line loop, which matches _CHANNEL_LINE first, must never run
+    class Refuse:
+        def fullmatch(self, line):
+            pytest.fail(f"{line!r} was read by the per-line loop")
+
+    root = er.RootChannel(0.5)
+    codes = [
+        co.select_classical(root, 17, rate=0.5),
+        co.select_classical(er.RootChannel(0.2), 14, max_sum_erasure=1e-3),
+        co.select_classical(root, 3, rate=0.0),
+        co.construct_multipocket(root, 12, 0.10, 8.0, 3.8, pockets=3, p_ub=2.0**-6)[0],
+        co.construct_multipocket(root, 20, 0.25, 8.0, 3.8, pockets=4, p_ub=2.0**-10)[0],
+        _spec_with_l_era([np.inf, 1e300, 256.54118673355, 0.5, 5e-324, 0.0, -1.5, -np.inf]),
+        co.CodeSpec(
+            n=63,
+            z0=0.5,
+            indices=np.array([1, 10**18, 1 << 63], dtype=np.uint64),
+            l_era=np.array([2.2250738585072014e-308, 1.7976931348623157e308, 1e-5]),
+            source_pocket=np.array([0, 7, 63], dtype=np.int64),
+        ),
+    ]
+    path = tmp_path / "code.txt"
+    for spec in codes:
+        co.save_codespec(spec, str(path))
+        # pieces of one line and of a few, for the small codes
+        for piece in [1 << 17, 1 << 12] + ([1, 100] if len(spec) < 100 else []):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(co, "_PIECE_BYTES", piece)
+                patch.setattr(co, "_CHANNEL_LINE", Refuse())
+                loaded = co.load_codespec(str(path))
+            assert loaded == spec
+            assert loaded.l_era.view(np.uint64).tolist() == spec.l_era.view(np.uint64).tolist()
+            assert loaded.indices.dtype == np.uint64 and loaded.source_pocket.dtype == np.int64
 
 
 def test_codespec_validates_indices():
