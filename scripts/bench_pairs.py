@@ -11,10 +11,17 @@ and quartiles, and the parent's interquartile range; and each side's median
 of every job's median seconds.  A claimed gain needs the change better in at
 least 9 of 10 pairs and the medians apart by more than the parent's
 interquartile range.
+
+Each tree runs with its own bytecode cache (PYTHONPYCACHEPREFIX) in the
+script's temporary directory, empty at the start and written by the tree's
+first run.  Bytecode that a tree's __pycache__ holds from earlier runs then
+cannot move its setup_s, and both trees import from cached bytecode after
+their first runs.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -22,10 +29,13 @@ import tempfile
 from pathlib import Path
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float, out: Path) -> tuple[dict, dict]:
+def run(tree: Path, workload: str, seed: int, seconds: float, out: Path,
+        pycache: Path) -> tuple[dict, dict]:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0", "--out", str(out)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     if not result["correct"] or result["failed"]:
         sys.exit(f"{tree}: seed {seed} failed {result['failed']} of {result['attempted']} jobs")
@@ -57,7 +67,9 @@ def main() -> None:
             order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
             for side in order:
                 out = Path(scratch) / f"{side}-{seed}.json"
-                sides[side].append(run(getattr(args, side), args.workload, seed, args.seconds, out))
+                pycache = Path(scratch) / f"{side}-pycache"
+                sides[side].append(
+                    run(getattr(args, side), args.workload, seed, args.seconds, out, pycache))
             (parent, _), (change, _) = sides["parent"][-1], sides["change"][-1]
             print(f"pair {k + 1} seed {seed} {order[0]} first: " + ", ".join(
                 f"{name} {parent[name]:.4g}/{change[name]:.4g}" for name in better), flush=True)

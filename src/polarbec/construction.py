@@ -588,11 +588,12 @@ def _quota_count(steps: int, quota: int) -> int:
 # Text format: header lines, then one `j= m= sq= lera=` line per channel.
 
 
-# A channel line exactly as save_codespec writes it; load_codespec parses
-# any other line token by token.
-_CHANNEL_LINE = re.compile(
-    r"j=([0-9]+) m=(-?[0-9]+) sq=(-?[0-9]+) "
-    r"lera=(-?(?:inf|nan|[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?))"
+# A channel line exactly as save_codespec writes it, with j below 10**19
+# (inside uint64) and m below 10**18 (inside int64); load_codespec parses any
+# other line token by token.
+_CANONICAL_LINE = re.compile(
+    rb"j=([0-9]{1,19}) m=([0-9]{1,18}) sq=([0-9]{1,3}) "
+    rb"lera=(-?(?:inf|[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?))\n"
 )
 
 # Channel lines joined per write, so a large code never becomes one string.
@@ -659,69 +660,19 @@ _PIECE_BYTES = 1 << 17
 # Bytes of zeros around a piece, so that a field's window never leaves it.
 _PAD = 32
 
-# The most digits a j= (below 10**19, inside uint64) and an m= (below
-# 10**18, inside int64) have on the columns' path, and the most bytes of a
-# lera= field: repr never writes more than 24.  sq= has at most 3 digits.
-_J_DIGITS, _M_DIGITS, _SQ_DIGITS, _LERA_BYTES = 19, 18, 3, 24
+# The most bytes of a lera= field on the columns' path: repr never writes
+# more than 24.
+_LERA_BYTES = 24
 
 
-def _lera_automaton() -> np.ndarray:
-    """The automaton of a lera= field and its newline, as save_codespec
-    writes them: -?(inf|D+(.D+)?(e[-+]D+)?) with D a digit.
-
-    Entry 256 s + b is the state after byte b from state s, times 256, so
-    that the next entry's index is that plus the next byte.  State 1 starts,
-    state 12 has read the newline and takes any byte after it, and state 0
-    has read a byte that no such field has there.
-    """
-    digits = b"0123456789"
-    moves = [
-        {},
-        {b"-": 2, b"i": 9, digits: 3},
-        {b"i": 9, digits: 3},
-        {digits: 3, b".": 4, b"e": 6, b"\n": 12},
-        {digits: 5},
-        {digits: 5, b"e": 6, b"\n": 12},
-        {b"+-": 7},
-        {digits: 8},
-        {digits: 8, b"\n": 12},
-        {b"n": 10},
-        {b"f": 11},
-        {b"\n": 12},
-        {bytes(range(256)): 12},
-    ]
-    table = np.zeros((len(moves), 256), dtype=np.uint16)
-    for state, step in enumerate(moves):
-        for chars, to in step.items():
-            table[state, list(chars)] = to << 8
-    return table.ravel()
-
-
-_LERA_STEPS = _lera_automaton()
-
-# The key before each field of a channel line, and each as a little-endian
-# word that ends with it, with the mask of its bytes.
-_KEYS = (b"j=", b" m=", b" sq=", b" lera=")
-_KEY_WORDS = np.array([int.from_bytes(k.rjust(8, b"\0"), "little") for k in _KEYS], np.uint64)
-_KEY_MASKS = np.array(
-    [int.from_bytes(bytes(8 - len(k)) + b"\xff" * len(k), "little") for k in _KEYS], np.uint64
-)
-_KEY_LENGTHS = np.array([len(k) for k in _KEYS])
-
-
-def _digit_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, most: int):
-    """The decimal values of the fields buf[lo:hi] in uint64, or None if a
-    field is empty, longer than `most` digits, or holds a non-digit."""
+def _digit_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The decimal values of the digit fields buf[lo:hi], in uint64."""
     size = hi - lo
     width = int(size.max())
-    if size.min() < 1 or width > most:
-        return None
     # each field right-aligned in a row of `width` bytes
     digits = np.lib.stride_tricks.sliding_window_view(buf, width)[hi - width]
-    digits -= np.uint8(ord("0"))  # a byte below "0" wraps past 9
+    digits -= np.uint8(ord("0"))
     digits *= np.arange(width) >= (width - size)[:, None]  # zero the bytes before the field
-    if digits.max() > 9:
-        return None
     values = np.zeros(size.size, dtype=np.uint64)
     for column in digits.T:
         values *= 10
@@ -731,52 +682,37 @@ def _digit_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, most: int):
 
 def _canonical_columns(piece) -> tuple[np.ndarray, ...] | None:
     """The (j, m, sq, lera) columns of a piece of whole lines, or None unless
-    every line is a channel line exactly as save_codespec writes it.
+    every line is a _CANONICAL_LINE with sq at most 255 and a lera= field of
+    at most _LERA_BYTES.
 
-    The newlines and spaces place every field, and every byte of a line is
-    checked: the keys, the digits of j, m and sq, and the lera= field by
-    _LERA_STEPS.  The digits are read in uint64 and the lera= bytes cast
-    by numpy, which gives the double that float() gives.
+    The newlines and spaces place every field.  The digits are read in
+    uint64 and the lera= bytes cast by numpy, which gives the double that
+    float() gives.
     """
-    text = np.frombuffer(piece, dtype=np.uint8)
-    if text[-1] != ord("\n"):
+    # sub, not a fullmatch of (?:...)+, which keeps a backtrack frame a line
+    if _CANONICAL_LINE.sub(b"", piece):
         return None
+    text = np.frombuffer(piece, dtype=np.uint8)
     buf = np.zeros(text.size + 2 * _PAD, dtype=np.uint8)
     buf[_PAD : _PAD + text.size] = text
-    ends = np.flatnonzero(text == ord("\n"))
-    spaces = np.flatnonzero(text == ord(" "))
-    if spaces.size != 3 * ends.size:
-        return None
-    ends += _PAD
-    spaces += _PAD
-    spaces = spaces.reshape(-1, 3)
+    ends = np.flatnonzero(text == ord("\n")) + _PAD
+    spaces = (np.flatnonzero(text == ord(" ")) + _PAD).reshape(-1, 3)
     starts = np.empty_like(ends)
     starts[0], starts[1:] = _PAD, ends[:-1] + 1
-    # each field starts right after its key, at the line's start or a space
-    lo = np.column_stack([starts, spaces]) + _KEY_LENGTHS
-    # the word of the 8 bytes at every offset, unaligned
-    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))[lo - 8]
-    if np.any((words & _KEY_MASKS) != _KEY_WORDS):
-        return None
-    j = _digit_column(buf, lo[:, 0], spaces[:, 0], _J_DIGITS)
-    m = _digit_column(buf, lo[:, 1], spaces[:, 1], _M_DIGITS)
-    sq = _digit_column(buf, lo[:, 2], spaces[:, 2], _SQ_DIGITS)
-    if j is None or m is None or sq is None or sq.max() > 255:
-        return None
+    # each field starts right after its key: j= at the line's start, then
+    # " m=", " sq=" and " lera=" from a space
+    lo = np.column_stack([starts, spaces]) + (2, 3, 4, 6)
+    j = _digit_column(buf, lo[:, 0], spaces[:, 0])
+    m = _digit_column(buf, lo[:, 1], spaces[:, 1])
+    sq = _digit_column(buf, lo[:, 2], spaces[:, 2])
     size = ends - lo[:, 3]
     width = int(size.max())
-    if size.min() < 1 or width > _LERA_BYTES:
+    if sq.max() > 255 or width > _LERA_BYTES:
         return None
-    field = np.lib.stride_tricks.sliding_window_view(buf, width + 1)[lo[:, 3]]
-    state = np.full(ends.size, 1 << 8, dtype=np.uint16)
-    for column in field.T:
-        state |= column
-        state = _LERA_STEPS[state]
-    if not np.all(state == 12 << 8):
-        return None
-    field *= np.arange(width + 1) < size[:, None]  # zero the newline and what follows
+    field = np.lib.stride_tricks.sliding_window_view(buf, width)[lo[:, 3]]
+    field *= np.arange(width) < size[:, None]  # zero the newline and what follows
     with np.errstate(over="ignore"):  # a long exponent parses to inf, as in float()
-        lera = field.view(f"S{width + 1}")[:, 0].astype(np.float64)
+        lera = field.view(f"S{width}")[:, 0].astype(np.float64)
     return j, m.view(np.int64), sq.astype(np.uint8), lera
 
 
@@ -794,26 +730,38 @@ def _pieces(fh) -> Iterator[memoryview]:
         yield memoryview(rest)
 
 
-def _text_lines(data) -> io.TextIOWrapper:
-    """The lines of data as a file opened in text mode reads them."""
-    return io.TextIOWrapper(io.BytesIO(data))
+def _text_lines(path: str, lineno: int, data) -> Iterator[tuple[int, str]]:
+    """The lines of data as a file opened in text mode reads them, numbered
+    on from lineno.  A byte that is not UTF-8 raises ValueError naming the
+    file and its line."""
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    for lineno, line in enumerate(lines, lineno + 1):
+        if not line.isascii():
+            try:
+                line.encode()
+            except UnicodeEncodeError as exc:  # at the first byte escaped
+                bad = ord(line[exc.start]) - 0xDC00
+                raise ValueError(f"{path}, line {lineno}: byte 0x{bad:02x} is not UTF-8") from None
+        yield lineno, line
 
 
 def load_codespec(path: str) -> CodeSpec:
-    """Read a code file; a malformed header value or channel line raises
-    ValueError naming the file and the line; an sq= other than the count
-    that j and m give raises one naming the file and the channel.
+    """Read a code file; a malformed header value or channel line, or a byte
+    that is not UTF-8, raises ValueError naming the file and the line; an
+    sq= other than the count that j and m give raises one naming the file
+    and the channel.
 
     The channel lines are read a piece of about _PIECE_BYTES at a time.  A
-    piece whose every line is as save_codespec writes it is parsed whole into
-    typed columns; any other piece is read as text, line by line, with its
-    tokens in any order and spacing.  The columns grow in place, and the
-    spec wraps them uncopied.
+    piece whose every line is a _CANONICAL_LINE is parsed whole into typed
+    columns by _canonical_columns; any other piece is read as text, line by
+    line.  A line there that matches _CANONICAL_LINE is split by it, and
+    any other by its tokens, in any order and spacing.  The columns grow in
+    place, and the spec wraps them uncopied.
     """
     js, ms, sqs, les = columns = array("Q"), array("q"), array("B"), array("d")
 
     def add_line(lineno: int, ln: str) -> None:
-        canonical = _CHANNEL_LINE.fullmatch(ln)
+        canonical = _CANONICAL_LINE.fullmatch(f"{ln}\n".encode())
         j, m, sq, lera = canonical.groups() if canonical else _channel_fields(path, lineno, ln)
         try:
             js.append(int(j))
@@ -826,13 +774,15 @@ def load_codespec(path: str) -> CodeSpec:
     with open(path, "rb") as fh:
         # 25 bytes of columns a channel line, and 8 more for the sq check: a
         # line is at least 20 bytes, and 25 once j passes 10**5 (j increases);
-        # and 8 bytes for each byte of the piece being parsed
+        # 8 bytes for each byte of the piece being parsed; the buffer of
+        # _PIECE_BYTES that a read allocates whatever the file's size; and
+        # 16 KiB for the file object and the small objects of a short file
         size = os.fstat(fh.fileno()).st_size
-        _check_memory(32 * (size // 20 + 1) + 8 * min(size, _PIECE_BYTES), f"the code file {path}")
+        need = 32 * (size // 20 + 1) + 8 * min(size, _PIECE_BYTES) + _PIECE_BYTES + (1 << 14)
+        _check_memory(need, f"the code file {path}")
         lineno, lines = 0, []  # the numbered lines that are not blank
         while len(lines) < 3 and (raw := fh.readline()):
-            for text in _text_lines(raw):
-                lineno += 1
+            for lineno, text in _text_lines(path, lineno, raw):
                 if not text.isspace():
                     lines.append((lineno, text.rstrip("\n")))
         header = lines[:3]
@@ -851,8 +801,7 @@ def load_codespec(path: str) -> CodeSpec:
         for piece in _pieces(fh):
             parsed = _canonical_columns(piece)
             if parsed is None:
-                for text in _text_lines(piece):
-                    lineno += 1
+                for lineno, text in _text_lines(path, lineno, piece):
                     if not text.isspace():
                         add_line(lineno, text.rstrip("\n"))
             else:

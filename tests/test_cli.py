@@ -478,13 +478,14 @@ def test_simulate_over_memory_budget_exits_2(capsys, tmp_path, monkeypatch, work
 
 
 def test_simulate_code_over_memory_budget_exits_2_before_parsing(capsys, tmp_path, monkeypatch):
-    # 32 bytes of columns for each 20 bytes of file, and 8 for each byte of
-    # the piece being parsed (here the whole file), checked before any line
-    # is read: one byte less and the bad line below is never reached
+    # 32 bytes of columns for each 20 bytes of file, 8 for each byte of the
+    # piece being parsed (here the whole file), the 128 KiB buffer of a read
+    # and 16 KiB more, checked before any line is read: one byte less and
+    # the bad line below is never reached
     code_file = tmp_path / "code.txt"
     code_file.write_text("n=4\nz0=0.5\nparams=\n" + "j=1 m=0 sq=0 lera=1.0\n" * 100 + "bad\n")
     size = code_file.stat().st_size
-    need = 32 * (size // 20 + 1) + 8 * size
+    need = 32 * (size // 20 + 1) + 8 * size + (1 << 17) + (1 << 14)
     monkeypatch.setattr(errors, "_memory_budget", lambda: need - 1)
     code, out, err = run_cli(capsys, "simulate", "--code", str(code_file))
     assert code == 2 and out is None and err["error"] == "LevelTooLargeError"

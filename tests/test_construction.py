@@ -754,21 +754,24 @@ def test_codespec_file_lines_and_token_fallback(tmp_path, monkeypatch):
 
 def test_codespec_load_peak_is_its_columns(monkeypatch, tmp_path):
     # 2**16 channel lines parse straight into 32 bytes of columns a line;
-    # the estimate from the file size covers the traced peak
-    spec = co.select_classical(er.RootChannel(0.5), 17, rate=0.5)
+    # the estimate from the file size covers the traced peak, also for a
+    # file of no channel and the small files that one read of a piece outweighs
     path = tmp_path / "code.txt"
-    co.save_codespec(spec, str(path))
     needs = []
     monkeypatch.setattr(co, "_check_memory", lambda need, what: needs.append(need))
-    tracemalloc.start()
-    try:
-        loaded = co.load_codespec(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert loaded == spec and len(spec) == 1 << 16
-    (need,) = needs
-    assert peak < 64 * len(spec) and peak <= need, (peak, need)
+    for n in (0, 4, 8, 10, 12, 17):
+        spec = co.select_classical(er.RootChannel(0.5), n, rate=0.5)
+        co.save_codespec(spec, str(path))
+        tracemalloc.start()
+        try:
+            loaded = co.load_codespec(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == spec and len(spec) == (1 << n) // 2
+        need = needs.pop()
+        assert peak <= need, (n, peak, need)
+    assert peak < 64 * len(spec), peak
 
 
 def _per_line_load(path):
@@ -860,27 +863,41 @@ def _code_file(draw):
     "j=9223372036854775809 m=0 sq=63 lera=inf\n",
     piece=1 << 17,
 )
+@example(  # the j past 64 bits comes before the line with no sq=
+    text="n=63\nz0=0.5\nparams=mode=classical\n"
+    "j=18446744073709551616 m=0 sq=63 lera=0.0\nj=1 m=0 lera=1.0\n",
+    piece=1 << 17,
+)
 def test_codespec_pieces_load_as_the_per_line_loop(tmp_path, text, piece):
     # Pieces of one to a few lines put every variant on a piece edge.  The
-    # columns, or the error with its file and line, are the per-line loop's.
+    # columns, or the error with its file and line, are the per-line loop's;
+    # the line it names is the first malformed one, a _BAD_LINES line or the
+    # channel whose j is past 64 bits.
     path = tmp_path / "code.txt"
     path.write_bytes(text.encode())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(co, "_PIECE_BYTES", piece)
         got = _load_or_message(co.load_codespec, str(path))
     assert got == _load_or_message(_per_line_load, str(path))
-    for bad in _BAD_LINES:
-        if bad in text:
-            lineno = text.splitlines().index(bad) + 1
-            assert got.startswith(f"{path}, line {lineno}: "), got
+    malformed = [
+        lineno
+        for lineno, ln in enumerate(text.splitlines(), 1)
+        if ln in _BAD_LINES or f"j={1 << 64}" in ln
+    ]
+    if malformed:
+        assert got.startswith(f"{path}, line {malformed[0]}: "), got
 
 
 def test_codespec_files_the_writer_makes_load_by_columns(tmp_path, monkeypatch):
-    # every line save_codespec writes is taken whole into the columns; the
-    # per-line loop, which matches _CHANNEL_LINE first, must never run
-    class Refuse:
-        def fullmatch(self, line):
-            pytest.fail(f"{line!r} was read by the per-line loop")
+    # every line save_codespec writes is taken whole into the columns: no
+    # piece is left to the per-line loop
+    columns = co._canonical_columns
+
+    def refuse(piece):
+        parsed = columns(piece)
+        if parsed is None:
+            pytest.fail(f"{bytes(piece)[:60]!r}... was left to the per-line loop")
+        return parsed
 
     root = er.RootChannel(0.5)
     codes = [
@@ -905,11 +922,80 @@ def test_codespec_files_the_writer_makes_load_by_columns(tmp_path, monkeypatch):
         for piece in [1 << 17, 1 << 12] + ([1, 100] if len(spec) < 100 else []):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(co, "_PIECE_BYTES", piece)
-                patch.setattr(co, "_CHANNEL_LINE", Refuse())
+                patch.setattr(co, "_canonical_columns", refuse)
                 loaded = co.load_codespec(str(path))
             assert loaded == spec
             assert loaded.l_era.view(np.uint64).tolist() == spec.l_era.view(np.uint64).tolist()
             assert loaded.indices.dtype == np.uint64 and loaded.source_pocket.dtype == np.int64
+
+
+_UTF8_HEADER = b"n=4\nz0=0.5\nparams=mode=classical\n"
+_UTF8_LINE = b"j=1 m=0 sq=0 lera=1.0\n"
+
+
+@pytest.mark.parametrize(
+    "data, piece, lineno",
+    [
+        (b"n=4\nz0=0.\xff5\nparams=\n", 1 << 17, 2),
+        (_UTF8_HEADER + _UTF8_LINE + b"\xff" + _UTF8_LINE, 1 << 17, 5),
+        (_UTF8_HEADER + _UTF8_LINE * 2 + b"j=3 m=0 sq=\xff1 lera=1.0\n", 1 << 17, 6),
+        (_UTF8_HEADER + _UTF8_LINE * 20 + b"j=1 m=0\xe2\x82 sq=0\n", 64, 24),
+        (_UTF8_HEADER.replace(b"\n", b"\r") + b"j=1 m=0 sq=0 lera=1\r\xff\r", 1 << 17, 5),
+    ],
+    ids=["header", "line start", "line middle", "later piece", "cr only"],
+)
+def test_codespec_not_utf8_names_file_and_line(tmp_path, monkeypatch, data, piece, lineno):
+    path = tmp_path / "code.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr(co, "_PIECE_BYTES", piece)
+    with pytest.raises(ValueError) as exc:
+        co.load_codespec(str(path))
+    bad = re.search(rb"[\x80-\xff]", data).group()[0]
+    assert str(exc.value) == f"{path}, line {lineno}: byte 0x{bad:02x} is not UTF-8"
+
+
+def _limit_line(j=10**18, m=0, sq="{}", lera="0.5", end="\n"):
+    """A level-63 channel line; sq formats the count that j and m give."""
+    count = bin((int(j) - 1) & ((1 << (63 - int(m))) - 1)).count("1")
+    return f"j={j} m={m} sq={sq.format(count)} lera={lera}{end}"
+
+
+@pytest.mark.parametrize(
+    "line, taken",
+    [
+        (_limit_line(), True),  # j of 19 digits
+        (_limit_line(j=f"0{10**18}"), False),
+        (_limit_line(m="7".zfill(18)), True),
+        (_limit_line(m="7".zfill(19)), False),
+        (_limit_line(sq="255"), True),
+        (_limit_line(sq="256"), False),
+        (_limit_line(sq="{:04}"), False),
+        (_limit_line(lera="-1.2345678901234567e-100"), True),  # 24 bytes
+        (_limit_line(lera="-1.23456789012345678e-100"), False),  # 25 bytes
+        (_limit_line(lera="-inf"), True),
+        *(
+            (_limit_line(lera=lera), False)
+            for lera in ["nan", "INF", "1e5", "1.e5", ".5", "+1.0", "1E+5"]
+        ),
+        (_limit_line(end=""), False),
+    ],
+)
+def test_codespec_canonical_set_limits(tmp_path, monkeypatch, line, taken):
+    # Lines at each limit of what the columns take, and just past it.  The
+    # values, or the error, are the per-line loop's either way.
+    path = tmp_path / "code.txt"
+    path.write_text("n=63\nz0=0.5\nparams=mode=classical\n" + line)
+    parsed = []
+    columns = co._canonical_columns
+
+    def spy(piece):
+        parsed.append(columns(piece))
+        return parsed[-1]
+
+    monkeypatch.setattr(co, "_canonical_columns", spy)
+    got = _load_or_message(co.load_codespec, str(path))
+    assert [p is not None for p in parsed] == [taken]
+    assert got == _load_or_message(_per_line_load, str(path))
 
 
 def test_codespec_validates_indices():
